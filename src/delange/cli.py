@@ -410,7 +410,7 @@ def _cmd_hankel_check(res: _Resolver) -> int:
         reference = perron_mod.hankel_closed_form(u, kappa, ell)
         scale = abs(reference) if reference != 0 else 1.0
         rel = abs(value - reference) / scale
-        nodes = 10 * max(8, npu) + 10 * max(12, npu)
+        nodes = perron_mod.loop_node_count(q)
     print(f"loop = {_fmt_value(value)}  reference = {_fmt_value(reference)}  rel_dev = {rel:.3e}")
     if out:
         emit_json(

@@ -23,9 +23,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .contour import ZeroSet
-from .errors import NoClosedForm, QuadratureNotConverged
+from .errors import (
+    NoClosedForm,
+    OutOfValidatedRange,
+    ParameterOutOfRange,
+    QuadratureNotConverged,
+)
 from .sieve import Window
-from .special import DEFAULT_PRECISION, EvalPrecision, recip_gamma
+from .special import DEFAULT_PRECISION, TAU_MAX, EvalPrecision, recip_gamma
 
 DEFAULT_B_OFFSET = 2.0
 HANKEL_LEG_LEFT_ETA = 0.05
@@ -57,8 +62,28 @@ def _kernel(s: np.ndarray, x: float, y: float) -> np.ndarray:
     return np.exp(s * math.log(x)) * ew / s
 
 
+def _converged(fine: complex, coarse: complex, spec: QuadratureSpec) -> complex:
+    if abs(fine - coarse) > spec.abs_tol:
+        raise QuadratureNotConverged(
+            f"halving nodes moved the integral by {abs(fine - coarse):.3g}"
+            f" > abs_tol={spec.abs_tol:g}"
+        )
+    return fine
+
+
+def _require_finite(**params: float) -> None:
+    for name, v in params.items():
+        if not math.isfinite(v):
+            raise ParameterOutOfRange(f"{name}={v} must be finite")
+
+
 def _half_line_nodes(T: float, spec: QuadratureSpec, level: int):
-    """Nodes and weights on t in [0, T]; level 0 is full density, 1 halved."""
+    """Nodes and weights on t in [0, T]; level 0 is full density, 1 halved.
+
+    Both come as (rows, count) arrays whose rows are arithmetic progressions
+    in t (one row per Gauss offset, a single row for the trapezoid rule), the
+    layout zeta_batch evaluates with its factored direct sum.
+    """
     npu = spec.nodes_per_unit // (2**level)
     if spec.scheme == "trapezoid":
         n = max(32, int(math.ceil(T * npu)))
@@ -66,14 +91,14 @@ def _half_line_nodes(T: float, spec: QuadratureSpec, level: int):
         w = np.full(n + 1, T / n)
         w[0] *= 0.5
         w[-1] *= 0.5
-        return t, w
+        return t[None, :], w[None, :]
     glx, glw = leggauss(10)
     panels = max(4, int(math.ceil(T * npu / 10.0)))
     edges = np.linspace(0.0, T, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    t = (mid[:, None] + half * glx[None, :]).ravel()
-    w = np.tile(glw * half, panels)
+    t = mid[None, :] + half * glx[:, None]
+    w = np.repeat((glw * half)[:, None], panels, axis=1)
     return t, w
 
 
@@ -89,13 +114,16 @@ def perron_line_sum(
 
     Uses the Schwarz reflection F(conj s) = conj F(s) to integrate the upper
     half only.  Raises QuadratureNotConverged if halving the node density
-    moves the result by more than abs_tol.
+    moves the result by more than abs_tol, and OutOfValidatedRange for a
+    non-finite T or one above zeta's validated height TAU_MAX.
     """
     if family.closed_form_F is None:
         raise NoClosedForm(f"family {family.name!r} has no closed-form Dirichlet series")
     x, y = float(win.x), float(win.y)
     if x > 1e5:
         raise ValueError("line evaluation budget is limited to x <= 1e5")
+    if not (math.isfinite(T) and T <= TAU_MAX):
+        raise OutOfValidatedRange(f"T={T} must be finite and at most {TAU_MAX:g}")
     if T < 10.0:
         raise ValueError("T must be at least 10")
     b = 1.0 + b_offset / math.log(x)
@@ -103,28 +131,25 @@ def perron_line_sum(
     def evaluate(level: int) -> complex:
         t, w = _half_line_nodes(T, spec, level)
         total = 0.0 + 0.0j
-        step = 65536
-        for lo in range(0, t.size, step):
-            tt = t[lo : lo + step]
-            s = b + 1j * tt
+        step = 65536 // t.shape[0]
+        for lo in range(0, t.shape[1], step):
+            s = b + 1j * t[:, lo : lo + step]
             vals = family.closed_form_F(s) * _kernel(s, x, y)
-            total += np.sum(vals * w[lo : lo + step])
+            total += np.sum(vals * w[:, lo : lo + step])
         # f(-t) = conj(f(t)):  (1/2pi) * (I + conj I) = Re(I)/pi
         return complex(total.real / math.pi, 0.0)
 
-    fine = evaluate(0)
-    coarse = evaluate(1)
-    if abs(fine - coarse) > spec.abs_tol:
-        raise QuadratureNotConverged(
-            f"halving nodes moved the integral by {abs(fine - coarse):.3g}"
-            f" > abs_tol={spec.abs_tol:g}"
-        )
-    return fine
+    return _converged(evaluate(0), evaluate(1), spec)
 
 
 def line_node_count(T: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> int:
     """Quadrature nodes the line integral uses at full density."""
     return int(_half_line_nodes(T, spec, 0)[0].size)
+
+
+def loop_node_count(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> int:
+    """Quadrature nodes a Hankel loop uses at full density (legs plus circle)."""
+    return 10 * (max(8, spec.nodes_per_unit) + max(12, spec.nodes_per_unit))
 
 
 def nudge_to_zero_gap(zeroset: ZeroSet, T: float) -> float:
@@ -201,15 +226,6 @@ def _hankel_value(
     return complex(legs + circle)
 
 
-def _converged(fine: complex, coarse: complex, spec: QuadratureSpec) -> complex:
-    if abs(fine - coarse) > spec.abs_tol:
-        raise QuadratureNotConverged(
-            f"halving nodes moved the integral by {abs(fine - coarse):.3g}"
-            f" > abs_tol={spec.abs_tol:g}"
-        )
-    return fine
-
-
 def hankel_main_term(
     u: float,
     kappa: float,
@@ -221,13 +237,16 @@ def hankel_main_term(
     """(1/2 pi i) int_loop (s-1)^(l-kappa) u^(s-1) ds, loop radius r = 1/log u.
 
     Approaches (log u)^(kappa-1-l)/Gamma(kappa-l) as u grows; the truncation
-    of the legs at 1/2 + eta costs O(u^(eta-1/2)).
+    of the legs at 1/2 + eta costs O(u^(eta-1/2)).  A non-finite u, kappa or r
+    raises ParameterOutOfRange.
     """
+    _require_finite(u=u, kappa=kappa)
     if u < 100.0:
         raise ValueError("u must be at least 100")
     lu = math.log(u)
     if r is None:
         r = 1.0 / lu
+    _require_finite(r=r)
 
     def weight(s: np.ndarray) -> np.ndarray:
         return np.exp((np.asarray(s) - 1.0) * lu)
@@ -258,7 +277,9 @@ def ml_integral_check(
     eta: float = HANKEL_LEG_LEFT_ETA,
 ) -> LoopCheckReport:
     """Loop integral of (s-1)^(l-kappa) ((x+y)^s - x^s)/s against its main term
-    y (log x)^(kappa-1-l)/Gamma(kappa-l)."""
+    y (log x)^(kappa-1-l)/Gamma(kappa-l).  A non-finite kappa raises
+    ParameterOutOfRange."""
+    _require_finite(kappa=kappa)
     x, y = float(win.x), float(win.y)
     lx = math.log(x)
     r = 1.0 / lx
@@ -272,5 +293,6 @@ def ml_integral_check(
     reference = y * lx ** (kappa - 1.0 - l) * recip_gamma(kappa - l)
     scale = abs(reference) if reference != 0 else y * lx ** (kappa - 1.0 - l)
     rel = abs(value - reference) / scale
-    nodes = 10 * (max(8, spec.nodes_per_unit) + max(12, spec.nodes_per_unit))
-    return LoopCheckReport(value=value, reference=reference, rel_dev=rel, nodes=nodes)
+    return LoopCheckReport(
+        value=value, reference=reference, rel_dev=rel, nodes=loop_node_count(spec)
+    )

@@ -111,11 +111,6 @@ def ps_log(a: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
-def ps_pow(a: PowerSeries, exponent: complex) -> PowerSeries:
-    """a^exponent as exp(exponent * log a); principal branch at the constant term."""
-    return ps_exp(ps_scale(ps_log(a), exponent))
-
-
 def shifted_zeta_series(order: int) -> PowerSeries:
     """Taylor series of (s-1) zeta(s) about s = 1.
 

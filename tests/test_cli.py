@@ -242,6 +242,28 @@ class TestQuadratureCmds:
             math.log(1e6) ** -0.5 / math.sqrt(math.pi), rel=1e-12
         )
 
+    @pytest.mark.parametrize("height", ["inf", "nan", "2e5"])
+    def test_perron_check_rejects_bad_T(self, capsys, height):
+        code, out, err = run(
+            capsys, "perron-check", "--family", "one", "--x", "10000", "--y", "1000",
+            "--T", height,
+        )
+        assert code == 1
+        assert out == ""
+        assert "must be finite and at most" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--u", "nan", "--kappa", "0.5"), ("--u", "inf", "--kappa", "0.5"),
+         ("--u", "1e6", "--kappa", "0.5", "--r", "nan"),
+         ("--kappa", "nan", "--x", "10000", "--y", "1000")],
+    )
+    def test_hankel_check_rejects_non_finite(self, capsys, args):
+        code, out, err = run(capsys, "hankel-check", *args)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
     def test_hankel_check_window_mode(self, capsys):
         code, out, _ = run(
             capsys, "hankel-check", "--kappa", "1", "--l", "0",

@@ -3,12 +3,18 @@ import math
 import pytest
 
 from delange.contour import load_zeros, zeroset_from_pairs
-from delange.errors import NoClosedForm, QuadratureNotConverged
+from delange.errors import (
+    NoClosedForm,
+    OutOfValidatedRange,
+    ParameterOutOfRange,
+    QuadratureNotConverged,
+)
 from delange.perron import (
     QuadratureSpec,
     hankel_closed_form,
     hankel_main_term,
     line_node_count,
+    loop_node_count,
     ml_integral_check,
     nudge_to_zero_gap,
     perron_line_sum,
@@ -54,9 +60,15 @@ class TestPerronLine:
         with pytest.raises(ValueError):
             perron_line_sum(fam_one, Window(10**6, 10**3), 500.0)
 
+    @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, 2.0e5])
+    def test_height_outside_validated_range(self, fam_one, T):
+        with pytest.raises(OutOfValidatedRange):
+            perron_line_sum(fam_one, Window(10**3, 10**2), T)
+
     def test_node_count(self):
         spec = QuadratureSpec(nodes_per_unit=60)
         assert line_node_count(100.0, spec) == 6000
+        assert line_node_count(100.0, QuadratureSpec(scheme="trapezoid")) == 6001
 
 
 class TestNudge:
@@ -110,6 +122,13 @@ class TestHankelLoop:
         with pytest.raises(ValueError):
             hankel_main_term(10.0, 0.5, 0)
 
+    @pytest.mark.parametrize(
+        "u, kappa", [(math.nan, 0.5), (math.inf, 0.5), (1e6, math.nan), (1e6, -math.inf)]
+    )
+    def test_non_finite_input(self, u, kappa):
+        with pytest.raises(ParameterOutOfRange):
+            hankel_main_term(u, kappa, 0)
+
 
 class TestMlLoop:
     def test_residue_case_equals_y(self):
@@ -134,3 +153,9 @@ class TestMlLoop:
         spec = QuadratureSpec(nodes_per_unit=120, abs_tol=1e-3)
         rep = ml_integral_check(2.0, 0, Window(10**4, 10**3), spec)
         assert rep.rel_dev <= 0.02
+        assert rep.nodes == loop_node_count(spec) == 2400
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_non_finite_kappa(self, kappa):
+        with pytest.raises(ParameterOutOfRange):
+            ml_integral_check(kappa, 0, Window(10**4, 10**3))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from delange import special
 from delange.errors import OrderTooHigh, OutOfValidatedRange, PoleAtOne, ZeroBase
 from delange.special import (
     DEFAULT_PRECISION,
@@ -105,6 +106,96 @@ class TestZeta:
         vals = zeta_batch(pts)
         for s, v in zip(pts, vals):
             assert zeta(complex(s)) == pytest.approx(complex(v), rel=1e-12)
+
+
+def _rows(sigma, t0, dt, count):
+    """sigma + i(t0[row] + k dt), one row per start height."""
+    return sigma + 1j * (np.asarray(t0, dtype=np.float64)[:, None] + dt * np.arange(count))
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Records every call of the factored direct sum."""
+    calls = []
+    real = special._progression_sum
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(special, "_progression_sum", spy)
+    return calls
+
+
+def _mpmath_zeta(s: complex) -> complex:
+    import mpmath
+
+    with mpmath.workdps(30):
+        return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+
+
+class TestZetaProgression:
+    @pytest.mark.parametrize(
+        "sigma, t_low, dt, rows, count",
+        [(1.17, 10.0, 0.05, 3, 7), (1.2, 950.0, 0.1, 3, 7), (1.25, 1.2e4, 0.3, 3, 7),
+         (1.3, 9.0e4, 0.01, 3, 7), (1.2, 500.0, 0.2, 40, 2)],
+    )
+    def test_matches_scattered_path(self, grid_calls, sigma, t_low, dt, rows, count):
+        s = _rows(sigma, t_low + 3.7 * np.arange(rows), dt, count)
+        grid = zeta_batch(s)
+        assert len(grid_calls) == 1
+        flat = zeta_batch(s.reshape(-1)).reshape(s.shape)
+        assert len(grid_calls) == 1
+        # both paths round the phase t log n of every term to about
+        # eps * t log n, so their agreement floor grows with the height
+        tol = 1e-12 * max(1.0, t_low / 1e3)
+        assert np.max(np.abs(grid - flat)) <= tol
+
+    def test_doubled_progression(self, grid_calls):
+        # zeta(2s) on a Perron-style layout: step 2 dt, real part 2 sigma
+        s = _rows(1.2, 0.37 + 0.05 * np.arange(10), 0.6, 40)
+        grid = zeta_batch(2.0 * s)
+        assert len(grid_calls) == 1
+        flat = zeta_batch(2.0 * s.reshape(-1)).reshape(s.shape)
+        assert np.max(np.abs(grid - flat)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "sigma, t0, dt", [(0.5, [14.0, 2.0e4], 0.7), (-0.5, [3.0, 5.0e3], 1.3)]
+    )
+    def test_against_mpmath_over_the_box(self, grid_calls, sigma, t0, dt):
+        s = _rows(sigma, t0, dt, 9)
+        vals = zeta_batch(s)
+        assert len(grid_calls) == 1
+        for row in range(s.shape[0]):
+            for k in (0, 4, 8):
+                ref = _mpmath_zeta(complex(s[row, k]))
+                assert abs(vals[row, k] - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_mixed_real_parts_fall_back(self, grid_calls):
+        s = _rows(1.2, [30.0, 80.0], 0.5, 6)
+        s[1] += 0.1
+        vals = zeta_batch(s)
+        assert not grid_calls
+        for row, k in ((0, 0), (1, 5)):
+            ref = _mpmath_zeta(complex(s[row, k]))
+            assert abs(vals[row, k] - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_jittered_spacing_falls_back(self, grid_calls):
+        s = _rows(0.8, [200.0, 260.0], 0.25, 6)
+        s[:, 3] += 1e-7j
+        vals = zeta_batch(s)
+        assert not grid_calls
+        for row, k in ((0, 3), (1, 1)):
+            ref = _mpmath_zeta(complex(s[row, k]))
+            assert abs(vals[row, k] - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_box_and_pole_checks_still_apply(self):
+        with pytest.raises(OutOfValidatedRange):
+            zeta_batch(_rows(0.5, [9.999e4], 10.0, 4))
+        with pytest.raises(OutOfValidatedRange):
+            zeta_batch(_rows(-1.0, [10.0], 1.0, 4))
+        with pytest.raises(PoleAtOne):
+            zeta_batch(_rows(1.0, [-2.0], 1.0, 4))
 
 
 class TestStieltjes:
