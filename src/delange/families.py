@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import exp1, gammaincc
 
 from .errors import DuplicatePrime, NonconvergentProduct, ParameterOutOfRange, UnknownFamily
 from .series import PowerSeries, ps_add, ps_exp, ps_log, ps_mul, ps_scale
@@ -117,14 +116,6 @@ class ArithmeticFamily:
         series, _ = g_series_by_euler_product(self, order, self.prime_cutoff)
         return series
 
-    def _cache_key(self, order: int, cutoff: int):
-        if self.parameter is None and self.name not in _BUILTIN_NAMES:
-            return None
-        return (self.name, complex(self.parameter or 0), order, cutoff)
-
-
-_BUILTIN_NAMES = ("constant_one", "divisor_kappa", "omega_power", "squarefree_omega_power")
-
 
 # --- background series engine ---------------------------------------------------
 
@@ -134,6 +125,8 @@ def _upper_tail_integral(m: int, k: int, cutoff: float) -> float:
     integral_P^inf t^-m (ln t)^(k-1) dt; the pi-vs-li residual is a fraction
     of a percent at desk-scale cutoffs.
     """
+    from scipy.special import exp1, gammaincc  # only nontrivial local models get here
+
     x0 = (m - 1) * math.log(cutoff)
     if k == 0:
         return float(exp1(x0))
@@ -155,8 +148,9 @@ def g_series_by_euler_product(
     if model is None or model.trivial:
         return PowerSeries.constant(1.0, order), 0.0
 
-    key = family._cache_key(order, prime_cutoff)
-    if key is not None and key in _SERIES_CACHE:
+    # the series depends on the family only through its (frozen) local model
+    key = (model, order, prime_cutoff)
+    if key in _SERIES_CACHE:
         return _SERIES_CACHE[key]
 
     amax = max(abs(model.a), abs(model.c), 1.0)
@@ -203,8 +197,7 @@ def g_series_by_euler_product(
     t4 = sum(abs(d[m]) * prime_cutoff ** (1 - m) / ((m - 1) * ln_p) for m in range(4, m_max + 1))
     tail_bound = 0.05 * t23 + t4 + 1e-15
     out = (series, float(tail_bound))
-    if key is not None:
-        _SERIES_CACHE[key] = out
+    _SERIES_CACHE[key] = out
     return out
 
 

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import LindelofRequiresDeltaAboveOne, OrderExceedsCoefficients
+from .errors import LindelofRequiresDeltaAboveOne, OrderExceedsCoefficients, ParameterOutOfRange
 from .series import ExpansionCoefficients
 from .sieve import Window, exact_sum
 
@@ -137,6 +137,8 @@ def theta(kappa: float, delta: float, regime: ThetaRegime = ThetaRegime()) -> Th
     and increases strictly in eps; it beats the prior bound exactly for
     eps below the cell's flip point eps*(kappa, delta), where the two meet.
     """
+    if not (math.isfinite(kappa) and math.isfinite(delta)):
+        raise ParameterOutOfRange(f"kappa and delta must be finite, got {kappa}, {delta}")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if delta < 0:

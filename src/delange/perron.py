@@ -71,6 +71,20 @@ def _converged(fine: complex, coarse: complex, spec: QuadratureSpec) -> complex:
     return fine
 
 
+def _check_line_reach(family, b: float, T: float) -> None:
+    """Evaluate F once at the top node b + iT.
+
+    A closed form that reaches above zeta's validated height (sqfree's
+    zeta(2s) past T = TAU_MAX/2) then fails before any panel is built.
+    """
+    try:
+        family.closed_form_F(np.array([complex(b, T)]))
+    except OutOfValidatedRange as exc:
+        raise OutOfValidatedRange(
+            f"family {family.name!r} cannot be evaluated on the line up to T={T:g}: {exc}"
+        ) from exc
+
+
 def _require_finite(**params: float) -> None:
     for name, v in params.items():
         if not math.isfinite(v):
@@ -115,7 +129,8 @@ def perron_line_sum(
     Uses the Schwarz reflection F(conj s) = conj F(s) to integrate the upper
     half only.  Raises QuadratureNotConverged if halving the node density
     moves the result by more than abs_tol, and OutOfValidatedRange for a
-    non-finite T or one above zeta's validated height TAU_MAX.
+    non-finite T, one above zeta's validated height TAU_MAX, or one the
+    family's closed form cannot reach (checked at the top node up front).
     """
     if family.closed_form_F is None:
         raise NoClosedForm(f"family {family.name!r} has no closed-form Dirichlet series")
@@ -127,6 +142,7 @@ def perron_line_sum(
     if T < 10.0:
         raise ValueError("T must be at least 10")
     b = 1.0 + b_offset / math.log(x)
+    _check_line_reach(family, b, T)
 
     def evaluate(level: int) -> complex:
         t, w = _half_line_nodes(T, spec, level)

@@ -11,16 +11,20 @@ scattered points.  A 2-D batch whose rows are vertical progressions
 sigma + i(t0[row] + j dt), as the Perron line's Gauss panels are, factors the
 sum into one matrix product and pays about 2 K sqrt(points) exps instead.
 
-Stieltjes constants are computed once per process (arbitrary-precision
-backend) and cached immutably; all series work reads the cache.
+The Stieltjes constants gamma_0..gamma_64 come from the bundled table
+data/stieltjes.txt, read once per process on the first lookup and written by
+scripts/make_stieltjes_table.py (40-digit arbitrary-precision values, each
+rounded once to a double); no constant is computed at run time.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib.resources import files
 
 import numpy as np
 
@@ -29,7 +33,8 @@ from .errors import OrderTooHigh, OutOfValidatedRange, PoleAtOne, ZeroBase
 SIGMA_MIN = -1.0
 TAU_MAX = 1.0e5
 
-# Acceptance sweeps run series order J = 60, so the cache must reach gamma_59.
+# Highest order in the bundled table; acceptance sweeps run series order
+# J = 60, which reads up to gamma_59.
 STIELTJES_MAX = 64
 
 _EM_TERMS_MAX = 30
@@ -214,27 +219,24 @@ def zeta(s: complex, prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
 
 # --- Stieltjes constants -----------------------------------------------------
 
-_stieltjes_cache: list[float] = []
+@functools.cache
+def _stieltjes_table() -> tuple[float, ...]:
+    """gamma_0..gamma_STIELTJES_MAX from the bundled table, read once per process."""
+    text = files("delange").joinpath("data/stieltjes.txt").read_text(encoding="utf-8")
+    return tuple(float(line) for line in text.split())
 
 
 def stieltjes(n: int, prec: EvalPrecision = DEFAULT_PRECISION) -> float:
-    """n-th Stieltjes constant gamma_n, |error| <= 1e-12.
+    """n-th Stieltjes constant gamma_n to within one double rounding.
 
-    Values are produced by the arbitrary-precision backend on first use and
-    cached for the process lifetime; `prec` is accepted for interface
-    symmetry but the cache is always at least 1e-12 accurate.
+    Looked up in the bundled table, which holds the 40-digit value rounded
+    once to a double; `prec` is accepted for interface symmetry.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > STIELTJES_MAX:
-        raise OrderTooHigh(f"Stieltjes constants cached only up to order {STIELTJES_MAX}")
-    if n >= len(_stieltjes_cache):
-        import mpmath
-
-        with mpmath.workdps(40):
-            for m in range(len(_stieltjes_cache), n + 1):
-                _stieltjes_cache.append(float(mpmath.stieltjes(m)))
-    return _stieltjes_cache[n]
+        raise OrderTooHigh(f"Stieltjes constants tabulated only up to order {STIELTJES_MAX}")
+    return _stieltjes_table()[n]
 
 
 # --- reciprocal gamma ---------------------------------------------------------

@@ -5,15 +5,6 @@ import pytest
 
 from delange.contour import ZeroSet, bundled_zero_table, zeroset_from_pairs
 from delange.families import builtin_family
-from delange.special import stieltjes
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_tables():
-    """Build the startup constant caches once so timed checks stay honest."""
-    stieltjes(60)
-    for fam in (builtin_family("squarefree_omega_power"), builtin_family("omega_power", 2.0)):
-        fam.g_times_zeta2s_series(24)
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,15 @@ class TestTheta:
         assert code == 1
         assert "delta" in err
 
+    @pytest.mark.parametrize(
+        "kappa, delta", [("nan", "0"), ("inf", "0"), ("1", "nan"), ("1", "inf")]
+    )
+    def test_non_finite_input_exits_1(self, capsys, kappa, delta):
+        code, out, err = run(capsys, "theta", "--kappa", kappa, "--delta", delta)
+        assert code == 1
+        assert "finite" in err
+        assert out == ""
+
 
 class TestSum:
     def test_spec_example(self, capsys):
@@ -251,6 +260,15 @@ class TestQuadratureCmds:
         assert code == 1
         assert out == ""
         assert "must be finite and at most" in err
+
+    def test_perron_check_sqfree_above_its_reach(self, capsys):
+        code, out, err = run(
+            capsys, "perron-check", "--family", "sqfree", "--x", "1000", "--y", "100",
+            "--T", "6e4",
+        )
+        assert code == 1
+        assert out == ""
+        assert "squarefree_omega_power" in err and "T=60000" in err
 
     @pytest.mark.parametrize(
         "args",

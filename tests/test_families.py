@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,17 @@ class TestBackgroundSeries:
             s1, b1 = g_series_by_euler_product(fam, 6, 10_000)
             s2, _ = g_series_by_euler_product(fam, 6, 20_000)
             assert abs(s1[0] - s2[0]) < b1
+
+    def test_cache_follows_the_local_model(self, fam_omega2):
+        # a family replaced with another local model under the same name and
+        # parameter must not get the cached omega:2 series back
+        stale, _ = g_series_by_euler_product(fam_omega2, 8)
+        fam = dataclasses.replace(
+            builtin_family("omega_power", 2.0), local_model=LocalModel(a=0.5, c=0.5)
+        )
+        fresh, bound = g_series_by_euler_product(fam, 8)
+        assert abs(fresh[0] - euler_product_value(fam, 1.0)) < 1e-5
+        assert abs(fresh[0] - stale[0]) > 0.1
 
     def test_divergent_local_model_rejected(self):
         with pytest.raises(NonconvergentProduct):

@@ -2,8 +2,13 @@ import math
 
 import pytest
 
-from delange.errors import LindelofRequiresDeltaAboveOne, OrderExceedsCoefficients
+from delange.errors import (
+    LindelofRequiresDeltaAboveOne,
+    OrderExceedsCoefficients,
+    ParameterOutOfRange,
+)
 from delange.meanvalue import (
+    REGIME_TAGS,
     RemainderParams,
     ThetaRegime,
     predict,
@@ -176,6 +181,21 @@ class TestTheta:
         assert theta(10.0, 0.0, sharp).branch == "case1"  # 10 < 12/(5*0.1558)
         assert theta(30.0, 0.0, sharp).branch == "case2"
         assert theta(30.0, 0.0, sharp).value < theta(30.0, 0.0, hardy).value
+
+    @pytest.mark.parametrize(
+        "kappa, delta",
+        [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_non_finite_input_is_typed_error(self, kappa, delta):
+        for tag in REGIME_TAGS:
+            with pytest.raises(ParameterOutOfRange, match="finite"):
+                theta(kappa, delta, ThetaRegime(tag=tag))
+
+    def test_sign_checks_unchanged(self):
+        with pytest.raises(ValueError, match="positive"):
+            theta(0.0, 0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            theta(1.0, -0.5)
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -10,7 +11,9 @@ from delange.errors import (
     QuadratureNotConverged,
 )
 from delange.perron import (
+    DEFAULT_B_OFFSET,
     QuadratureSpec,
+    _check_line_reach,
     hankel_closed_form,
     hankel_main_term,
     line_node_count,
@@ -64,6 +67,20 @@ class TestPerronLine:
     def test_height_outside_validated_range(self, fam_one, T):
         with pytest.raises(OutOfValidatedRange):
             perron_line_sum(fam_one, Window(10**3, 10**2), T)
+
+    def test_closed_form_out_of_reach_fails_fast(self, fam_sqfree):
+        # zeta(2s) leaves the validated box above T = 5e4; the top-node probe
+        # must say so before any panel is evaluated
+        t0 = time.perf_counter()
+        with pytest.raises(OutOfValidatedRange, match=r"squarefree_omega_power.*T=60000"):
+            perron_line_sum(fam_sqfree, Window(1000, 100), 6.0e4)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_reach_probe_accepts_zeta_powers_at_the_same_height(self, fam_one, fam_div2):
+        # probed on its own: a full line integral at this height takes tens of seconds
+        b = 1.0 + DEFAULT_B_OFFSET / math.log(1000)
+        for fam in (fam_one, fam_div2):
+            _check_line_reach(fam, b, 6.0e4)
 
     def test_node_count(self):
         spec = QuadratureSpec(nodes_per_unit=60)

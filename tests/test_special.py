@@ -1,5 +1,7 @@
 import cmath
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +207,41 @@ class TestStieltjes:
     def test_gamma1_against_limit_oracle(self):
         assert stieltjes(1) == pytest.approx(gamma1_limit_oracle(), abs=1e-10)
 
+    def test_table_is_complete_and_finite(self):
+        from importlib.resources import files
+
+        lines = files("delange").joinpath("data/stieltjes.txt").read_text().splitlines()
+        assert len(lines) == special.STIELTJES_MAX + 1 == 65
+        values = [float(line) for line in lines]
+        assert all(math.isfinite(v) for v in values)
+        assert [stieltjes(m) for m in range(65)] == values
+
+    def test_low_orders_match_the_generator_recipe(self):
+        # scripts/make_stieltjes_table.py: mpmath at 40 digits, one rounding
+        import mpmath
+
+        with mpmath.workdps(40):
+            for m in range(9):
+                assert stieltjes(m) == float(mpmath.stieltjes(m)), m
+
+    def test_all_orders_against_cauchy_integral(self):
+        # an independent route to every order: zeta(s) - 1/(s-1) is entire with
+        # Taylor coefficients (-1)^n gamma_n / n! about s = 1, recovered from
+        # 128 samples on the circle |s - 1| = 8 at 60 digits; the rounding
+        # error, about 1e-60 max|f| / 8^n, stays far below one double ulp of
+        # gamma_n up to n = 64, so each table entry must equal its rounding
+        import mpmath
+
+        count, radius = 128, 8
+        with mpmath.workdps(60):
+            u = [radius * mpmath.expjpi(mpmath.mpf(2 * k) / count) for k in range(count)]
+            f = [mpmath.zeta(1 + uk) - 1 / uk for uk in u]
+            for n in range(special.STIELTJES_MAX + 1):
+                a_n = mpmath.fsum(
+                    fk * mpmath.expjpi(mpmath.mpf(-2 * n * k) / count) for k, fk in enumerate(f)
+                ) / (count * mpmath.mpf(radius) ** n)
+                assert stieltjes(n) == float((-1) ** n * mpmath.factorial(n) * a_n.real), n
+
     def test_order_cap(self):
         with pytest.raises(OrderTooHigh):
             stieltjes(65)
@@ -242,6 +279,22 @@ class TestStieltjes:
         # below that the deviation must sit at the float noise of the constants
         for h in (1e-1, 1e-2, 1e-3):
             assert self._laurent_deviation(h) <= max(2e-15, 4e-14 * (h / 0.1) ** 7)
+
+
+def test_zeta_power_families_do_not_import_scipy():
+    # scipy.special serves only the Euler-product tail of nontrivial local
+    # models; a fresh interpreter keeps other tests' imports out of the check
+    code = (
+        "import sys, delange\n"
+        "from delange import builtin_family, g_lambda_coeffs\n"
+        "g_lambda_coeffs(builtin_family('divisor_kappa', 2.0), 8)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestRecipGamma:
