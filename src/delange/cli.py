@@ -59,6 +59,17 @@ def _parse_bool(raw: str) -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
+def _window_bound(raw: str):
+    """An integer window bound.  A non-finite value is passed through, so that
+    Window rejects it as a domain error (exit 1) rather than a usage error."""
+    try:
+        return int(raw)
+    except ValueError:
+        if math.isfinite(float(raw)):
+            raise
+        return float(raw)
+
+
 def _fmt_float(v: float) -> str:
     return repr(float(v))
 
@@ -169,8 +180,8 @@ def _cmd_coeffs(res: _Resolver) -> int:
 
 def _cmd_sum(res: _Resolver) -> int:
     spec = res.get("family", None, str)
-    x = res.get("x", None, int)
-    y = res.get("y", None, int)
+    x = res.get("x", None, _window_bound)
+    y = res.get("y", None, _window_bound)
     if spec is None or x is None or y is None:
         raise UsageError("--family, --x, --y are required")
     workers = res.get("workers", 1, int)
@@ -198,10 +209,10 @@ def _cmd_sum(res: _Resolver) -> int:
 
 def _cmd_predict(res: _Resolver) -> int:
     spec = res.get("family", None, str)
-    x = res.get("x", None, int)
+    x = res.get("x", None, _window_bound)
     if spec is None or x is None:
         raise UsageError("--family and --x are required")
-    y = res.get("y", None, int)
+    y = res.get("y", None, _window_bound)
     texp = res.get("theta_exp", None, float)
     if y is None and texp is None:
         raise UsageError("one of --y or --theta-exp is required")
@@ -345,8 +356,8 @@ def _cmd_contour(res: _Resolver) -> int:
 
 def _cmd_perron_check(res: _Resolver) -> int:
     spec = res.get("family", None, str)
-    x = res.get("x", None, int)
-    y = res.get("y", None, int)
+    x = res.get("x", None, _window_bound)
+    y = res.get("y", None, _window_bound)
     if spec is None or x is None or y is None:
         raise UsageError("--family, --x, --y are required")
     t_height = res.get("T", 1000.0, float)
@@ -395,8 +406,8 @@ def _cmd_hankel_check(res: _Resolver) -> int:
     npu = res.get("nodes_per_unit", 60, int)
     scheme = res.get("scheme", "gauss_segment", str)
     abs_tol = res.get("abs_tol", 1e-3, float)
-    x = res.get("x", None, int)
-    y = res.get("y", None, int)
+    x = res.get("x", None, _window_bound)
+    y = res.get("y", None, _window_bound)
     out = res.get("out", None, str)
     q = perron_mod.QuadratureSpec(nodes_per_unit=npu, scheme=scheme, abs_tol=abs_tol)
     if x is not None and y is not None:
@@ -458,9 +469,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fam = ("--family", dict(help="family spec, e.g. divisor:2, sqfree, omega:3, one"))
     add("coeffs", fam, ("--J", dict(type=int)), ("--cutoff", dict(type=int)))
-    add("sum", fam, ("--x", dict(type=int)), ("--y", dict(type=int)), ("--workers", dict(type=int)))
     add(
-        "predict", fam, ("--x", dict(type=int)), ("--y", dict(type=int)),
+        "sum", fam, ("--x", dict(type=_window_bound)), ("--y", dict(type=_window_bound)),
+        ("--workers", dict(type=int)),
+    )
+    add(
+        "predict", fam, ("--x", dict(type=_window_bound)), ("--y", dict(type=_window_bound)),
         ("--theta-exp", dict(type=float, dest="theta_exp")), ("--N", dict(type=int)),
         ("--J", dict(type=int)), ("--a1", dict(type=float)), ("--a2", dict(type=float)),
         ("--M", dict(type=float)),
@@ -483,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--logx", dict(type=float)), ("--emit-csv", dict(dest="emit_csv")),
     )
     add(
-        "perron-check", fam, ("--x", dict(type=int)), ("--y", dict(type=int)),
+        "perron-check", fam, ("--x", dict(type=_window_bound)), ("--y", dict(type=_window_bound)),
         ("--T", dict(type=float)), ("--nodes-per-unit", dict(type=int, dest="nodes_per_unit")),
         ("--scheme", dict(choices=("trapezoid", "gauss_segment"))),
         ("--abs-tol", dict(type=float, dest="abs_tol")),
@@ -492,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add(
         "hankel-check", ("--u", dict(type=float)), ("--kappa", dict(type=float)),
         ("--l", dict(type=int)), ("--r", dict(type=float)),
-        ("--x", dict(type=int)), ("--y", dict(type=int)),
+        ("--x", dict(type=_window_bound)), ("--y", dict(type=_window_bound)),
         ("--nodes-per-unit", dict(type=int, dest="nodes_per_unit")),
         ("--scheme", dict(choices=("trapezoid", "gauss_segment"))),
         ("--abs-tol", dict(type=float, dest="abs_tol")),

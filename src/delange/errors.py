@@ -64,7 +64,11 @@ class DuplicatePrime(DelangeError):
 # --- sieve ---------------------------------------------------------------------
 
 class WindowTooLarge(DelangeError):
-    """Window length exceeds the memory budget."""
+    """Window length or height exceeds the memory budget."""
+
+
+class InvalidWindow(DelangeError, ValueError):
+    """Window bounds that are not finite, out of order or past 64 bits."""
 
 
 # --- mean value ------------------------------------------------------------------

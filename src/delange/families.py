@@ -242,9 +242,12 @@ def _divisor_local(kappa: float) -> Callable[[int, int], complex]:
     else:
 
         def lf(p: int, a: int) -> complex:
-            return complex(
-                math.exp(math.lgamma(kappa + a) - math.lgamma(kappa) - math.lgamma(a + 1))
-            )
+            # C(kappa+a-1, a) = prod_{i<a} (kappa+i)/(i+1): exactly kappa at
+            # a = 1, so f(p) agrees with prime_local_value bit for bit
+            val = 1.0
+            for i in range(a):
+                val *= (kappa + i) / (i + 1)
+            return complex(val)
 
     return lf
 

@@ -30,7 +30,7 @@ from .errors import (
     QuadratureNotConverged,
 )
 from .sieve import Window
-from .special import DEFAULT_PRECISION, TAU_MAX, EvalPrecision, recip_gamma
+from .special import TAU_MAX, recip_gamma
 
 DEFAULT_B_OFFSET = 2.0
 HANKEL_LEG_LEFT_ETA = 0.05
@@ -122,7 +122,6 @@ def perron_line_sum(
     T: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
     b_offset: float = DEFAULT_B_OFFSET,
-    prec: EvalPrecision = DEFAULT_PRECISION,
 ) -> complex:
     """(1/2 pi i) integral of F(s) ((x+y)^s - x^s)/s over the truncated line.
 

@@ -70,6 +70,37 @@ class TestSum:
         code, _, err = run(capsys, "sum", "--family", "one", "--x", "4", "--y", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("x, y", [("nan", "3"), ("inf", "3"), ("10", "nan"), ("10", "inf")])
+    def test_non_finite_window_exits_1(self, capsys, x, y):
+        code, out, err = run(capsys, "sum", "--family", "one", "--x", x, "--y", y)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("predict", "--family", "one", "--x", "nan", "--y", "10"),
+         ("perron-check", "--family", "one", "--x", "1000", "--y", "inf"),
+         ("hankel-check", "--kappa", "1", "--x", "inf", "--y", "10")],
+    )
+    def test_non_finite_window_exits_1_in_other_commands(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
+    def test_non_integer_bound_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--family", "one", "--x", "10.5", "--y", "3"])
+        assert exc.value.code == 2
+
+    def test_height_past_the_sieve_reach_exits_1(self, capsys):
+        x = (10**8 + 1) ** 2 - 1  # first x + y whose square root passes the bound
+        code, out, err = run(capsys, "sum", "--family", "one", "--x", str(x), "--y", "1")
+        assert code == 1
+        assert out == ""
+        assert "reach" in err
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "sum", "--family", "mertens", "--x", "10", "--y", "4")
         assert code == 1

@@ -56,6 +56,25 @@ class TestBuiltins:
     def test_omega_power_value(self, fam_omega2):
         assert f_value(fam_omega2, [(2, 2), (3, 1)]) == 4.0  # 12 = 2^2*3, omega = 2
 
+    @pytest.mark.parametrize("param", [0.5, 1.5, 2.5, 3.7])
+    def test_local_factor_at_a_prime_is_prime_local_value(self, param):
+        # the sieve multiplies struck primes by local_factor(p, 1) and prime
+        # cofactors by prime_local_value; f(p) must not depend on which
+        fams = [builtin_family("divisor_kappa", param), builtin_family("omega_power", param),
+                builtin_family("constant_one"), builtin_family("squarefree_omega_power")]
+        for fam in fams:
+            for p in (2, 3, 4099, 999_983):
+                assert fam.local_factor(p, 1) == fam.prime_local_value, (fam.name, param, p)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.5, 2.5, 3.7])
+    def test_divisor_local_factor_is_the_binomial(self, kappa):
+        import mpmath
+
+        lf = builtin_family("divisor_kappa", kappa).local_factor
+        for a in range(1, 40):
+            want = float(mpmath.binomial(mpmath.mpf(kappa) + a - 1, a))
+            assert lf(7, a).real == pytest.approx(want, rel=1e-14)
+
     def test_f_at_one_is_empty_product(self, fam_div2):
         assert f_value(fam_div2, []) == 1.0
 

@@ -1,9 +1,15 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delange.errors import WindowTooLarge
+from delange import sieve
+from delange.errors import DelangeError, InvalidWindow, WindowTooLarge
+from delange.families import f_value, family_from_spec
 from delange.sieve import (
     Window,
     exact_sum,
@@ -14,17 +20,18 @@ from delange.sieve import (
 
 
 def trial_division(n: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
+    """Trial division by every d <= sqrt(n) that divides n (one vectorised
+    scan, no prime list): taken in ascending order, each such d that still
+    divides the remaining cofactor is prime."""
+    d = np.arange(2, math.isqrt(n) + 1, dtype=np.int64)
+    out, m = [], n
+    for p in d[n % d == 0].tolist():
         if m % p == 0:
-            a = 0
+            e = 0
             while m % p == 0:
                 m //= p
-                a += 1
-            out.append((p, a))
-        p += 1 if p == 2 else 2
+                e += 1
+            out.append((p, e))
     if m > 1:
         out.append((m, 1))
     return tuple(out)
@@ -179,3 +186,98 @@ def test_primes_up_to():
     ps = primes_up_to(30)
     assert ps.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1).size == 0
+
+
+ORACLE_FAMILIES = [family_from_spec(s) for s in ("one", "divisor:2", "omega:2", "sqfree")] + [
+    # p-dependent values and no prime_local_value: exercises the per-prime lookups
+    SimpleNamespace(local_factor=lambda p, a: complex(p % 5 + a)),
+]
+# the two smallest bucketed primes
+SPLIT_PRIMES = [n for n in range(sieve.SMALL_PRIME_BOUND, 2 * sieve.SMALL_PRIME_BOUND)
+                if trial_division(n) == ((n, 1),)][:2]
+
+
+def assert_engine_matches_oracle(x: int, y: int, chunk: int) -> None:
+    want = [trial_division(n) for n in range(x + 1, x + y + 1)]
+    with mock.patch.object(sieve, "CHUNK", chunk):
+        assert list(factor_window(Window(x, y)).factors) == want
+        assert list(factor_range(x, x + y)) == list(enumerate(want, start=x + 1))
+        for fam in ORACLE_FAMILIES:
+            # integer-valued families: every partial sum is exact in any order
+            total = sum((f_value(fam, fs) for fs in want), 0j)
+            assert {exact_sum(fam, Window(x, y), workers=w) for w in (1, 2, 4)} == {total}
+
+
+class TestEngineOracle:
+    """Factorizations and sums against trial division, with chunks small
+    enough that windows straddle chunk edges."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        x=st.integers(1, 3 * 10**7),
+        y=st.integers(1, 400),
+        chunk=st.sampled_from([1, 7, 64, 251, 1 << 20]),
+    )
+    def test_random_windows(self, x, y, chunk):
+        assert_engine_matches_oracle(max(x, y), y, chunk)
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(x=st.integers(10**12, 10**12 + 10**9), chunk=st.sampled_from([5, 16, 1 << 20]))
+    def test_windows_near_1e12(self, x, chunk):
+        assert_engine_matches_oracle(x, 24, chunk)
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 20])
+    def test_squares_around_the_split(self, chunk):
+        below = int(primes_up_to(sieve.SMALL_PRIME_BOUND)[-1])
+        for p in [below] + SPLIT_PRIMES:
+            for n in (p * p, 2 * p * p, p**3):
+                assert_engine_matches_oracle(n - 5, 10, chunk)
+
+    def test_product_of_two_bucketed_primes(self, fam_div2):
+        p, q = SPLIT_PRIMES
+        # one window from just below p*q to past q^2, so q is struck, not a cofactor
+        win = Window(p * q - 10, q * q - p * q + 20)
+        fw = factor_window(win)
+        assert fw.factorization(p * q) == ((p, 1), (q, 1))
+        assert fw.factorization(q * q) == ((q, 2),)
+        for n in range(win.x + 1, win.x + win.y + 1):
+            assert math.prod(pp**e for pp, e in fw.factorization(n)) == n
+        want = divisor_partial_sum(win.x + win.y) - divisor_partial_sum(win.x)
+        assert {exact_sum(fam_div2, win, workers=w) for w in (1, 2, 4)} == {complex(want)}
+        # p^2 q and p q^2 at higher heights: both primes bucketed, one squared
+        for n in (p * p * q, p * q * q):
+            assert factor_window(Window(n - 3, 6)).factorization(n) == trial_division(n)
+
+    def test_non_integer_family_against_trial_division(self):
+        fam = family_from_spec("divisor:1.5")
+        x, y = 10**9, 2000
+        want = sum(complex(f_value(fam, trial_division(n))) for n in range(x + 1, x + y + 1))
+        with mock.patch.object(sieve, "CHUNK", 300):
+            got = {exact_sum(fam, Window(x, y), workers=w) for w in (1, 2, 4)}
+        assert len(got) == 1
+        assert got.pop() == pytest.approx(want, rel=1e-13)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "x, y", [(math.nan, 3), (math.inf, 3), (10, math.nan), (10, -math.inf), (-math.inf, 3)]
+    )
+    def test_non_finite_window_is_typed(self, x, y):
+        with pytest.raises(InvalidWindow, match="finite") as exc:
+            Window(x, y)
+        assert isinstance(exc.value, DelangeError) and isinstance(exc.value, ValueError)
+
+    def test_height_past_the_sieve_reach(self, fam_one):
+        # first height whose base primes pass the bound; nothing is allocated
+        x = (sieve.MAX_BASE_PRIME + 1) ** 2 - 1
+        with mock.patch.object(sieve, "primes_up_to", side_effect=AssertionError("allocated")):
+            with pytest.raises(WindowTooLarge):
+                exact_sum(fam_one, Window(x, 1))
+            with pytest.raises(WindowTooLarge):
+                factor_window(Window(x, 1))
+            with pytest.raises(WindowTooLarge):
+                list(factor_range(x, x + 1))
+
+    def test_factor_range_rejects_negative_start(self):
+        with pytest.raises(InvalidWindow):
+            list(factor_range(-1, 5))
