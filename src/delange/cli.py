@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
+from decimal import Decimal, InvalidOperation
 
 from . import contour as contour_mod
 from . import meanvalue as mv
@@ -50,24 +51,27 @@ class _Resolver:
         val = self.args.get(key)
         if val is None:
             raw = self.config.get(key)
-            val = default if raw is None else (cast(raw) if cast is not bool else _parse_bool(raw))
+            val = default if raw is None else cast(raw)
         self.resolved[key] = val
         return val
 
 
-def _parse_bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+MAX_BOUND_DIGITS = 4300  # the longest decimal string int() reads by default
 
 
 def _window_bound(raw: str):
-    """An integer window bound.  A non-finite value is passed through, so that
+    """An exact integer window bound, plain or in exponent notation ("1e12"),
+    computed without a float.  A non-finite value is passed through, so that
     Window rejects it as a domain error (exit 1) rather than a usage error."""
     try:
-        return int(raw)
-    except ValueError:
-        if math.isfinite(float(raw)):
-            raise
-        return float(raw)
+        d = Decimal(raw)
+    except InvalidOperation:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not d.is_finite():
+        return float(d)
+    if d.adjusted() >= MAX_BOUND_DIGITS or d != d.to_integral_value():
+        raise ValueError(f"not an integer of at most {MAX_BOUND_DIGITS} digits: {raw!r}")
+    return int(d)
 
 
 def _fmt_float(v: float) -> str:
@@ -291,7 +295,7 @@ def _cmd_experiment(res: _Resolver) -> int:
     )
     fam = family_from_spec(spec)
     try:
-        x_grid = [int(float(tok)) for tok in grid_raw.split(",") if tok.strip()]
+        x_grid = [_window_bound(tok) for tok in grid_raw.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"--x-grid: cannot parse {grid_raw!r}") from None
     records = mv.run_experiment(fam, x_grid, texp, n_order, rp=rp, order=order, workers=workers)
@@ -404,12 +408,11 @@ def _cmd_hankel_check(res: _Resolver) -> int:
         raise UsageError("--kappa is required")
     ell = res.get("l", 0, int)
     npu = res.get("nodes_per_unit", 60, int)
-    scheme = res.get("scheme", "gauss_segment", str)
     abs_tol = res.get("abs_tol", 1e-3, float)
     x = res.get("x", None, _window_bound)
     y = res.get("y", None, _window_bound)
     out = res.get("out", None, str)
-    q = perron_mod.QuadratureSpec(nodes_per_unit=npu, scheme=scheme, abs_tol=abs_tol)
+    q = perron_mod.QuadratureSpec(nodes_per_unit=npu, abs_tol=abs_tol)
     if x is not None and y is not None:
         rep = perron_mod.ml_integral_check(kappa, ell, Window(x, y), q)
         value, reference, rel, nodes = rep.value, rep.reference, rep.rel_dev, rep.nodes
@@ -508,7 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--l", dict(type=int)), ("--r", dict(type=float)),
         ("--x", dict(type=_window_bound)), ("--y", dict(type=_window_bound)),
         ("--nodes-per-unit", dict(type=int, dest="nodes_per_unit")),
-        ("--scheme", dict(choices=("trapezoid", "gauss_segment"))),
         ("--abs-tol", dict(type=float, dest="abs_tol")),
     )
     return p

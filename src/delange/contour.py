@@ -7,6 +7,11 @@ for each dyadic range [U, 2U], a staircase of vertical pieces at the
 elevated levels beta_j* with corner-displaced horizontal connectors.  The
 full path is the upper half concatenated with its mirror image.
 
+Assembly works on one array of levels (the slab, then every interval of
+every block, bottom to top) and the matching array of interval lower ends:
+a vertex pair is emitted only where the level changes, and the junction
+shapes are counted on the same array.
+
 Desk-scale adaptations (T around 2^16 instead of "sufficiently large"):
 the slab owns |t| <= 2^5 and blocks start at U = 2^5, so the H0'-sized
 V0 piece only materializes when H0' outgrows 2^5; non-power-of-two T is
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,14 +30,15 @@ from .errors import (
     BetaOutOfRange,
     DegenerateBlock,
     NoAdmissibleCl,
+    ParameterOutOfRange,
     ZeroTableParseError,
+    require_finite,
 )
 
 GOOD = "good"
 EXCEPTIONAL = "exceptional"
 
 BLOCK_MIN_L = 5  # slab owns |t| <= 2^5; dyadic blocks start there
-SLAB_TOP = float(2**BLOCK_MIN_L)
 
 
 def bundled_zero_table() -> str:
@@ -128,24 +133,14 @@ class DyadicBlock:
     l: int
     U: int
     m: int               # number of intervals, U/(2H)
-    H: Fraction          # exact half-length U/(2m)
+    H: float             # half-length U/(2m); interval j is [U + 2(j-1)H, U + 2jH]
     c_l: float           # H / log log U, in [1/2, 1]
     margin: float        # C*/log log(2(U+12))
-    beta_j_star: np.ndarray
-    has_zero: np.ndarray
-
-    def interval_center(self, j: int) -> Fraction:
-        """U_j = U + (2j-1) H, exact."""
-        return self.U + (2 * j - 1) * self.H
-
-    def intervals(self) -> list[tuple[Fraction, Fraction]]:
-        return [
-            (self.U + (2 * j - 2) * self.H, self.U + 2 * j * self.H)
-            for j in range(1, self.m + 1)
-        ]
+    beta_j_star: np.ndarray  # level of interval j = 1..m
+    has_zero: np.ndarray     # interval j is elevated by a zero
 
 
-def _choose_block_split(U: int) -> tuple[int, Fraction, float]:
+def _choose_block_split(U: int) -> tuple[int, float, float]:
     """m with c_l = U/(2m log log U) in [1/2, 1]; scan around the 3/4 point."""
     lnln = math.log(math.log(U))
     if lnln <= 0:
@@ -157,12 +152,15 @@ def _choose_block_split(U: int) -> tuple[int, Fraction, float]:
                 continue
             c = U / (2.0 * m * lnln)
             if 0.5 <= c <= 1.0:
-                return int(m), Fraction(U, 2 * int(m)), c
+                return int(m), U / (2 * int(m)), c
     raise NoAdmissibleCl(f"no admissible interval count at U={U}")
 
 
 def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> list[DyadicBlock]:
     """Dyadic blocks covering [2^BLOCK_MIN_L, 2^floor(log2 T)] with levels beta_j*."""
+    require_finite(T=T, c_star=c_star)
+    if c_star <= 0:
+        raise ParameterOutOfRange(f"c_star={c_star} must be positive")
     if T < 2**10:
         raise ValueError("T must be at least 2^10")
     if not (0.5 < alpha < 1.0):
@@ -171,8 +169,7 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> lis
     blocks = []
     for l in range(BLOCK_MIN_L, l_top):
         U = 2**l
-        m, H, c_l = _choose_block_split(U)
-        h = float(H)
+        m, h, c_l = _choose_block_split(U)
         margin = c_star / math.log(math.log(2.0 * (U + 12)))
         beta_raw = np.full(m + 2, -np.inf)  # 1-based worklist with slack ends
         if len(zeroset):
@@ -198,7 +195,7 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> lis
             )
         blocks.append(
             DyadicBlock(
-                l=l, U=U, m=m, H=H, c_l=c_l, margin=margin,
+                l=l, U=U, m=m, H=h, c_l=c_l, margin=margin,
                 beta_j_star=star, has_zero=has_zero,
             )
         )
@@ -235,28 +232,19 @@ class ContourPath:
     covered_top: float  # 2^floor(log2 T): height actually covered by blocks
 
 
-def _tally_cases(blocks: list[DyadicBlock], slab_level: float) -> dict:
+def _tally_cases(levels: np.ndarray) -> dict:
     """Count the four vertical / horizontal junction shapes over all j."""
-    tally = {f"v_case{k}": 0 for k in (1, 2, 3, 4)}
-    tally.update({f"h_case{k}": 0 for k in (1, 2, 3, 4)})
-    tally["ties"] = 0
-    levels = [slab_level]
-    for blk in blocks:
-        levels.extend(blk.beta_j_star.tolist())
-    arr = np.array(levels)
-    cur = arr[1:]
-    prev = arr[:-1]
-    nxt = np.append(arr[2:], arr[-1])  # top terminates flat
-    lt_min = (cur < prev) & (cur < nxt)
-    gt_max = (cur > prev) & (cur > nxt)
-    up = (prev < cur) & (cur < nxt)
-    down = (nxt < cur) & (cur < prev)
-    tally["v_case1"] = int(lt_min.sum())
-    tally["v_case2"] = int(gt_max.sum())
-    tally["v_case3"] = int(up.sum())
-    tally["v_case4"] = int(down.sum())
-    for k in (1, 2, 3, 4):
-        tally[f"h_case{k}"] = tally[f"v_case{k}"]
+    cur, prev = levels[1:], levels[:-1]
+    nxt = np.append(levels[2:], levels[-1])  # top terminates flat
+    shapes = (
+        (cur < prev) & (cur < nxt),  # 1: strict local minimum
+        (cur > prev) & (cur > nxt),  # 2: strict local maximum
+        (prev < cur) & (cur < nxt),  # 3: strict ascent
+        (nxt < cur) & (cur < prev),  # 4: strict descent
+    )
+    counts = [int(mask.sum()) for mask in shapes]
+    tally = {f"v_case{k}": n for k, n in enumerate(counts, start=1)}
+    tally.update({f"h_case{k}": n for k, n in enumerate(counts, start=1)})
     tally["ties"] = int(((cur == prev) | (cur == nxt)).sum())
     return tally
 
@@ -279,11 +267,16 @@ def assemble_contour(
         raise ValueError("need at least one block")
     if eta is None:
         eta = alpha - 0.5
-    if not (0.0 < eta <= alpha - 0.5 + 1e-12):
-        raise ValueError("eta must lie in (0, alpha - 1/2]")
-    min_h = min(float(b.H) for b in blocks)
+    min_h = min(b.H for b in blocks)
     if corner_eps is None:
         corner_eps = min_h / 100.0
+    require_finite(eta=eta, corner_eps=corner_eps, c_star=c_star, logx=logx)
+    if c_star <= 0:
+        raise ParameterOutOfRange(f"c_star={c_star} must be positive")
+    if logx < 1.0:
+        raise ParameterOutOfRange(f"logx={logx} must be at least 1")
+    if not (0.0 < eta <= alpha - 0.5 + 1e-12):
+        raise ValueError("eta must lie in (0, alpha - 1/2]")
     if not (0.0 < corner_eps < min_h / 4.0):
         raise ValueError(f"corner_eps must lie in (0, H/4) = (0, {min_h / 4.0:.4g})")
 
@@ -291,56 +284,40 @@ def assemble_contour(
     r = 1.0 / logx
     T_eff = float(2 ** (blocks[-1].l + 1))
 
-    # levels with spans, bottom to top of the upper half
-    spans: list[tuple[float, float, float, str]] = []  # (level, t_lo, t_hi, label)
-    spans.append((slab_level, r / 2.0, SLAB_TOP, PIECE_V_STAR))
-    for blk in blocks:
-        h = float(blk.H)
-        for j in range(1, blk.m + 1):
-            lo = blk.U + (2 * j - 2) * h
-            hi = blk.U + 2 * j * h
-            spans.append((float(blk.beta_j_star[j - 1]), lo, hi, PIECE_VJ))
+    # one level per vertical span, bottom to top, with the span's lower end
+    levels = np.concatenate([[slab_level], *(b.beta_j_star for b in blocks)])
+    lows = np.concatenate([[r / 2.0], *(b.U + 2 * np.arange(b.m) * b.H for b in blocks)])
+    k = np.flatnonzero(np.diff(levels)) + 1  # spans that start a new level
+    t_k = lows[k]
+    # each junction sits at height t_k, displaced into the lower-level side
+    t_h = np.where(levels[k] > levels[k - 1], t_k - corner_eps, t_k + corner_eps)
 
-    eps = corner_eps
-    verts: list[complex] = [complex(1.0 + r, 0.0), complex(1.0 + r, r / 2.0)]
-    labels: list[str] = [PIECE_GAMMA]
-    # top leg of the loop, then climb
-    verts.append(complex(slab_level, r / 2.0))
-    labels.append(PIECE_GAMMA)
-    cur_level, _, _, cur_label = spans[0]
-    for level, lo, hi, label in spans[1:]:
-        if level == cur_level:
-            continue
-        # junction at height lo, displaced into the lower-level side
-        t_h = lo - eps if level > cur_level else lo + eps
-        verts.append(complex(cur_level, t_h))
-        labels.append(cur_label)
-        verts.append(complex(level, t_h))
-        labels.append(PIECE_H0L if _is_block_boundary(lo) else PIECE_HJ)
-        cur_level, cur_label = level, label
-    verts.append(complex(cur_level, T_eff))
-    labels.append(cur_label)
+    # loop legs, then the two vertices of every junction, then the top
+    upper = np.empty(2 * k.size + 4, dtype=complex)
+    upper[:3] = [complex(1.0 + r, 0.0), complex(1.0 + r, r / 2.0), complex(slab_level, r / 2.0)]
+    upper.real[3:-1:2] = levels[k - 1]
+    upper.real[4:-1:2] = levels[k]
+    upper.imag[3:-1] = np.repeat(t_h, 2)
+    upper[-1] = complex(levels[-1], T_eff)
+    # verticals alternate with horizontals; a horizontal at a power of two
+    # crosses a block boundary
+    pieces = np.full(2 * k.size + 1, PIECE_VJ, dtype=object)
+    pieces[0] = PIECE_V_STAR
+    at_edge = np.abs(t_k - 2.0 ** np.round(np.log2(t_k))) < 1e-9
+    pieces[1::2] = np.where(at_edge, PIECE_H0L, PIECE_HJ)
 
     # mirror: conjugate, reversed, dropping the shared starting vertex
-    lower_verts = [v.conjugate() for v in reversed(verts[1:])]
-    lower_labels = [PIECE_MIRROR] * (len(lower_verts))
-    vertices = tuple(lower_verts + verts)
-    piece_labels = tuple(lower_labels + labels)
+    vertices = np.concatenate([np.conj(upper[:0:-1]), upper])
+    labels = (PIECE_MIRROR,) * (upper.size - 1) + (PIECE_GAMMA, PIECE_GAMMA) + tuple(pieces.tolist())
 
     params = ContourParams(
         alpha=alpha, eta=eta, c_star=c_star, corner_eps=corner_eps,
         T=float(zeroset.T if len(zeroset) else T_eff), logx=logx,
     )
-    tally = _tally_cases(blocks, slab_level)
     return ContourPath(
-        vertices=vertices, piece_labels=piece_labels, params=params,
-        case_tally=tally, covered_top=T_eff,
+        vertices=tuple(vertices.tolist()), piece_labels=labels, params=params,
+        case_tally=_tally_cases(levels), covered_top=T_eff,
     )
-
-
-def _is_block_boundary(t: float) -> bool:
-    l = round(math.log2(t)) if t > 0 else -1
-    return l >= 0 and abs(t - 2.0**l) < 1e-9
 
 
 # --- validation -----------------------------------------------------------------
@@ -358,24 +335,16 @@ class ValidationReport:
         return self.mirror_ok and self.connectivity_ok and self.clearance_ok
 
 
-def _vertical_segments(path: ContourPath) -> list[tuple[float, float, float]]:
-    """(sigma, t_lo, t_hi) for every vertical piece, upper half only."""
-    segs = []
-    vs = path.vertices
-    for a, b in zip(vs[:-1], vs[1:]):
-        if a.real == b.real and a.imag != b.imag:
-            lo, hi = sorted((a.imag, b.imag))
-            if hi > 0:
-                segs.append((a.real, max(lo, 0.0), hi))
-    return segs
+def _vertical_segments(vertices: np.ndarray):
+    """(sigma, t_lo, t_hi) arrays of the vertical pieces above t = 0.
 
-
-def _segment_arrays(path: ContourPath):
-    segs = sorted(_vertical_segments(path), key=lambda s: s[1])
-    sigma = np.array([s[0] for s in segs])
-    lo = np.array([s[1] for s in segs])
-    hi = np.array([s[2] for s in segs])
-    return sigma, lo, hi
+    The upper half is built bottom to top, so the pieces come in path order
+    with t_lo ascending.
+    """
+    a, b = vertices[:-1], vertices[1:]
+    lo, hi = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+    keep = (a.real == b.real) & (a.imag != b.imag) & (hi > 0)
+    return a.real[keep], np.maximum(lo[keep], 0.0), hi[keep]
 
 
 def _abscissa_at(heights: np.ndarray, sigma, lo, hi) -> np.ndarray:
@@ -394,45 +363,32 @@ def _abscissa_at(heights: np.ndarray, sigma, lo, hi) -> np.ndarray:
 def contour_abscissa(path: ContourPath, height: float) -> float:
     """Largest sigma of a vertical piece covering |height| (corner zones may
     touch two pieces; the larger one is the effective clearance)."""
-    sigma, lo, hi = _segment_arrays(path)
-    return float(_abscissa_at(np.array([height]), sigma, lo, hi)[0])
+    segs = _vertical_segments(np.asarray(path.vertices))
+    return float(_abscissa_at(np.array([height]), *segs)[0])
 
 
 def validate_contour(path: ContourPath, zeroset: ZeroSet, alpha: float) -> ValidationReport:
     """Mirror symmetry, connectivity/axis-parallel chaining, zero clearance."""
-    vs = path.vertices
-    n = len(vs)
-    mirror_ok = all(
-        abs(vs[i] - vs[n - 1 - i].conjugate()) < 1e-12 for i in range(n)
-    )
-    connectivity_ok = True
-    for a, b in zip(vs[:-1], vs[1:]):
-        same_re = a.real == b.real
-        same_im = a.imag == b.imag
-        if same_re == same_im:  # both (zero-length) or neither (diagonal)
-            connectivity_ok = False
-            break
+    vs = np.asarray(path.vertices)
+    mirror_ok = bool(np.all(np.abs(vs - np.conj(vs[::-1])) < 1e-12))
+    a, b = vs[:-1], vs[1:]
+    # each piece moves along exactly one axis: not zero-length, not diagonal
+    connectivity_ok = bool(np.all((a.real == b.real) != (a.imag == b.imag)))
 
-    failures = []
-    relevant = (zeroset.beta >= alpha) & (zeroset.gamma <= path.covered_top) if len(zeroset) else None
-    if relevant is not None and relevant.any():
-        eps = path.params.corner_eps
-        c_star = path.params.c_star
-        betas = zeroset.beta[relevant]
-        gammas = zeroset.gamma[relevant]
-        levels = np.maximum(np.floor(np.log2(gammas)).astype(np.int64), BLOCK_MIN_L)
-        margins = c_star / np.log(np.log(2.0 * (2.0**levels + 12)))
-        required = betas + margins - eps
-        got = _abscissa_at(gammas, *_segment_arrays(path))
-        for i in np.nonzero(got < required - 1e-12)[0]:
-            failures.append(
-                (float(betas[i]), float(gammas[i]), float(got[i]), float(required[i]))
-            )
+    relevant = (zeroset.beta >= alpha) & (zeroset.gamma <= path.covered_top)
+    betas = zeroset.beta[relevant]
+    gammas = zeroset.gamma[relevant]
+    levels = np.maximum(np.floor(np.log2(gammas)).astype(np.int64), BLOCK_MIN_L)
+    margins = path.params.c_star / np.log(np.log(2.0 * (2.0**levels + 12)))
+    required = betas + margins - path.params.corner_eps
+    got = _abscissa_at(gammas, *_vertical_segments(vs))
+    bad = got < required - 1e-12
+    failures = tuple(zip(*(arr[bad].tolist() for arr in (betas, gammas, got, required))))
     return ValidationReport(
         mirror_ok=mirror_ok,
         connectivity_ok=connectivity_ok,
         clearance_ok=not failures,
-        clearance_failures=tuple(failures),
+        clearance_failures=failures,
         case_tally=dict(path.case_tally),
     )
 
@@ -491,17 +447,15 @@ def log_zeta_diagnostic(path: ContourPath, a5: float = 1.0, samples: int = 128) 
     """
     from .special import DEFAULT_PRECISION, zeta_batch
 
-    pts = []
-    for sigma, lo, hi in _vertical_segments(path):
-        mid = 0.5 * (lo + hi)
-        if mid <= 1.0e5 and abs(complex(sigma, mid) - 1.0) > 0.1:
-            pts.append(complex(sigma, mid))
-    if not pts:
+    sigma, lo, hi = _vertical_segments(np.asarray(path.vertices))
+    mid = 0.5 * (lo + hi)
+    pts = (sigma + 1j * mid)[(mid <= 1.0e5) & (np.hypot(sigma - 1.0, mid) > 0.1)]
+    if not pts.size:
         return {"max_abs_log_zeta": 0.0, "cap": math.inf, "ratio": 0.0, "samples": 0}
     pts = pts[: max(1, samples)]
-    vals = zeta_batch(np.array(pts), DEFAULT_PRECISION)
+    vals = zeta_batch(pts, DEFAULT_PRECISION)
     logs = np.abs(np.log(vals))
     T = path.covered_top
     cap = a5 * math.log(T) / math.log(math.log(T))
     mx = float(np.max(logs))
-    return {"max_abs_log_zeta": mx, "cap": cap, "ratio": mx / cap, "samples": len(pts)}
+    return {"max_abs_log_zeta": mx, "cap": cap, "ratio": mx / cap, "samples": int(pts.size)}

@@ -6,6 +6,8 @@ them uniformly to exit code 1.  Usage mistakes map to exit code 2.
 
 from __future__ import annotations
 
+import math
+
 
 class DelangeError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -50,7 +52,14 @@ class UnknownFamily(DelangeError):
 
 
 class ParameterOutOfRange(DelangeError):
-    """Family parameter outside its admissible range."""
+    """Parameter outside its admissible range."""
+
+
+def require_finite(**params: float) -> None:
+    """Raise ParameterOutOfRange naming the first non-finite parameter."""
+    for name, v in params.items():
+        if not math.isfinite(v):
+            raise ParameterOutOfRange(f"{name}={v} must be finite")
 
 
 class NonconvergentProduct(DelangeError):

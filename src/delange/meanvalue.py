@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import LindelofRequiresDeltaAboveOne, OrderExceedsCoefficients, ParameterOutOfRange
+from .errors import LindelofRequiresDeltaAboveOne, OrderExceedsCoefficients, require_finite
 from .series import ExpansionCoefficients
 from .sieve import Window, exact_sum
 
@@ -57,6 +57,7 @@ class RemainderParams:
     M: float = 1.0
 
     def __post_init__(self):
+        require_finite(a1=self.a1, a2=self.a2, M=self.M)
         if self.a1 <= 0 or self.a2 <= 0 or self.M < 0:
             raise ValueError("a1, a2 must be positive and M nonnegative")
 
@@ -137,8 +138,7 @@ def theta(kappa: float, delta: float, regime: ThetaRegime = ThetaRegime()) -> Th
     and increases strictly in eps; it beats the prior bound exactly for
     eps below the cell's flip point eps*(kappa, delta), where the two meet.
     """
-    if not (math.isfinite(kappa) and math.isfinite(delta)):
-        raise ParameterOutOfRange(f"kappa and delta must be finite, got {kappa}, {delta}")
+    require_finite(kappa=kappa, delta=delta)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if delta < 0:
@@ -183,6 +183,7 @@ def run_experiment(
     coeffs = g_lambda_coeffs(family, order if order is not None else max(N + 1, 8))
     records = []
     for x in x_grid:
+        Window(x, 1)  # a finite x within 64 bits, checked before x^theta
         x = int(x)
         y = int(math.ceil(x**theta_exponent))
         win = Window(x, y)

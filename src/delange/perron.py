@@ -26,8 +26,8 @@ from .contour import ZeroSet
 from .errors import (
     NoClosedForm,
     OutOfValidatedRange,
-    ParameterOutOfRange,
     QuadratureNotConverged,
+    require_finite,
 )
 from .sieve import Window
 from .special import TAU_MAX, recip_gamma
@@ -83,12 +83,6 @@ def _check_line_reach(family, b: float, T: float) -> None:
         raise OutOfValidatedRange(
             f"family {family.name!r} cannot be evaluated on the line up to T={T:g}: {exc}"
         ) from exc
-
-
-def _require_finite(**params: float) -> None:
-    for name, v in params.items():
-        if not math.isfinite(v):
-            raise ParameterOutOfRange(f"{name}={v} must be finite")
 
 
 def _half_line_nodes(T: float, spec: QuadratureSpec, level: int):
@@ -255,13 +249,13 @@ def hankel_main_term(
     of the legs at 1/2 + eta costs O(u^(eta-1/2)).  A non-finite u, kappa or r
     raises ParameterOutOfRange.
     """
-    _require_finite(u=u, kappa=kappa)
+    require_finite(u=u, kappa=kappa)
     if u < 100.0:
         raise ValueError("u must be at least 100")
     lu = math.log(u)
     if r is None:
         r = 1.0 / lu
-    _require_finite(r=r)
+    require_finite(r=r)
 
     def weight(s: np.ndarray) -> np.ndarray:
         return np.exp((np.asarray(s) - 1.0) * lu)
@@ -294,7 +288,7 @@ def ml_integral_check(
     """Loop integral of (s-1)^(l-kappa) ((x+y)^s - x^s)/s against its main term
     y (log x)^(kappa-1-l)/Gamma(kappa-l).  A non-finite kappa raises
     ParameterOutOfRange."""
-    _require_finite(kappa=kappa)
+    require_finite(kappa=kappa)
     x, y = float(win.x), float(win.y)
     lx = math.log(x)
     r = 1.0 / lx

@@ -226,11 +226,11 @@ def _stieltjes_table() -> tuple[float, ...]:
     return tuple(float(line) for line in text.split())
 
 
-def stieltjes(n: int, prec: EvalPrecision = DEFAULT_PRECISION) -> float:
+def stieltjes(n: int) -> float:
     """n-th Stieltjes constant gamma_n to within one double rounding.
 
     Looked up in the bundled table, which holds the 40-digit value rounded
-    once to a double; `prec` is accepted for interface symmetry.
+    once to a double.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")

@@ -94,6 +94,27 @@ class TestSum:
             main(["sum", "--family", "one", "--x", "10.5", "--y", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("x, y", [("1e5", "1e1"), ("1.5e3", "3"), ("1E2", "10")])
+    def test_exponent_notation_denoting_an_integer(self, capsys, x, y):
+        code, out, _ = run(capsys, "sum", "--family", "one", "--x", x, "--y", y)
+        assert code == 0
+        assert out.splitlines()[0] == str(int(float(y)))
+
+    @pytest.mark.parametrize("raw", ["1.05e1", "1e-3", "abc", "1e999999999"])
+    def test_non_integer_exponent_notation_is_usage_error(self, raw):
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--family", "one", "--x", raw, "--y", "3"])
+        assert exc.value.code == 2
+
+    def test_window_bound_is_exact(self):
+        from delange.cli import _window_bound
+
+        assert _window_bound("1e12") == 10**12 and type(_window_bound("1e12")) is int
+        assert _window_bound("9007199254740993") == 2**53 + 1  # not a double
+        assert _window_bound("9.007199254740993e15") == 2**53 + 1
+        assert _window_bound("12345678901234567890123") == 12345678901234567890123
+        assert math.isnan(_window_bound("nan")) and _window_bound("inf") == math.inf
+
     def test_height_past_the_sieve_reach_exits_1(self, capsys):
         x = (10**8 + 1) ** 2 - 1  # first x + y whose square root passes the bound
         code, out, err = run(capsys, "sum", "--family", "one", "--x", str(x), "--y", "1")
@@ -138,8 +159,59 @@ class TestPredictCmd:
         assert val == pytest.approx(1.72725e6, rel=1e-4)
         assert "remainder_bound" in out
 
+    @pytest.mark.parametrize("flag, value", [("--a1", "nan"), ("--a2", "inf"), ("--M", "inf")])
+    def test_non_finite_remainder_constant_exits_1(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, "predict", "--family", "one", "--x", "100000", "--y", "100", flag, value,
+        )
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestExperimentCmd:
+    @pytest.mark.parametrize(
+        "grid, message", [("inf", "must be finite"), ("1e4,nan", "must be finite"),
+                          ("1e400", "64-bit")],
+    )
+    def test_grid_point_outside_the_window_range_exits_1(self, capsys, tmp_path, grid, message):
+        code, out, err = run(
+            capsys, "experiment", "--family", "one", "--x-grid", grid,
+            "--out", str(tmp_path / "e.csv"),
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("grid", ["100000.7", "1e4,1.5e-1", "1e4,abc"])
+    def test_non_integer_grid_is_usage_error(self, capsys, tmp_path, grid):
+        code, out, err = run(
+            capsys, "experiment", "--family", "one", "--x-grid", grid,
+            "--out", str(tmp_path / "e.csv"),
+        )
+        assert code == 2
+        assert "--x-grid" in err
+
+    def test_grid_point_past_double_precision_is_kept(self, capsys, tmp_path):
+        p = tmp_path / "e.csv"
+        code, _, _ = run(
+            capsys, "experiment", "--family", "one", "--x-grid", "9007199254740993",
+            "--theta-exp", "0.1", "--out", str(p),
+        )
+        assert code == 0
+        records, _ = parse_csv(str(p))
+        assert records[0].x == 2**53 + 1
+
+    @pytest.mark.parametrize("flag", ["--a1", "--a2", "--M"])
+    def test_non_finite_remainder_constant_exits_1(self, capsys, tmp_path, flag):
+        code, out, err = run(
+            capsys, "experiment", "--family", "one", "--x-grid", "1e4", flag, "nan",
+            "--out", str(tmp_path / "e.csv"),
+        )
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
     def test_csv_roundtrip_and_determinism(self, capsys, tmp_path):
         p1 = tmp_path / "a.csv"
         argv = [
@@ -237,6 +309,25 @@ class TestContourCmd:
         capsys.readouterr()
         assert out_json.read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--cstar", "nan", "must be finite"), ("--cstar", "inf", "must be finite"),
+         ("--cstar", "-1", "must be positive"), ("--logx", "nan", "must be finite"),
+         ("--logx", "-1", "at least 1"), ("--logx", "0", "at least 1"),
+         ("--T", "inf", "must be finite"), ("--T", "nan", "must be finite"),
+         ("--eta", "nan", "must be finite"), ("--corner-eps", "inf", "must be finite")],
+    )
+    def test_nonsense_parameter_exits_1(self, capsys, tmp_path, zero_table_path, flag, value, message):
+        argv = {"--zeros": zero_table_path, "--T": "65536", "--cstar": "0.1", flag: value}
+        out_json = tmp_path / "c.json"
+        code, out, err = run(
+            capsys, "contour", *[a for kv in argv.items() for a in kv], "--out", str(out_json),
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert not out_json.exists()
+
     def test_degenerate_exit(self, capsys, tmp_path):
         zeros = tmp_path / "zeros.txt"
         zeros.write_text("0.95 300.0\n")
@@ -312,6 +403,15 @@ class TestQuadratureCmds:
         assert code == 1
         assert out == ""
         assert "must be finite" in err
+
+    def test_hankel_check_has_no_scheme_option(self, capsys, tmp_path):
+        # the Hankel loop always uses composite Gauss panels
+        with pytest.raises(SystemExit) as exc:
+            main(["hankel-check", "--u", "1e6", "--kappa", "0.5", "--scheme", "trapezoid"])
+        assert exc.value.code == 2
+        out = tmp_path / "h.json"
+        assert main(["hankel-check", "--u", "1e6", "--kappa", "0.5", "--out", str(out)]) == 0
+        assert "scheme" not in json.loads(out.read_text())["config"]
 
     def test_hankel_check_window_mode(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,6 @@
+import dataclasses
+import hashlib
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from delange.contour import (
     zero_density_count,
     zeroset_from_pairs,
 )
-from delange.errors import BetaOutOfRange, DegenerateBlock, ZeroTableParseError
+from delange.errors import (
+    BetaOutOfRange,
+    DegenerateBlock,
+    ParameterOutOfRange,
+    ZeroTableParseError,
+)
 
 from conftest import synthetic_zero_set
 
@@ -106,16 +112,15 @@ class TestClassify:
 
 class TestBlocks:
     def test_partition_exactness(self):
+        # the float half-length tiles [U, 2U] exactly: the endpoints
+        # U + 2jH, j = 0..m, rise strictly and the last one is 2U to the bit
         zs = zeroset_from_pairs([], T16)
         for blk in build_blocks(zs, T16, **SUITE):
-            ivs = blk.intervals()
-            total = sum(b - a for a, b in ivs)
-            assert total == Fraction(blk.U)  # exact rational bookkeeping
-            for (a1, b1), (a2, b2) in zip(ivs[:-1], ivs[1:]):
-                assert b1 == a2
-            assert ivs[0][0] == blk.U and ivs[-1][1] == 2 * blk.U
+            ends = blk.U + 2 * np.arange(blk.m + 1) * blk.H
+            assert ends[0] == blk.U and ends[-1] == 2 * blk.U
+            assert np.all(np.diff(ends) > 0)
+            assert blk.H == blk.U / (2 * blk.m)
             assert 0.5 <= blk.c_l <= 1.0
-            assert blk.m == blk.U / (2 * blk.H)
 
     def test_empty_set_all_fallback(self):
         zs = zeroset_from_pairs([], T16)
@@ -133,7 +138,7 @@ class TestBlocks:
         zs = zeroset_from_pairs([(beta0, gamma0)], T16)
         blocks = build_blocks(zs, T16, **SUITE)
         for blk in blocks:
-            h = float(blk.H)
+            h = blk.H
             margin = 0.1 / math.log(math.log(2.0 * (blk.U + 12)))
             for j in range(1, blk.m + 1):
                 u_j = blk.U + (2 * j - 1) * h
@@ -160,6 +165,15 @@ class TestBlocks:
         zs = zeroset_from_pairs([], 512.0)
         with pytest.raises(ValueError):
             build_blocks(zs, 512.0, **SUITE)
+
+    @pytest.mark.parametrize(
+        "T, c_star", [(math.inf, 0.1), (math.nan, 0.1), (T16, math.nan), (T16, math.inf),
+                      (T16, -1.0), (T16, 0.0)],
+    )
+    def test_rejects_nonsense_parameters(self, T, c_star):
+        zs = zeroset_from_pairs([], T16)
+        with pytest.raises(ParameterOutOfRange):
+            build_blocks(zs, T, 0.6, c_star)
 
 
 class TestAssembly:
@@ -222,11 +236,69 @@ class TestAssembly:
         assert not rep.clearance_ok
         assert any(abs(g - 5000.0) < 1e-9 for _, g, _, _ in rep.clearance_failures)
 
+    def test_broken_chain_and_mirror_are_caught(self):
+        zs = synthetic_zero_set(5)
+        path = build_path(zs)
+        assert validate_contour(path, zs, 0.6).all_ok
+        vs = list(path.vertices)
+        mid = len(vs) // 2  # the shared vertex 1 + r on the real axis
+        # a repeated vertex is a zero-length piece
+        doubled = dataclasses.replace(path, vertices=tuple(vs[: mid + 4] + vs[mid + 3 :]))
+        assert not validate_contour(doubled, zs, 0.6).connectivity_ok
+        # shifting one upper vertex sideways makes a diagonal and breaks the mirror
+        vs[mid + 4] += 1e-6
+        rep = validate_contour(dataclasses.replace(path, vertices=tuple(vs)), zs, 0.6)
+        assert not rep.connectivity_ok
+        assert not rep.mirror_ok
+
     def test_corner_eps_bound(self):
         zs = zeroset_from_pairs([], T16)
         blocks = build_blocks(zs, T16, **SUITE)
         with pytest.raises(ValueError):
             assemble_contour(blocks, zs, 0.6, c_star=0.1, corner_eps=1.0)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(eta=math.nan), dict(eta=math.inf), dict(corner_eps=math.nan),
+         dict(corner_eps=math.inf), dict(c_star=math.nan), dict(c_star=-math.inf),
+         dict(c_star=-1.0), dict(logx=math.nan), dict(logx=math.inf), dict(logx=0.0),
+         dict(logx=-1.0), dict(logx=0.999)],
+    )
+    def test_rejects_nonsense_parameters(self, kw):
+        zs = zeroset_from_pairs([], T16)
+        blocks = build_blocks(zs, T16, **SUITE)
+        with pytest.raises(ParameterOutOfRange):
+            assemble_contour(blocks, zs, 0.6, **{"c_star": 0.1, **kw})
+
+    def test_smallest_logx_is_accepted(self):
+        zs = zeroset_from_pairs([], T16)
+        path = build_path(zs, logx=1.0)
+        assert path.vertices[len(path.vertices) // 2] == complex(2.0, 0.0)
+        assert validate_contour(path, zs, 0.6).all_ok
+
+    # SHA-256 of repr((vertices, piece_labels, case_tally)) at T = 2^16,
+    # alpha 0.6, C* 0.1, recorded from the per-interval assembly this one
+    # replaced; the empty set and the table (all zeros on the critical line)
+    # give the same flat path
+    REFERENCE_DIGESTS = {
+        "seed 0": "4792e5d120fcbf6671c2b352dd6181c574f4c1c1b1c1ef33b8b77af2f178dc82",
+        "seed 7": "622a39f9718b52adca26657a43710550db5a342d5193c81210beb86f008cbc2e",
+        "seed 42": "1730249de687047a275c676a05fd6edbdd2b2c0e76a63c6c04aa0447999896a5",
+        "empty": "a85d06bbf875fd0f82b13286db4a496693d1c5b9c22c38212dc48ab669ab3b9a",
+        "table": "a85d06bbf875fd0f82b13286db4a496693d1c5b9c22c38212dc48ab669ab3b9a",
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_DIGESTS))
+    def test_matches_reference_digest(self, case, zero_table_path):
+        if case == "empty":
+            zs = zeroset_from_pairs([], T16)
+        elif case == "table":
+            zs = load_zeros(zero_table_path, T16)
+        else:
+            zs = synthetic_zero_set(int(case.split()[1]))
+        path = build_path(zs)
+        text = repr((path.vertices, path.piece_labels, path.case_tally))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.REFERENCE_DIGESTS[case]
 
     def test_randomized_suite_small(self):
         for seed in range(10):

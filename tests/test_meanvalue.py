@@ -3,6 +3,7 @@ import math
 import pytest
 
 from delange.errors import (
+    InvalidWindow,
     LindelofRequiresDeltaAboveOne,
     OrderExceedsCoefficients,
     ParameterOutOfRange,
@@ -88,6 +89,32 @@ class TestRemainder:
         # with y/x and M negligible the a1 term dominates: (a1*0+1)^1/sqrt(x)
         assert got_iso == pytest.approx(1.0 / math.sqrt(x), rel=1e-4)
         assert got > got_iso
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(a1=math.nan), dict(a1=math.inf), dict(a2=math.nan), dict(a2=-math.inf),
+         dict(M=math.inf), dict(M=math.nan)],
+    )
+    def test_non_finite_constant_is_typed_error(self, kw):
+        with pytest.raises(ParameterOutOfRange, match="must be finite"):
+            RemainderParams(**kw)
+
+    def test_sign_checks_unchanged(self):
+        for kw in (dict(a1=0.0), dict(a2=-1.0), dict(M=-1e-300)):
+            with pytest.raises(ValueError, match="a1, a2 must be positive"):
+                RemainderParams(**kw)
+
+
+class TestRunExperiment:
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf])
+    def test_non_finite_grid_point_is_typed_error(self, fam_one, x):
+        with pytest.raises(InvalidWindow, match="must be finite"):
+            run_experiment(fam_one, [10**4, x], 0.8, 0)
+
+    def test_grid_point_past_64_bits_is_typed_error(self, fam_one):
+        # x^theta of this x overflows a double, so x is checked first
+        with pytest.raises(InvalidWindow, match="64-bit"):
+            run_experiment(fam_one, [10**400], 0.8, 0)
 
 
 class TestTheta:
