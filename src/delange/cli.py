@@ -3,7 +3,7 @@
 Precedence for every option: explicit flag > --config file > built-in
 default.  Any output file embeds the fully resolved run configuration (JSON:
 under "config"; CSV: as a commented preamble) and reruns with the same
-config and seed are byte-identical; timings go to stderr only.
+config are byte-identical; timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -51,7 +51,10 @@ class _Resolver:
         val = self.args.get(key)
         if val is None:
             raw = self.config.get(key)
-            val = default if raw is None else cast(raw)
+            try:
+                val = default if raw is None else cast(raw)
+            except ValueError as exc:
+                raise UsageError(f"--config: bad value for {key}: {exc}") from None
         self.resolved[key] = val
         return val
 
@@ -458,13 +461,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="delange",
         description="Mean values of arithmetic functions over short intervals",
     )
-    p.add_argument("--config", help="flat key=value config file")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def add(name, *specs):
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--seed", type=int)
         sp.add_argument("--out")
         for flag, kw in specs:
             sp.add_argument(flag, **kw)
@@ -523,7 +524,6 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else {}
         res = _Resolver(args, config)
         res.resolved["subcommand"] = args.subcommand
-        res.get("seed", 0, int)
         return _COMMANDS[args.subcommand](res)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -13,8 +13,7 @@ a vertex pair is emitted only where the level changes, and the junction
 shapes are counted on the same array.
 
 Desk-scale adaptations (T around 2^16 instead of "sufficiently large"):
-the slab owns |t| <= 2^5 and blocks start at U = 2^5, so the H0'-sized
-V0 piece only materializes when H0' outgrows 2^5; non-power-of-two T is
+the slab owns |t| <= 2^5 and blocks start at U = 2^5; non-power-of-two T is
 floored to the covered dyadic top.
 """
 
@@ -205,7 +204,6 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> lis
 # --- contour assembly ---------------------------------------------------------
 
 PIECE_V_STAR = "V_star"
-PIECE_V0 = "V0"
 PIECE_VJ = "Vj"
 PIECE_HJ = "hj"
 PIECE_H0L = "h0l"

@@ -119,18 +119,32 @@ class ArithmeticFamily:
 
 # --- background series engine ---------------------------------------------------
 
-def _upper_tail_integral(m: int, k: int, cutoff: float) -> float:
-    """Sum_{p > cutoff} p^-m (ln p)^k estimated with the li density 1/ln t.
+def _tail_integrals(m: int, order: int, cutoff: int) -> np.ndarray:
+    """[Gamma(k, x0) / (m-1)^k for k = 0..order], x0 = (m-1) ln cutoff.
 
-    integral_P^inf t^-m (ln t)^(k-1) dt; the pi-vs-li residual is a fraction
-    of a percent at desk-scale cutoffs.
+    Entry k is integral_P^inf t^-m (ln t)^(k-1) dt, the li-density (1/ln t)
+    estimate of Sum_{p > P} p^-m (ln p)^k; the pi-vs-li residual is a
+    fraction of a percent at desk-scale cutoffs.  Entry 0 is E1(x0) from the
+    even part of its continued fraction (A&S 5.1.22),
+    e^-x0 / (x0 + 1 - 1/(x0 + 3 - 4/(x0 + 5 - ...))), evaluated bottom up: 24
+    levels reach full double precision once x0 >= ln 1000 (m >= 2 and
+    cutoff >= 1000).  The rest follow from Gamma(k+1, x) = k Gamma(k, x) +
+    x^k e^-x (A&S 6.5.22), whose terms are all positive, so the forward
+    recurrence is stable.
     """
-    from scipy.special import exp1, gammaincc  # only nontrivial local models get here
-
     x0 = (m - 1) * math.log(cutoff)
-    if k == 0:
-        return float(exp1(x0))
-    return float(gammaincc(k, x0) * math.gamma(k) / (m - 1) ** k)
+    f = x0 + 49.0  # the 25th denominator, x0 + 2*24 + 1
+    for i in range(24, 0, -1):
+        f = x0 + (2 * i - 1) - i * i / f
+    term = math.exp(-x0)  # x0^k e^-x0, from k = 0
+    gamma_k = term / f  # Gamma(0, x0) = E1(x0)
+    out = np.empty(order + 1)
+    out[0] = gamma_k
+    for k in range(order):
+        gamma_k = k * gamma_k + term
+        term *= x0
+        out[k + 1] = gamma_k / (m - 1) ** (k + 1)
+    return out
 
 
 def g_series_by_euler_product(
@@ -184,16 +198,15 @@ def g_series_by_euler_product(
         for m in (2, 3):
             if d[m] == 0:
                 continue
-            tails = np.array([_upper_tail_integral(m, k, prime_cutoff) for k in range(order + 1)])
             ks = np.arange(order + 1, dtype=np.float64)
-            coeffs += d[m] * ((-float(m)) ** ks) * inv_fact * tails
+            coeffs += d[m] * ((-float(m)) ** ks) * inv_fact * _tail_integrals(m, order, prime_cutoff)
 
     series = ps_exp(PowerSeries(tuple(coeffs)))
     # residual: pi-vs-li fluctuation on the corrected m=2,3 tails (observed a
     # few tenths of a percent at desk cutoffs; 5% is a wide margin) plus the
     # whole uncorrected m>=4 tail
     ln_p = math.log(prime_cutoff)
-    t23 = sum(abs(d[m]) * _upper_tail_integral(m, 0, prime_cutoff) for m in (2, 3))
+    t23 = sum(abs(d[m]) * _tail_integrals(m, 0, prime_cutoff)[0] for m in (2, 3))
     t4 = sum(abs(d[m]) * prime_cutoff ** (1 - m) / ((m - 1) * ln_p) for m in range(4, m_max + 1))
     tail_bound = 0.05 * t23 + t4 + 1e-15
     out = (series, float(tail_bound))

@@ -44,13 +44,6 @@ class PowerSeries:
     def constant(cls, value: complex, order: int) -> "PowerSeries":
         return cls((complex(value),) + (0j,) * order)
 
-    @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series (s-1) itself."""
-        if order < 1:
-            raise ValueError("order must be >= 1 to hold the linear term")
-        return cls((0j, 1 + 0j) + (0j,) * (order - 1))
-
 
 def _check_same_order(a: PowerSeries, b: PowerSeries) -> int:
     if a.order != b.order:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWindow, WindowTooLarge
+from .errors import InvalidWindow, ParameterOutOfRange, WindowTooLarge
 
 CHUNK = 1 << 20
 MAX_WINDOW = 100_000_000
@@ -29,7 +29,10 @@ SMALL_PRIME_BOUND = 1 << 12
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """Ascending primes <= n (int64)."""
+    """Ascending primes <= n (int64); n past MAX_BASE_PRIME is refused before
+    the n + 1 byte mask is allocated."""
+    if n > MAX_BASE_PRIME:
+        raise ParameterOutOfRange(f"primes up to {n} exceed the sieve's reach {MAX_BASE_PRIME}")
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     mask = np.ones(n + 1, dtype=bool)

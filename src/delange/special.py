@@ -4,7 +4,7 @@ zeta is evaluated by Euler-Maclaurin summation with an adaptive direct-sum
 cutoff.  The validated box is Re(s) > -1, |Im(s)| <= 1e5, s != 1.  In double
 precision the achievable *absolute* error is floored by eps_mach * |zeta(s)|,
 which matters only deep in the left half of the box where |zeta| grows to
-~1e6; everywhere else the default target is met with a wide margin.
+~1e6; everywhere else ZETA_ABS_TOL is met with a wide margin.
 
 The direct sum over n < K costs one complex exp per (point, n) for
 scattered points.  A 2-D batch whose rows are vertical progressions
@@ -59,20 +59,23 @@ _BERN_2J = _bernoulli_even(_EM_TERMS_MAX)
 _FACT_2J = [float(math.factorial(2 * j)) for j in range(1, _EM_TERMS_MAX + 1)]
 
 
+# zeta's error contract: absolute below unit magnitude, relative above it
+ZETA_ABS_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class EvalPrecision:
     """Knobs for the Euler-Maclaurin evaluator.
 
     tail_cutoff is a budget: the evaluator picks the direct-sum length
-    adaptively from |Im(s)| and refuses (OutOfValidatedRange) if the budget
-    cannot reach the requested target.  The default budget covers the whole
-    validated box; 1e4 does not (the correction series diverges once the
-    cutoff drops below ~|t|/2pi).
+    adaptively from |Im(s)|, long enough for ZETA_ABS_TOL, and refuses
+    (OutOfValidatedRange) if that length exceeds the budget.  The default
+    budget covers the whole validated box; 1e4 does not (the correction
+    series diverges once the cutoff drops below ~|t|/2pi).
     """
 
     euler_maclaurin_terms: int = 22
     tail_cutoff: int = 40_000
-    target_abs_error: float = 1e-9
     oversample: float = 1.0  # scales the adaptive cutoff; >1 gives an
     # independent second route for cross-checking results
 
@@ -81,8 +84,6 @@ class EvalPrecision:
             raise ValueError(f"euler_maclaurin_terms must be in [1, {_EM_TERMS_MAX}]")
         if self.tail_cutoff < 16:
             raise ValueError("tail_cutoff too small to mean anything")
-        if not (0.0 < self.target_abs_error <= 1e-6):
-            raise ValueError("target_abs_error must lie in (0, 1e-6]")
         if not (1.0 <= self.oversample <= 8.0):
             raise ValueError("oversample must lie in [1, 8]")
 

@@ -26,6 +26,14 @@ def test_console_script_smoke():
     assert "elapsed" in proc.stderr
 
 
+def test_seed_option_is_gone(capsys):
+    # nothing in the package is random, so there is no seed to set
+    with pytest.raises(SystemExit) as exc:
+        main(["theta", "--kappa", "1", "--delta", "0", "--seed", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 class TestTheta:
     def test_spec_example(self, capsys):
         code, out, _ = run(
@@ -147,6 +155,11 @@ class TestCoeffs:
         assert doc["lambda_l"][0][0] == pytest.approx(0.6079271, abs=1e-6)
         assert doc["J"] == 8
 
+    def test_cutoff_past_the_sieve_reach_exits_1(self, capsys):
+        code, _, err = run(capsys, "coeffs", "--family", "sqfree", "--cutoff", str(10**12))
+        assert code == 1
+        assert "sieve's reach" in err
+
 
 class TestPredictCmd:
     def test_prints_value_and_bound(self, capsys):
@@ -216,7 +229,7 @@ class TestExperimentCmd:
         p1 = tmp_path / "a.csv"
         argv = [
             "experiment", "--family", "divisor:2", "--x-grid", "1e4,1e5",
-            "--theta-exp", "0.8", "--N", "1", "--seed", "7", "--out", str(p1),
+            "--theta-exp", "0.8", "--N", "1", "--out", str(p1),
         ]
         assert main(argv) == 0
         first = p1.read_bytes()
@@ -226,7 +239,6 @@ class TestExperimentCmd:
         records, config = parse_csv(str(p1))
         assert [r.x for r in records] == [10**4, 10**5]
         assert config["family"] == "divisor:2"
-        assert config["seed"] == "7"
         header = p1.read_text().splitlines()
         assert any(ln.startswith("# theta_exp=0.8") for ln in header)
 
@@ -274,6 +286,22 @@ class TestConfigFile:
         code, _, err = run(capsys, "theta", "--config", str(cfg), "--delta", "0")
         assert code == 2
 
+    def test_unparsable_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa=abc\ndelta=0\n")
+        code, _, err = run(capsys, "theta", "--config", str(cfg))
+        assert code == 2
+        assert "kappa" in err
+
+    def test_config_is_an_option_of_the_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa=1\ndelta=0\n")
+        # before the subcommand it would be ignored, so it is not accepted there
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "theta"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
 
 class TestContourCmd:
     def test_json_and_csv_outputs(self, capsys, tmp_path):
@@ -301,7 +329,7 @@ class TestContourCmd:
         out_json = tmp_path / "contour.json"
         argv = [
             "contour", "--zeros", str(zeros), "--T", "65536", "--alpha", "0.6",
-            "--cstar", "0.1", "--seed", "3", "--out", str(out_json),
+            "--cstar", "0.1", "--out", str(out_json),
         ]
         assert main(argv) == 0
         first = out_json.read_bytes()

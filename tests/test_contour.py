@@ -342,6 +342,28 @@ def test_log_zeta_diagnostic(zero_table_path):
     assert rep["cap"] > 0
 
 
+def test_log_zeta_diagnostic_samples_the_upper_vertical_midpoints():
+    import mpmath
+
+    # log x = 2 puts the loop's closing vertical at 1.5, clear of the 0.1
+    # exclusion disc, so its piece below the real axis would be sampled too
+    # if it leaked in
+    zs = synthetic_zero_set(3, T=2.0**12)
+    path = build_path(zs, logx=2.0)
+    v = path.vertices
+    mids = []
+    for a, b in zip(v[:-1], v[1:]):
+        lo, hi = sorted((a.imag, b.imag))
+        if a.real == b.real and hi > 0:
+            s = complex(a.real, (max(lo, 0.0) + hi) / 2.0)
+            if abs(s - 1.0) > 0.1:
+                mids.append(s)
+    rep = log_zeta_diagnostic(path, samples=len(v))
+    assert rep["samples"] == len(mids)
+    want = max(float(abs(mpmath.log(mpmath.zeta(mpmath.mpc(s.real, s.imag))))) for s in mids)
+    assert abs(rep["max_abs_log_zeta"] - want) <= 1e-9
+
+
 def test_vertex_geometry_is_axis_parallel():
     zs = synthetic_zero_set(99)
     path = build_path(zs)

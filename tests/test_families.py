@@ -12,12 +12,14 @@ from delange.errors import (
 )
 from delange.families import (
     LocalModel,
+    _tail_integrals,
     builtin_family,
     euler_product_value,
     f_value,
     family_from_spec,
     g_series_by_euler_product,
 )
+from delange.series import g_lambda_coeffs
 from delange.sieve import primes_up_to
 from delange.special import zeta
 
@@ -130,6 +132,41 @@ class TestBackgroundSeries:
     def test_cutoff_floor(self, fam_sqfree):
         with pytest.raises(ParameterOutOfRange):
             g_series_by_euler_product(fam_sqfree, 4, prime_cutoff=100)
+
+    def test_cutoff_past_the_sieve_reach(self, fam_sqfree):
+        # refused before the prime mask (one byte per integer) is allocated
+        with pytest.raises(ParameterOutOfRange):
+            g_series_by_euler_product(fam_sqfree, 4, prime_cutoff=10**12)
+        with pytest.raises(ParameterOutOfRange):
+            euler_product_value(fam_sqfree, 2.0, prime_cutoff=10**12)
+
+    def test_tail_vector_against_mpmath(self):
+        import mpmath
+
+        worst = 0.0
+        with mpmath.workdps(40):
+            for m in (2, 3):
+                for cutoff in (10**3, 10**5, 10**7, 10**8):
+                    x0 = (m - 1) * mpmath.log(cutoff)
+                    want = [mpmath.e1(x0)] + [
+                        mpmath.gammainc(k, x0) / (m - 1) ** k for k in range(1, 66)
+                    ]
+                    got = _tail_integrals(m, 65, cutoff).tolist()
+                    worst = max(worst, max(float(abs(g - w) / w) for g, w in zip(got, want)))
+        assert worst <= 5e-15
+
+    def test_squarefree_g_against_taylor_oracle(self, fam_sqfree):
+        # g_l of mu^2 is the Taylor data of (s-1) zeta(s) / zeta(2s) at s = 1;
+        # the li-density tail past the prime cutoff leaves about 2e-7 at l = 2
+        # and grows with l (README, numerical contracts)
+        import mpmath
+
+        ref = mpmath.taylor(
+            lambda s: (s - 1) * mpmath.zeta(s) / mpmath.zeta(2 * s), 1, 2, method="quad", radius=0.5
+        )
+        g = g_lambda_coeffs(fam_sqfree, 8).g_l
+        for l in range(3):
+            assert abs(g[l] - complex(ref[l])) <= 1e-6, l
 
     def test_constant_term_stabilizes_under_cutoff_doubling(self, fam_sqfree, fam_omega2):
         for fam in (fam_sqfree, fam_omega2):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delange import sieve
-from delange.errors import DelangeError, InvalidWindow, WindowTooLarge
+from delange.errors import DelangeError, InvalidWindow, ParameterOutOfRange, WindowTooLarge
 from delange.families import f_value, family_from_spec
 from delange.sieve import (
     Window,
@@ -186,6 +186,12 @@ def test_primes_up_to():
     ps = primes_up_to(30)
     assert ps.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1).size == 0
+
+
+def test_primes_up_to_refuses_past_the_reach():
+    # an n + 1 byte mask at n = 1e12 would be a terabyte; the check comes first
+    with pytest.raises(ParameterOutOfRange):
+        primes_up_to(10**12)
 
 
 ORACLE_FAMILIES = [family_from_spec(s) for s in ("one", "divisor:2", "omega:2", "sqfree")] + [

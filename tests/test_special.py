@@ -10,6 +10,7 @@ from delange import special
 from delange.errors import OrderTooHigh, OutOfValidatedRange, PoleAtOne, ZeroBase
 from delange.special import (
     DEFAULT_PRECISION,
+    ZETA_ABS_TOL,
     EvalPrecision,
     principal_pow,
     recip_gamma,
@@ -88,7 +89,7 @@ class TestZeta:
                 pts.append(s)
         a = zeta_batch(np.array(pts), DEFAULT_PRECISION)
         b = zeta_batch(np.array(pts), fine)
-        tol = DEFAULT_PRECISION.target_abs_error * np.maximum(1.0, np.abs(a))
+        tol = ZETA_ABS_TOL * np.maximum(1.0, np.abs(a))
         assert np.all(np.abs(a - b) <= tol)
 
     def test_absolute_target_where_zeta_is_moderate(self):
@@ -171,7 +172,7 @@ class TestZetaProgression:
         for row in range(s.shape[0]):
             for k in (0, 4, 8):
                 ref = _mpmath_zeta(complex(s[row, k]))
-                assert abs(vals[row, k] - ref) <= 1e-9 * max(1.0, abs(ref))
+                assert abs(vals[row, k] - ref) <= ZETA_ABS_TOL * max(1.0, abs(ref))
 
     def test_mixed_real_parts_fall_back(self, grid_calls):
         s = _rows(1.2, [30.0, 80.0], 0.5, 6)
@@ -180,7 +181,7 @@ class TestZetaProgression:
         assert not grid_calls
         for row, k in ((0, 0), (1, 5)):
             ref = _mpmath_zeta(complex(s[row, k]))
-            assert abs(vals[row, k] - ref) <= 1e-9 * max(1.0, abs(ref))
+            assert abs(vals[row, k] - ref) <= ZETA_ABS_TOL * max(1.0, abs(ref))
 
     def test_jittered_spacing_falls_back(self, grid_calls):
         s = _rows(0.8, [200.0, 260.0], 0.25, 6)
@@ -189,7 +190,7 @@ class TestZetaProgression:
         assert not grid_calls
         for row, k in ((0, 3), (1, 1)):
             ref = _mpmath_zeta(complex(s[row, k]))
-            assert abs(vals[row, k] - ref) <= 1e-9 * max(1.0, abs(ref))
+            assert abs(vals[row, k] - ref) <= ZETA_ABS_TOL * max(1.0, abs(ref))
 
     def test_box_and_pole_checks_still_apply(self):
         with pytest.raises(OutOfValidatedRange):
@@ -281,14 +282,15 @@ class TestStieltjes:
             assert self._laurent_deviation(h) <= max(2e-15, 4e-14 * (h / 0.1) ** 7)
 
 
-def test_zeta_power_families_do_not_import_scipy():
-    # scipy.special serves only the Euler-product tail of nontrivial local
-    # models; a fresh interpreter keeps other tests' imports out of the check
+def test_background_series_do_not_import_scipy():
+    # the Euler-product tail needs no scipy; a fresh interpreter keeps other
+    # tests' imports out of the check
     code = (
         "import sys, delange\n"
-        "from delange import builtin_family, g_lambda_coeffs\n"
-        "g_lambda_coeffs(builtin_family('divisor_kappa', 2.0), 8)\n"
-        "print('scipy.special' in sys.modules)\n"
+        "from delange import family_from_spec, g_lambda_coeffs\n"
+        "for spec in ('divisor:2', 'sqfree', 'omega:2', 'omega:0.5'):\n"
+        "    g_lambda_coeffs(family_from_spec(spec), 24)\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
