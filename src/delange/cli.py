@@ -25,7 +25,9 @@ from .series import g_lambda_coeffs
 from .sieve import Window, exact_sum
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, options: dict) -> dict:
+    """key=value lines, checked like the flags: every key must be an option of
+    the subcommand (options maps each one to its allowed values, or None)."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -35,7 +37,14 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"--config {path}: line {lineno} is not key=value")
             key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
+            key, val = key.strip().replace("-", "_"), val.strip()
+            if key not in options:
+                raise UsageError(f"--config {path}: unknown key {key!r} on line {lineno}")
+            if options[key] is not None and val not in options[key]:
+                raise UsageError(
+                    f"--config {path}: {key}={val!r} is not one of {', '.join(options[key])}"
+                )
+            out[key] = val
     return out
 
 
@@ -466,9 +475,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, *specs):
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--out")
-        for flag, kw in specs:
-            sp.add_argument(flag, **kw)
+        keys = {}
+        for flag, kw in (("--out", {}),) + specs:
+            keys[sp.add_argument(flag, **kw).dest] = kw.get("choices")
+        sp.set_defaults(config_keys=keys)
         return sp
 
     fam = ("--family", dict(help="family spec, e.g. divisor:2, sqfree, omega:3, one"))
@@ -521,7 +531,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
+        config = _load_config(args.config, args.config_keys) if args.config else {}
         res = _Resolver(args, config)
         res.resolved["subcommand"] = args.subcommand
         return _COMMANDS[args.subcommand](res)

@@ -1,20 +1,26 @@
 """Numeric substrate: zeta, Stieltjes constants, reciprocal gamma, principal powers.
 
-zeta is evaluated by Euler-Maclaurin summation with an adaptive direct-sum
-cutoff.  The validated box is Re(s) > -1, |Im(s)| <= 1e5, s != 1.  In double
+The validated box of zeta is Re(s) > -1, |Im(s)| <= 1e5, s != 1.  In double
 precision the achievable *absolute* error is floored by eps_mach * |zeta(s)|,
 which matters only deep in the left half of the box where |zeta| grows to
 ~1e6; everywhere else ZETA_ABS_TOL is met with a wide margin.
 
-The direct sum over n < K costs one complex exp per (point, n) for
-scattered points.  A 2-D batch whose rows are vertical progressions
-sigma + i(t0[row] + j dt), as the Perron line's Gauss panels are, factors the
-sum into one matrix product and pays about 2 K sqrt(points) exps instead.
+zeta_batch takes one of three routes.  A 2-D batch whose rows are vertical
+progressions sigma + i(t0[row] + j dt), as the Perron line's Gauss panels
+are, takes Euler-Maclaurin summation with one cutoff K ~ 0.36 |t|max and
+factors the direct sum into one matrix product, about 2 K sqrt(points) exps.
+Any other batch is routed point by point: a point with |t| >= RS_T_MIN and
+Re(s) < RS_SIGMA_MAX takes the Riemann-Siegel formula, about 2 sqrt(|t|/2pi)
+terms plus fixed corrections, and every other point takes Euler-Maclaurin
+with its own cutoff, one exp per term.
 
 The Stieltjes constants gamma_0..gamma_64 come from the bundled table
 data/stieltjes.txt, read once per process on the first lookup and written by
 scripts/make_stieltjes_table.py (40-digit arbitrary-precision values, each
-rounded once to a double); no constant is computed at run time.
+rounded once to a double); no constant is computed at run time.  The
+Riemann-Siegel corrections read the Taylor coefficients of their kernel from
+data/rs_taylor.txt (scripts/make_rs_taylor_table.py) on the first call that
+needs them.
 """
 
 from __future__ import annotations
@@ -65,13 +71,17 @@ ZETA_ABS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EvalPrecision:
-    """Knobs for the Euler-Maclaurin evaluator.
+    """Knobs for the Euler-Maclaurin route of zeta.
 
-    tail_cutoff is a budget: the evaluator picks the direct-sum length
-    adaptively from |Im(s)|, long enough for ZETA_ABS_TOL, and refuses
-    (OutOfValidatedRange) if that length exceeds the budget.  The default
-    budget covers the whole validated box; 1e4 does not (the correction
-    series diverges once the cutoff drops below ~|t|/2pi).
+    They act on the progression path and on the scattered points that the
+    Riemann-Siegel route does not take (|Im s| < RS_T_MIN, or Re s >=
+    RS_SIGMA_MAX); a Riemann-Siegel point ignores them.
+
+    tail_cutoff is a budget: the evaluator picks each point's direct-sum
+    length adaptively from its |Im(s)|, long enough for ZETA_ABS_TOL, and
+    refuses (OutOfValidatedRange) if any length exceeds the budget.  The
+    default budget covers the whole validated box; 1e4 does not (the
+    correction series diverges once the cutoff drops below ~|t|/2pi).
     """
 
     euler_maclaurin_terms: int = 22
@@ -90,20 +100,29 @@ class EvalPrecision:
 
 DEFAULT_PRECISION = EvalPrecision()
 
+# To the right of this real part the Euler-Maclaurin direct terms decay fast
+# enough for a shorter cutoff; to its left, high points take Riemann-Siegel.
+RS_SIGMA_MAX = 1.15
 
-def _direct_sum_cutoff(sigma_min: float, t_max: float, prec: EvalPrecision) -> int:
+
+def _direct_sum_cutoff(sigma, t, prec: EvalPrecision) -> np.ndarray:
+    """Direct-sum length K for each point sigma + i t (|t| given), as int64."""
     # 0.36|t| keeps the correction-term ratio ((|t|+2m)/(2 pi K))^2 below ~0.5,
     # so 20+ corrections push truncation under 1e-12 relative.  To the right of
     # sigma = 1.15 the direct terms decay fast enough that a shorter sum plus
     # the same corrections already clears the target.
-    k = max(32, math.ceil(0.36 * t_max) + 48)
-    if sigma_min >= 1.15 and prec.euler_maclaurin_terms >= 18:
-        k = min(k, max(64, math.ceil(0.25 * t_max) + 64))
-    k = math.ceil(k * prec.oversample)
-    if k > prec.tail_cutoff:
+    sigma = np.asarray(sigma, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    k = np.maximum(32.0, np.ceil(0.36 * t) + 48.0)
+    if prec.euler_maclaurin_terms >= 18:
+        short = np.minimum(k, np.maximum(64.0, np.ceil(0.25 * t) + 64.0))
+        k = np.where(sigma >= RS_SIGMA_MAX, short, k)
+    k = np.ceil(k * prec.oversample).astype(np.int64)
+    over = k > prec.tail_cutoff
+    if np.any(over):
         raise OutOfValidatedRange(
-            f"tail_cutoff={prec.tail_cutoff} cannot meet the target at |t|={t_max:.3g}"
-            f" (needs {k} direct terms)"
+            f"tail_cutoff={prec.tail_cutoff} cannot meet the target at |t|={np.min(t[over]):.3g}"
+            f" (needs {np.min(k[over])} direct terms)"
         )
     return k
 
@@ -150,29 +169,203 @@ def _progression_sum(sigma: float, t0: np.ndarray, dt: float, count: int, k: int
     return acc.reshape(rows, blocks * width)[:, :count]
 
 
-def _scattered_sum(s: np.ndarray, k: int) -> np.ndarray:
-    """sum_{n<k} n^-s pointwise, one exp per (point, n)."""
-    flat = s.reshape(-1)
-    acc = np.zeros_like(flat)
-    n_chunk = max(8, min(k, _WORKSPACE // max(1, flat.size)))
-    for lo in range(1, k, n_chunk):
-        ln_n = np.log(np.arange(lo, min(k, lo + n_chunk), dtype=np.float64))
-        acc += np.exp(np.multiply.outer(-ln_n, flat)).sum(axis=0)
-    return acc.reshape(s.shape)
+def _scattered_sum(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_{n<k[i]} n^-s[i] for 1-D s, one exp per (point, n).
+
+    Points are taken in decreasing k, so every chunk of n runs over a prefix
+    of them and a point stops paying once n reaches its own cutoff.
+    """
+    order = np.argsort(-k, kind="stable")
+    s_desc, k_desc = s[order], k[order]
+    acc = np.zeros_like(s_desc)
+    lo = 1
+    while lo < k_desc[0]:
+        live = int(np.count_nonzero(k_desc > lo))
+        hi = min(int(k_desc[0]), lo + max(8, _WORKSPACE // live))
+        n = np.arange(lo, hi, dtype=np.float64)
+        terms = np.exp(np.multiply.outer(-np.log(n), s_desc[:live]))
+        if k_desc[live - 1] < hi:
+            terms *= n[:, None] < k_desc[:live]
+        acc[:live] += terms.sum(axis=0)
+        lo = hi
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+def _euler_maclaurin_tail(s: np.ndarray, k, prec: EvalPrecision) -> np.ndarray:
+    """zeta(s) - sum_{n<k} n^-s: the integral, the half term and the corrections."""
+    # k^(1-s) and k^(-s-(2j-1)) are k^-s times real powers of k
+    ln_k = np.log(k) if isinstance(k, np.ndarray) else math.log(k)
+    k_pow_s = np.exp(-ln_k * s)
+    corr = k / (s - 1.0) + 0.5
+    rise = np.ones_like(s)
+    k_pow = 1.0 / k
+    for j in range(1, prec.euler_maclaurin_terms + 1):
+        rise = s if j == 1 else rise * (s + (2 * j - 3)) * (s + (2 * j - 2))
+        corr += (_BERN_2J[j - 1] / _FACT_2J[j - 1] * k_pow) * rise
+        k_pow /= k * k
+    return k_pow_s * corr
+
+
+# --- Riemann-Siegel route -------------------------------------------------------
+#
+# For t > 0 put a = sqrt(t/2pi), N = floor(a), p = 1 - 2(a - N) and
+# theta0 = (t/2) log(t/2pi) - t/2 - pi/8.  Then (Arias de Reyna, Math. Comp. 80
+# (2011) 995-1009, for any real part)
+#
+#   zeta(s) = R(sigma) + chi(s) conj(R(1 - sigma)),
+#   R(x)    = sum_{n<=N} n^-(x+it) + (-1)^(N-1) a^-x e^(-i theta0) sum_{k<L} a^-k C_k(p, x),
+#   C_k     = sum_{j<=3k/2} d_kj(1 - 2x) F^(3k-2j)(p) / (pi^(2k-j) (2i)^j),
+#
+# with chi(s) = pi^(s-1/2) Gamma((1-s)/2)/Gamma(s/2), the entire kernel
+# F(z) = (e^(i pi (z^2/2 + 3/8)) - i sqrt(2) cos(pi z/2)) / (2 cos(pi z)), and
+# d_kj polynomials in 1 - 2x from a three-term recurrence.  Negative t uses
+# zeta(conj s) = conj zeta(s).
+
+# Lowest |t| routed here.  Against mpmath at 30 digits the formula with
+# _RS_TERMS corrections is within 1.5e-15 relative of zeta from t = 300 up
+# (4e-14 at t = 150) for -1 < sigma < 1.15, and on a 2-core x86-64 machine it
+# is cheaper than the Euler-Maclaurin sum from t = 300 for a batch of 128
+# points (1.1 vs 1.4 ms) and from t = 100 for a single point; 500 leaves
+# margin on both counts.
+RS_T_MIN = 500.0
+_RS_TERMS = 10
+# Even Taylor coefficients of F in data/rs_taylor.txt (scripts/make_rs_taylor_table.py)
+RS_TAYLOR_TERMS = 60
+_STIRLING_TERMS = 5
+
+
+def _rs_d_polys(terms: int) -> dict:
+    """d_kj for k < terms as exact coefficient lists of polynomials in q = 1 - 2x."""
+    d = {(0, 0): [Fraction(1)]}
+    for k in range(1, terms):
+        for j in range(3 * k // 2 + 1):
+            m = 3 * k - 2 * j
+            poly = [Fraction(0)] * (j + 1)
+            if m:
+                for e, v in enumerate(d.get((k - 1, j - 2), ())):
+                    poly[e] -= (m + 1) * v
+                for e, v in enumerate(d.get((k - 1, j), ())):
+                    poly[e] += v / (4 * m)
+                for e, v in enumerate(d.get((k - 1, j - 1), ())):
+                    poly[e + 1] += v / (2 * m)
+            else:
+                for r in range(j):
+                    w = (-1) ** (j - r + 1) * Fraction(
+                        math.factorial(2 * (j - r)), math.factorial(j - r)
+                    )
+                    for e, v in enumerate(d[k, r]):
+                        poly[e] += w * v
+            d[k, j] = poly
+    return d
+
+
+@functools.cache
+def _rs_tables():
+    """Correction tables, built on the first Riemann-Siegel call of a process.
+
+    One row per pair (k, j) of `pairs`: the Taylor row giving F^(3k-2j)(p)
+    from powers of p, the coefficients of d_kj in powers of q, the weight
+    1/(pi^(2k-j) (2i)^j) and the order k.  Also 2 pi to extended precision.
+    """
+    text = files("delange").joinpath("data/rs_taylor.txt").read_text(encoding="utf-8")
+    taylor = np.zeros(2 * RS_TAYLOR_TERMS, dtype=np.complex128)
+    taylor[0::2] = [complex(float(re), float(im)) for re, im in map(str.split, text.splitlines())]
+    d = _rs_d_polys(_RS_TERMS)
+    pairs = sorted(d)
+    deriv = np.zeros((len(pairs), taylor.size), dtype=np.complex128)
+    poly = np.zeros((len(pairs), max(j for _, j in pairs) + 1))
+    for row, (k, j) in enumerate(pairs):
+        m = 3 * k - 2 * j
+        # F^(m)(p) = sum_i taylor[i + m] (i + m)!/i! p^i
+        falling = [float(math.perm(i, m)) for i in range(m, taylor.size)]
+        deriv[row, : taylor.size - m] = taylor[m:] * falling
+        poly[row, : j + 1] = [float(v) for v in d[k, j]]
+    weight = np.array([1.0 / (math.pi ** (2 * k - j) * (2j) ** j) for k, j in pairs])
+    order = np.array([float(k) for k, _ in pairs])
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    return pairs, deriv, poly, weight, order, two_pi
+
+
+def _stirling_tail(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log Gamma(w) - [(w - 1/2) log(i t/2) - w + log(2 pi)/2] at w = x + i t/2.
+
+    With log w = log(i t/2) + log(1 - i u), u = 2x/t, everything left is of
+    size O(x): the O(t log t) parts of log Gamma are kept out, so that chi's
+    phase can be formed from theta0 alone.
+    """
+    w = x + 0.5j * t
+    u = 2.0 * x / t
+    out = (w - 0.5) * (0.5 * np.log1p(u * u) - 1j * np.arctan(u))
+    inv = 1.0 / w
+    inv2 = inv * inv
+    for j in range(1, _STIRLING_TERMS + 1):
+        out += (_BERN_2J[j - 1] / (2 * j * (2 * j - 1))) * inv
+        inv = inv * inv2
+    return out
+
+
+def _riemann_siegel(s: np.ndarray) -> np.ndarray:
+    """zeta at 1-D points with |Im s| >= RS_T_MIN, by the Riemann-Siegel formula.
+
+    The phases t log n and theta0 reach ~1e6; they are formed and reduced mod
+    2pi in extended precision (np.longdouble) before the exponentials, which
+    keeps their rounding near 1e-16 where the long double is wider than a
+    double (x86-64), and near 1e-10 at t = 1e5 where it is not.
+    """
+    _, deriv, poly, weight, order, two_pi = _rs_tables()
+    flip = s.imag < 0
+    s = np.where(flip, s.conj(), s)
+    sigma, t = s.real, s.imag
+    a = np.sqrt(t / (2.0 * math.pi))
+    n_top = np.floor(a).astype(np.int64)
+    p = 1.0 - 2.0 * (a - n_top)
+    # one column per point: F^(3k-2j)(p) a^-k / (pi^(2k-j) (2i)^j) per (k, j)
+    scaled = (deriv @ np.vander(p, deriv.shape[1], increasing=True).T) * (
+        weight[:, None] * a ** -order[:, None]
+    )
+
+    def corrections(x):
+        d = poly @ np.vander(1.0 - 2.0 * x, poly.shape[1], increasing=True).T
+        return np.einsum("ij,ij->j", scaled, d)
+
+    def reduced(phase):
+        return (phase - two_pi * np.round(phase / two_pi)).astype(np.float64)
+
+    t_ld = t.astype(np.longdouble)
+    e_theta = np.exp(-1j * reduced(t_ld / 2 * (np.log(t_ld / two_pi) - 1) - two_pi / 16))
+    ln_n_ld = np.log(np.arange(1, int(n_top.max()) + 1, dtype=np.longdouble))
+    ln_n = ln_n_ld.astype(np.float64)
+    n_it = np.exp(-1j * reduced(np.multiply.outer(t_ld, ln_n_ld)))
+    n_it *= np.arange(1, ln_n.size + 1) <= n_top[:, None]
+    head = np.where(n_top % 2 == 1, 1.0, -1.0) * e_theta
+    left = np.einsum("ij,ij->i", np.exp(-np.multiply.outer(sigma, ln_n)), n_it)
+    left += head * a ** -sigma * corrections(sigma)
+    right = np.einsum("ij,ij->i", np.exp(np.multiply.outer(sigma - 1.0, ln_n)), n_it.conj())
+    right += np.conj(head * a ** (sigma - 1.0) * corrections(1.0 - sigma))
+    # chi(s) = e^(-2 i theta0) exp((1/2 - sigma)(log(t/2pi) - 1) + tails)
+    log_chi = (0.5 - sigma) * (np.log(t / (2.0 * math.pi)) - 1.0) + (
+        np.conj(_stirling_tail(0.5 * (1.0 - sigma), t)) - _stirling_tail(0.5 * sigma, t)
+    )
+    out = left + e_theta * e_theta * np.exp(log_chi) * right
+    return np.where(flip, out.conj(), out)
 
 
 def zeta_batch(s: np.ndarray, prec: EvalPrecision = DEFAULT_PRECISION) -> np.ndarray:
-    """Euler-Maclaurin zeta on an array of points sharing one cutoff.
-
-    All points must lie in the validated box and away from s = 1.  The cutoff
-    K is chosen from the extreme point of the batch, so group points of similar
-    height for best throughput.
+    """zeta on an array of points of the validated box, away from s = 1.
 
     A 2-D s whose rows are vertical progressions sigma + i(t0[row] + j dt),
-    with one sigma and one dt, takes the factored direct sum: about
-    K*(2*sqrt(points)) exps and one complex matmul instead of K*points exps.
-    Every other input (1-D, mixed real parts, uneven spacing) is summed point
-    by point.  The correction terms cost one complex power per point.
+    with one sigma and one dt, takes the factored Euler-Maclaurin sum with one
+    cutoff K for the whole batch: about K*(2*sqrt(points)) exps and one
+    complex matmul instead of K*points exps.
+
+    Every other input (1-D, mixed real parts, uneven spacing) is routed point
+    by point.  Points with |Im s| >= RS_T_MIN and Re s < RS_SIGMA_MAX take the
+    Riemann-Siegel formula, about sqrt(|t|/2pi) terms on each side of the
+    functional equation plus a fixed set of corrections.  The rest take
+    Euler-Maclaurin with their own cutoff, so a low point never pays for a
+    high one.  The correction terms cost one complex power per point.
     """
     s = np.asarray(s, dtype=np.complex128)
     if s.size == 0:
@@ -187,24 +380,22 @@ def zeta_batch(s: np.ndarray, prec: EvalPrecision = DEFAULT_PRECISION) -> np.nda
         raise OutOfValidatedRange(
             f"point outside validated box Re(s) > {SIGMA_MIN}, |Im(s)| <= {TAU_MAX:g}"
         )
-    k = _direct_sum_cutoff(sig_min, t_max, prec)
 
     grid = _progression(s)
-    if grid is None:
-        total = _scattered_sum(s, k)
+    if grid is not None:
+        k = int(_direct_sum_cutoff(sig_min, t_max, prec))
+        total = _progression_sum(*grid, s.shape[1], k) + _euler_maclaurin_tail(s, k, prec)
     else:
-        total = _progression_sum(*grid, s.shape[1], k)
-
-    # k^(1-s) and k^(-s-(2j-1)) are k^-s times real powers of k
-    k_pow_s = np.exp(-math.log(k) * s)
-    corr = k / (s - 1.0) + 0.5
-    rise = np.ones_like(s)
-    k_pow = 1.0 / k
-    for j in range(1, prec.euler_maclaurin_terms + 1):
-        rise = s if j == 1 else rise * (s + (2 * j - 3)) * (s + (2 * j - 2))
-        corr += (_BERN_2J[j - 1] / _FACT_2J[j - 1] * k_pow) * rise
-        k_pow /= k * k
-    total = total + k_pow_s * corr
+        flat = s.reshape(-1)
+        total = np.empty_like(flat)
+        rs = (np.abs(flat.imag) >= RS_T_MIN) & (flat.real < RS_SIGMA_MAX)
+        if np.any(rs):
+            total[rs] = _riemann_siegel(flat[rs])
+        em = flat[~rs]
+        if em.size:
+            k = _direct_sum_cutoff(em.real, np.abs(em.imag), prec)
+            total[~rs] = _scattered_sum(em, k) + _euler_maclaurin_tail(em, k, prec)
+        total = total.reshape(s.shape)
     if not np.all(np.isfinite(total)):
         raise OutOfValidatedRange("zeta evaluation overflowed inside the batch")
     return total
@@ -212,10 +403,7 @@ def zeta_batch(s: np.ndarray, prec: EvalPrecision = DEFAULT_PRECISION) -> np.nda
 
 def zeta(s: complex, prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
     """zeta(s) for a single point of the validated box."""
-    out = complex(zeta_batch(np.array([complex(s)]), prec)[0])
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise OutOfValidatedRange(f"zeta evaluation overflowed at s={s}")
-    return out
+    return complex(zeta_batch(np.array([complex(s)]), prec)[0])
 
 
 # --- Stieltjes constants -----------------------------------------------------
@@ -270,10 +458,12 @@ def _gamma_lanczos(z: complex) -> complex:
 
 
 def _sinpi(z: complex) -> complex:
-    # sin(pi z) with the real part reduced mod 2 first; plain sin(pi*z) loses
-    # relative accuracy near the zeros at large |Re z|.
-    x = z.real - 2.0 * round(z.real / 2.0)
-    return cmath.sin(cmath.pi * complex(x, z.imag))
+    # sin(pi z) = (-1)^n sin(pi (z - n)) with n the integer nearest Re z: the
+    # reduced real part lies in [-1/2, 1/2], so a zero of sin(pi z) at any
+    # integer is met at the origin, where sin keeps its relative accuracy.
+    n = round(z.real)
+    v = cmath.sin(cmath.pi * complex(z.real - n, z.imag))
+    return -v if n % 2 else v
 
 
 _RECIP_AT_INT = tuple(1.0 / math.factorial(k - 1) for k in range(1, 32))

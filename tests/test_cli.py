@@ -293,6 +293,27 @@ class TestConfigFile:
         assert code == 2
         assert "kappa" in err
 
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path):
+        # a misspelt key must not be dropped silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa=1\ndelta=0\nkapa=3\n")
+        code, out, err = run(capsys, "theta", "--config", str(cfg))
+        assert code == 2
+        assert "'kapa'" in err and not out
+
+    @pytest.mark.parametrize(
+        "cmd, line",
+        [(("theta", "--kappa", "1", "--delta", "0"), "regime=bogus"),
+         (("perron-check", "--family", "one", "--x", "1000", "--y", "100"), "scheme=bogus")],
+    )
+    def test_value_outside_the_choices_is_usage_error(self, capsys, tmp_path, cmd, line):
+        # the same check as the flag's argparse choices, and the same exit code
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run(capsys, *cmd, "--config", str(cfg))
+        assert code == 2
+        assert line.split("=")[0] in err
+
     def test_config_is_an_option_of_the_subcommand(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa=1\ndelta=0\n")

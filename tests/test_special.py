@@ -5,11 +5,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delange import special
 from delange.errors import OrderTooHigh, OutOfValidatedRange, PoleAtOne, ZeroBase
 from delange.special import (
     DEFAULT_PRECISION,
+    RS_SIGMA_MAX,
+    RS_T_MIN,
+    SIGMA_MIN,
+    TAU_MAX,
     ZETA_ABS_TOL,
     EvalPrecision,
     principal_pow,
@@ -70,8 +76,16 @@ class TestZeta:
             zeta(complex(0.5, 2.0e5))
 
     def test_budget_too_small(self):
+        # 1.5 + 9e4i lies right of the Riemann-Siegel strip, so Euler-Maclaurin
+        # needs 22,564 direct terms there, past the budget
+        small = EvalPrecision(tail_cutoff=10_000)
         with pytest.raises(OutOfValidatedRange):
-            zeta(complex(0.5, 9.0e4), EvalPrecision(tail_cutoff=10_000))
+            zeta(complex(1.5, 9.0e4), small)
+        # the budget binds the Euler-Maclaurin route only: Riemann-Siegel
+        # answers 0.5 + 9e4i with about 120 terms
+        s = complex(0.5, 9.0e4)
+        ref = _mpmath_zeta(s)
+        assert abs(zeta(s, small) - ref) <= ZETA_ABS_TOL * max(1.0, abs(ref))
 
     def test_doubled_parameter_crosscheck(self):
         # Second, independent evaluation: doubled cutoff and more corrections.
@@ -109,6 +123,19 @@ class TestZeta:
         vals = zeta_batch(pts)
         for s, v in zip(pts, vals):
             assert zeta(complex(s)) == pytest.approx(complex(v), rel=1e-12)
+
+    def test_low_points_do_not_pay_for_high_ones(self):
+        # a cutoff shared across the batch made the low left-half-plane points
+        # sum ~K^(1-sigma) cancelling terms: the first entry was 300x off the
+        # contract beside 0.5 + 1e5i
+        pts = np.array([complex(-0.97, 9.6), complex(-0.5, 10.0), complex(0.5, 1.0e5),
+                        complex(2.0, 9.0e4)])
+        vals = zeta_batch(pts)
+        for s, v in zip(pts, vals):
+            ref = _mpmath_zeta(complex(s))
+            tol = ZETA_ABS_TOL * max(1.0, abs(ref))
+            assert abs(v - ref) <= tol, s
+            assert abs(v - zeta(complex(s))) <= tol, s
 
 
 def _rows(sigma, t0, dt, count):
@@ -199,6 +226,107 @@ class TestZetaProgression:
             zeta_batch(_rows(-1.0, [10.0], 1.0, 4))
         with pytest.raises(PoleAtOne):
             zeta_batch(_rows(1.0, [-2.0], 1.0, 4))
+
+
+def _mpmath_rs_kernel():
+    """F(z) of the Riemann-Siegel corrections, straight from its definition."""
+    import mpmath
+
+    return lambda z: (
+        mpmath.expjpi(z * z / 2 + mpmath.mpf(3) / 8) - 1j * mpmath.sqrt(2) * mpmath.cospi(z / 2)
+    ) / (2 * mpmath.cospi(z))
+
+
+@pytest.fixture
+def rs_calls(monkeypatch):
+    """Records the points of every Riemann-Siegel evaluation."""
+    calls = []
+    real = special._riemann_siegel
+
+    def spy(s):
+        calls.append(np.array(s))
+        return real(s)
+
+    monkeypatch.setattr(special, "_riemann_siegel", spy)
+    return calls
+
+
+class TestRiemannSiegel:
+    def test_against_mpmath_across_the_strip(self, rs_calls):
+        # the route's error contract, on points drawn across the whole strip
+        # and log-uniformly in |t| from the crossover to the top of the box
+        rng = np.random.default_rng(2011)
+        count = 100
+        sigma = np.concatenate([rng.uniform(0.5, 1.0, count // 2),
+                                rng.uniform(SIGMA_MIN, RS_SIGMA_MAX, count // 2)])
+        t = np.exp(rng.uniform(math.log(RS_T_MIN), math.log(TAU_MAX), count))
+        s = sigma + 1j * t * rng.choice([-1.0, 1.0], count)
+        vals = zeta_batch(s)
+        assert len(rs_calls) == 1 and rs_calls[0].size == count
+        for point, v in zip(s, vals):
+            ref = _mpmath_zeta(complex(point))
+            assert abs(v - ref) <= ZETA_ABS_TOL * max(1.0, abs(ref)), point
+
+    def test_kernel_derivatives_from_the_table(self):
+        # every derivative row built from the bundled Taylor coefficients
+        # against the Taylor data of F taken numerically from its definition
+        import mpmath
+
+        pairs, deriv, *_ = special._rs_tables()
+        rows = {3 * k - 2 * j: row for row, (k, j) in enumerate(pairs)}
+        kernel = _mpmath_rs_kernel()
+        for p in (-0.93, -0.31, 0.27, 0.999):
+            with mpmath.workdps(40):
+                coeffs = mpmath.taylor(kernel, mpmath.mpf(p), max(rows))
+            fp = deriv @ p ** np.arange(deriv.shape[1])
+            for m, row in rows.items():
+                want = complex(coeffs[m] * mpmath.factorial(m))
+                assert abs(fp[row] - want) <= 1e-13 * max(1.0, abs(want)), (p, m)
+
+    def test_diagnostic_points_take_riemann_siegel(self, rs_calls, zero_table_path, monkeypatch):
+        from delange.contour import assemble_contour, build_blocks, load_zeros, log_zeta_diagnostic
+
+        zs = load_zeros(zero_table_path, 2.0**16)
+        path = assemble_contour(build_blocks(zs, zs.T, 0.6, 0.1), zs, 0.6, c_star=0.1)
+        seen = []
+        real = special.zeta_batch
+
+        def batch_spy(s, prec=DEFAULT_PRECISION):
+            seen.append(np.array(s))
+            return real(s, prec)
+
+        monkeypatch.setattr(special, "zeta_batch", batch_spy)
+        log_zeta_diagnostic(path)
+        (pts,) = seen
+        high = pts[np.abs(pts.imag) >= RS_T_MIN]
+        assert high.size > 0
+        assert len(rs_calls) == 1
+        assert np.array_equal(np.sort_complex(rs_calls[0]), np.sort_complex(high))
+
+    def test_perron_line_never_takes_it(self, rs_calls, fam_one):
+        from delange.perron import perron_line_sum
+        from delange.sieve import Window
+
+        perron_line_sum(fam_one, Window(10**4, 10**3), 2000.0)
+        assert not rs_calls
+
+
+_LOWER_LEFT = st.tuples(st.floats(SIGMA_MIN, -0.5, exclude_min=True), st.floats(0.0, 60.0))
+_BOX = st.tuples(st.floats(SIGMA_MIN, 4.0, exclude_min=True), st.floats(0.0, TAU_MAX))
+
+
+class TestZetaWholeBox:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(_BOX, _LOWER_LEFT), min_size=2, max_size=9))
+    def test_batches_against_mpmath(self, pairs):
+        # whole batches over the validated box, mixing heights and real parts,
+        # with the lower-left corner (where |zeta| grows and the contract
+        # turns relative) drawn on purpose
+        s = np.array([complex(x, y) for x, y in pairs if abs(complex(x, y) - 1.0) > 0.05])
+        vals = zeta_batch(s)
+        for point, v in zip(s, vals):
+            ref = _mpmath_zeta(complex(point))
+            assert abs(v - ref) <= ZETA_ABS_TOL * max(1.0, abs(ref)), point
 
 
 class TestStieltjes:
@@ -324,6 +452,18 @@ class TestRecipGamma:
     def test_factorials(self):
         for k in range(2, 12):
             assert recip_gamma(float(k)) == pytest.approx(1.0 / math.factorial(k - 1), rel=1e-13)
+
+    def test_near_the_poles_of_gamma(self):
+        # 1/Gamma vanishes at 0, -1, -2, ...; next to each zero the value must
+        # keep its relative accuracy, odd and even alike
+        import mpmath
+
+        with mpmath.workdps(40):
+            for k in range(26):
+                for d in (1e-12, 1e-9, 1e-6, 1e-3):
+                    for z in (complex(-k + d, 0.0), complex(-k - d, 0.0), complex(-k, d)):
+                        ref = complex(mpmath.rgamma(mpmath.mpc(z.real, z.imag)))
+                        assert abs(recip_gamma(z) - ref) <= 1e-13 * abs(ref), z
 
 
 class TestPrincipalPow:
