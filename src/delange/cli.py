@@ -20,7 +20,7 @@ from . import contour as contour_mod
 from . import meanvalue as mv
 from . import perron as perron_mod
 from .errors import DelangeError, UsageError
-from .families import family_from_spec
+from .families import family_from_spec, g_series_by_euler_product
 from .series import g_lambda_coeffs
 from .sieve import Window, exact_sum
 
@@ -185,6 +185,8 @@ def _cmd_coeffs(res: _Resolver) -> int:
         "gamma_j": [[c.real, c.imag] for c in co.gamma_j],
         "g_l": [[c.real, c.imag] for c in co.g_l],
         "lambda_l": [[c.real, c.imag] for c in co.lambda_l],
+        # the bound of the series g_lambda_coeffs just built: a cache hit
+        "tail_bound": g_series_by_euler_product(fam, order, fam.prime_cutoff)[1],
     }
     if out:
         emit_json(report, out)

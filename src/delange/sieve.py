@@ -5,16 +5,26 @@ struck with strided in-place views, ``residual[off::p] //= p`` and again on
 the multiples of p^2, p^3, ...; the exponents index per-prime tables
 [f(1), f(p), f(p^2), ...].  The larger base primes up to sqrt(x+y) are handed
 out in bulk, as in Oliveira e Silva's bucket sieve (Walisch's primesieve):
-one vector of first multiples, expanded with ``np.repeat`` and applied with
-``ufunc.at`` in ascending prime order.  What remains above 1 is a prime
-cofactor, so each integer meets its primes in ascending order, cofactor last.
-Chunks are independent (safe to farm out to threads) and the final reduction
-is an ordered fold, so results are bitwise reproducible for any worker count.
+vectors of first multiples, a slice of primes at a time, expanded with
+``np.repeat`` and applied with ``ufunc.at`` in ascending prime order.  What
+remains above 1 is a prime cofactor, so each integer meets its primes in
+ascending order, cofactor last.  Chunks are independent (safe to farm out to
+threads) and the final reduction is an ordered fold, so results are bitwise
+reproducible for any worker count.
+
+Factorizations are kept columnar, in CSR form: ``offsets`` (length y + 1)
+delimits each integer's run in ``primes`` and ``exponents``.  A chunk's
+columns come from one stable sort of its prime-power events by offset, with
+no Python object per integer; tuples are built only when a caller iterates
+or indexes.  The base primes themselves come from an odd-only sieve run one
+segment at a time into a preallocated array, so at the top of the reach
+(primes up to 1e8) no temporary spans the whole range.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,21 +36,45 @@ CHUNK = 1 << 20
 MAX_WINDOW = 100_000_000
 MAX_BASE_PRIME = 100_000_000  # sqrt of the largest sievable x + y, 1e16
 SMALL_PRIME_BOUND = 1 << 12
+PRIME_SEGMENT = 1 << 21  # integers per base-prime segment (even; an odd-only mask of 2^20 bytes)
+BUCKET_SLICE = 1 << 16  # bucketed primes per pass, so no temporary spans them all
 
 
 def primes_up_to(n: int) -> np.ndarray:
     """Ascending primes <= n (int64); n past MAX_BASE_PRIME is refused before
-    the n + 1 byte mask is allocated."""
+    anything is allocated.  Masks hold odd numbers only, entry j of the one
+    starting at (even) lo standing for lo + 2j + 1.  The first mask holds
+    every prime up to sqrt(n) and sieves itself; those primes then strike the
+    rest of [0, n] PRIME_SEGMENT integers at a time, each segment's primes
+    going straight into one preallocated array, so no temporary spans [0, n]."""
     if n > MAX_BASE_PRIME:
         raise ParameterOutOfRange(f"primes up to {n} exceed the sieve's reach {MAX_BASE_PRIME}")
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    root = math.isqrt(n)
+    first = min(n + 1, max(PRIME_SEGMENT, root + 2) & ~1)
+    mask = np.ones(first // 2, dtype=bool)
+    mask[0] = False  # entry 0 stands for 1
+    for j in range(1, (math.isqrt(first - 1) + 1) // 2):
+        if mask[j]:
+            p = 2 * j + 1
+            mask[p * p // 2 :: p] = False
+    sieving = (2 * np.flatnonzero(mask[: (root + 1) // 2]) + 1).tolist()
+    ln = math.log(n)
+    out = np.empty(int(n / ln * (1 + 1.2762 / ln)) + 1, dtype=np.int64)  # Dusart: pi(n) fits
+    out[0], count = 2, 1
+    for lo in (0, *range(first, n + 1, PRIME_SEGMENT)):
+        if lo:
+            hi = min(lo + PRIME_SEGMENT, n + 1)
+            mask = np.ones((hi - lo) // 2, dtype=bool)
+            for p in sieving:  # p < lo, so only composites are struck
+                if p * p >= hi:
+                    break
+                mask[((-(-lo // p) | 1) * p - lo) // 2 :: p] = False  # odd multiples from lo on
+        found = 2 * np.flatnonzero(mask) + (lo + 1)
+        out[count : count + found.size] = found
+        count += found.size
+    return out[:count]
 
 
 @dataclass(frozen=True)
@@ -65,14 +99,58 @@ class Window:
             raise InvalidWindow("x + y exceeds the 64-bit range")
 
 
+class Factorizations(Sequence):
+    """Read-only sequence of factorizations held as CSR columns: item i is
+    the tuple of (p, e) pairs, p ascending, from primes[offsets[i]:offsets[i+1]]
+    and exponents[offsets[i]:offsets[i+1]].  Equality with another columnar
+    sequence compares the arrays; with a tuple, the items."""
+
+    __slots__ = ("offsets", "primes", "exponents")
+
+    def __init__(self, offsets: np.ndarray, primes: np.ndarray, exponents: np.ndarray):
+        for col in (offsets, primes, exponents):
+            col.flags.writeable = False
+        self.offsets, self.primes, self.exponents = offsets, primes, exponents
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = range(len(self))[i]  # Python index rules, IndexError past the end
+        s, t = self.offsets[i : i + 2].tolist()
+        return tuple(zip(self.primes[s:t].tolist(), self.exponents[s:t].tolist()))
+
+    def __iter__(self):
+        pairs = list(zip(self.primes.tolist(), self.exponents.tolist()))
+        ends = self.offsets.tolist()
+        return (tuple(pairs[s:t]) for s, t in zip(ends, ends[1:]))
+
+    def __eq__(self, other):
+        if isinstance(other, Factorizations):
+            return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in self.__slots__)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Factorizations({len(self)} integers, {self.primes.size} prime powers)"
+
+
 @dataclass(frozen=True)
 class FactoredWindow:
     """Complete factorizations for n in (x, x+y], in ascending order of n."""
 
     x: int
-    factors: tuple[tuple[tuple[int, int], ...], ...]
+    factors: Sequence[tuple[tuple[int, int], ...]]
 
     def factorization(self, n: int) -> tuple[tuple[int, int], ...]:
+        if not self.x < n <= self.x + len(self.factors):
+            raise InvalidWindow(f"{n} lies outside the window ({self.x}, {self.x + len(self.factors)}]")
         return self.factors[n - self.x - 1]
 
 
@@ -83,6 +161,14 @@ def _base_primes(lo: int, hi: int) -> np.ndarray:
     if math.isqrt(hi - 1) > MAX_BASE_PRIME:
         raise WindowTooLarge(f"x + y = {hi - 1} exceeds the sieve's reach {MAX_BASE_PRIME}^2")
     return primes_up_to(math.isqrt(hi - 1))
+
+
+def _progressions(ps: np.ndarray, first: np.ndarray, n: int):
+    """(p, offset) for every offset = first + j*p below n, grouped by p in
+    the order of ps, offsets ascending within each group."""
+    cnt = (n - 1 - first) // ps + 1
+    hp = np.repeat(ps, cnt)
+    return hp, np.repeat(first - (np.cumsum(cnt) - cnt) * ps, cnt) + np.arange(hp.size) * hp
 
 
 def _strike(a: int, b: int, primes: np.ndarray):
@@ -105,10 +191,8 @@ def _strike(a: int, b: int, primes: np.ndarray):
             q *= p
         small.append((p, off, exps))
     big = primes[split:]
-    first = -a % big
-    cnt = (n - 1 - first) // big + 1
-    hp = np.repeat(big, cnt)
-    idx = np.repeat(first, cnt) + (np.arange(hp.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)) * hp
+    hits = [_progressions(q, -a % q, n) for q in np.split(big, range(BUCKET_SLICE, big.size, BUCKET_SLICE))]
+    hp, idx = (np.concatenate(c) for c in zip(*hits))
     he = np.zeros(hp.size, dtype=np.int8)
     live = np.arange(hp.size)
     while live.size:  # one division per pass; the survivors hold a higher power
@@ -118,9 +202,32 @@ def _strike(a: int, b: int, primes: np.ndarray):
     return residual, small, (hp, idx, he)
 
 
+def _factor_columns(a: int, b: int, primes: np.ndarray):
+    """CSR factorizations of the chunk [a, b): (offsets, primes, exponents),
+    the pairs of a + i at offsets[i]:offsets[i+1], primes ascending."""
+    residual, small, (hp, idx, he) = _strike(a, b, primes)
+    co = np.flatnonzero(residual > 1)  # prime cofactors come last
+    sp, soff = _progressions(np.array([p for p, _, _ in small], dtype=np.int64),
+                             np.array([off for _, off, _ in small], dtype=np.int64), b - a)
+    offs = np.concatenate([soff, idx, co])
+    key = offs.astype(np.uint16) if b - a <= 1 << 16 else offs  # numpy radix-sorts 16-bit keys
+    order = np.argsort(key, kind="stable")  # keeps each integer's primes ascending
+    ps = np.concatenate([sp, hp, residual[co]])[order]
+    exps = np.concatenate([e for _, _, e in small] + [he, np.ones(co.size, dtype=np.int8)])[order]
+    offsets = np.zeros(b - a + 1, dtype=np.int64)
+    np.cumsum(np.bincount(offs, minlength=b - a), out=offsets[1:])
+    return offsets, ps, exps
+
+
 def factor_window(win: Window) -> FactoredWindow:
     """Factor every integer in the window; reconstruction is exact."""
-    return FactoredWindow(x=win.x, factors=tuple(fs for _, fs in factor_range(win.x, win.x + win.y)))
+    lo, hi = win.x + 1, win.x + win.y + 1
+    primes = _base_primes(lo, hi)
+    cols = [_factor_columns(a, min(a + CHUNK, hi), primes) for a in range(lo, hi, CHUNK)]
+    starts = np.cumsum([0] + [ps.size for _, ps, _ in cols])  # where each chunk's pairs begin
+    offsets = np.concatenate([off[:-1] + s for (off, _, _), s in zip(cols, starts)] + [starts[-1:]])
+    ps, exps = (np.concatenate([c[k] for c in cols]) for k in (1, 2))
+    return FactoredWindow(x=win.x, factors=Factorizations(offsets, ps, exps))
 
 
 def _prime_values(ps: np.ndarray, local_factor, prime_value):
@@ -179,16 +286,10 @@ def factor_range(lo_exclusive: int, hi_inclusive: int):
     """
     if lo_exclusive < 0:
         raise InvalidWindow(f"range needs lo >= 0, got {lo_exclusive}")
+    if hi_inclusive < lo_exclusive:
+        raise InvalidWindow(f"range needs hi >= lo, got ({lo_exclusive}, {hi_inclusive}]")
     lo, hi = lo_exclusive + 1, hi_inclusive + 1
     primes = _base_primes(lo, hi)
     for a in range(lo, hi, CHUNK):
         b = min(a + CHUNK, hi)
-        residual, small, (hp, idx, he) = _strike(a, b, primes)
-        co = np.flatnonzero(residual > 1)  # prime cofactors come last
-        ps = np.concatenate([np.full(e.size, p) for p, _, e in small] + [hp, residual[co]])
-        offs = np.concatenate([off + p * np.arange(e.size) for p, off, e in small] + [idx, co])
-        exps = np.concatenate([e for _, _, e in small] + [he, np.ones(co.size, dtype=np.int8)])
-        order = np.argsort(offs, kind="stable")  # keeps each integer's primes ascending
-        pairs = list(zip(ps[order].tolist(), exps[order].tolist()))
-        ends = np.cumsum(np.bincount(offs, minlength=b - a)).tolist()
-        yield from zip(range(a, b), (tuple(pairs[s:t]) for s, t in zip([0] + ends, ends)))
+        yield from zip(range(a, b), Factorizations(*_factor_columns(a, b, primes)))

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
 from delange.cli import main, parse_csv
+from delange.families import family_from_spec, g_series_by_euler_product
 
 
 def run(capsys, *argv):
@@ -154,6 +156,15 @@ class TestCoeffs:
         doc = json.loads(out)
         assert doc["lambda_l"][0][0] == pytest.approx(0.6079271, abs=1e-6)
         assert doc["J"] == 8
+
+    @pytest.mark.parametrize("spec", ["sqfree", "one"])
+    def test_reports_the_euler_product_tail_bound(self, capsys, spec):
+        code, out, _ = run(capsys, "coeffs", "--family", spec, "--J", "8", "--cutoff", "2000")
+        assert code == 0
+        fam = dataclasses.replace(family_from_spec(spec), prime_cutoff=2000)
+        _, want = g_series_by_euler_product(fam, 8, 2000)
+        assert json.loads(out)["tail_bound"] == want
+        assert (want > 0) == (spec == "sqfree")  # `one` has no background product
 
     def test_cutoff_past_the_sieve_reach_exits_1(self, capsys):
         code, _, err = run(capsys, "coeffs", "--family", "sqfree", "--cutoff", str(10**12))

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,6 +15,7 @@ from delange import sieve
 from delange.errors import DelangeError, InvalidWindow, ParameterOutOfRange, WindowTooLarge
 from delange.families import f_value, family_from_spec
 from delange.sieve import (
+    FactoredWindow,
     Window,
     exact_sum,
     factor_range,
@@ -72,6 +77,60 @@ class TestFactorWindow:
     def test_window_budget(self):
         with pytest.raises(WindowTooLarge):
             factor_window(Window(2 * 10**8, 10**8 + 1))
+
+    @pytest.mark.parametrize("n", [-5, 0, 7, 9, 10, 15, 10**6])
+    def test_lookup_outside_the_window_is_refused(self, n):
+        # 10, 9 and 7 once answered with the factorizations of 14, 13 and 11
+        fw = factor_window(Window(10, 4))
+        with pytest.raises(InvalidWindow, match="outside the window"):
+            fw.factorization(n)
+
+    def test_columns_are_read_only(self):
+        fw = factor_window(Window(10**6, 100))
+        for col in (fw.factors.offsets, fw.factors.primes, fw.factors.exponents):
+            with pytest.raises(ValueError):
+                col[0] = 3
+
+    def test_sequence_indexing(self):
+        fw = factor_window(Window(10, 4))
+        f = fw.factors
+        assert len(f) == 4 and f[-1] == f[3] == ((2, 1), (7, 1))
+        assert f[1:3] == (((2, 2), (3, 1)), ((13, 1),))
+        with pytest.raises(IndexError):
+            f[4]
+        assert ((13, 1),) in f
+
+    def test_equality_between_columnar_windows(self):
+        win = Window(10**6, 3000)
+        a, b = factor_window(win), factor_window(win)
+        assert a == b and not (a != b)
+        with mock.patch.object(sieve, "CHUNK", 64):  # chunk columns joined end to end
+            assert factor_window(win) == a
+        assert a != factor_window(Window(10**6 + 1, 3000))
+        assert a != factor_window(Window(10**6, 2999))
+
+    def test_equality_with_a_tuple_backed_window(self):
+        fw = factor_window(Window(10**6, 300))
+        plain = FactoredWindow(fw.x, tuple(fw.factors))
+        assert plain == fw and fw == plain and hash(plain) == hash(fw)
+        assert fw.factors == plain.factors and plain.factors == fw.factors
+        assert fw.factors != list(plain.factors)  # like a tuple, never equal to a list
+        fac = list(plain.factors)
+        fac[7] = fac[7][1:]
+        assert FactoredWindow(fw.x, tuple(fac)) != fw
+
+    def test_replace_with_tuple_factors(self):
+        # the benchmark corrupts a record this way to check its own oracle
+        fw = factor_window(Window(100, 20))
+        fac = list(fw.factors)
+        fac[1] = ((2, 1),)
+        bad = dataclasses.replace(fw, factors=tuple(fac))
+        assert isinstance(bad.factors, tuple)
+        assert bad.factorization(102) == ((2, 1),)
+        assert bad.factorization(103) == fw.factorization(103) == ((103, 1),)
+        assert bad != fw
+        with pytest.raises(InvalidWindow):
+            bad.factorization(121)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -181,11 +240,65 @@ class TestFactorRange:
         with pytest.raises(WindowTooLarge):
             list(factor_range(0, 2 * 10**8))
 
+    def test_reversed_bounds_are_refused(self):
+        with pytest.raises(InvalidWindow, match="hi >= lo"):
+            list(factor_range(5, 3))
+        assert list(factor_range(5, 5)) == []
+
 
 def test_primes_up_to():
     ps = primes_up_to(30)
     assert ps.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1).size == 0
+
+
+def sieve_of_eratosthenes(n: int) -> np.ndarray:
+    """One byte per integer in [0, n], no segments: the reference."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**7 + 3, 3 * 10**7 + 7])
+def test_primes_up_to_matches_the_unsegmented_sieve(n):
+    got = primes_up_to(n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, sieve_of_eratosthenes(n))
+
+
+def test_primes_up_to_at_the_top_of_the_reach():
+    ps = primes_up_to(sieve.MAX_BASE_PRIME)
+    # pi(10^8) and the sum of the primes below 10^8 (OEIS A006880, A046731)
+    assert ps.size == 5_761_455 and int(ps.sum()) == 279_209_790_387_276
+    assert int(ps[-1]) == 99_999_989
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(0, 5000), segment=st.sampled_from([2, 4, 6, 10, 64, 250]))
+def test_primes_up_to_across_segment_edges(n, segment):
+    with mock.patch.object(sieve, "PRIME_SEGMENT", segment):
+        assert np.array_equal(primes_up_to(n), sieve_of_eratosthenes(n))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_top_of_reach_peaks_below_100_mb():
+    # VmHWM, the peak of the fresh interpreter's own memory map; ru_maxrss
+    # would also count the forking test process, which Linux carries over
+    code = (
+        "from delange.families import family_from_spec\n"
+        "from delange.sieve import Window, exact_sum\n"
+        "v = exact_sum(family_from_spec('one'), Window(10**16 - 10**5, 10**5))\n"
+        "hwm = next(ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:'))\n"
+        "print(v.real, hwm.split()[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    total, peak_kb = proc.stdout.split()
+    assert float(total) == 10**5
+    assert int(peak_kb) / 1024 < 100
 
 
 def test_primes_up_to_refuses_past_the_reach():
@@ -203,10 +316,25 @@ SPLIT_PRIMES = [n for n in range(sieve.SMALL_PRIME_BOUND, 2 * sieve.SMALL_PRIME_
                 if trial_division(n) == ((n, 1),)][:2]
 
 
+def assert_csr_invariants(fw: FactoredWindow) -> None:
+    """Offsets delimit every integer's pairs, primes ascend within each
+    integer, exponents are positive, and prod p**e gives back n."""
+    off, ps, es = fw.factors.offsets, fw.factors.primes, fw.factors.exponents
+    assert off[0] == 0 and np.all(np.diff(off) >= 0) and off[-1] == ps.size == es.size
+    owner = np.repeat(np.arange(off.size - 1), np.diff(off))
+    same = owner[1:] == owner[:-1]
+    assert np.all(ps[1:][same] > ps[:-1][same]) and np.all(es >= 1)
+    prod = np.ones(off.size - 1, dtype=np.int64)
+    np.multiply.at(prod, owner, ps ** es.astype(np.int64))
+    assert np.array_equal(prod, np.arange(fw.x + 1, fw.x + off.size))
+
+
 def assert_engine_matches_oracle(x: int, y: int, chunk: int) -> None:
     want = [trial_division(n) for n in range(x + 1, x + y + 1)]
     with mock.patch.object(sieve, "CHUNK", chunk):
-        assert list(factor_window(Window(x, y)).factors) == want
+        fw = factor_window(Window(x, y))
+        assert list(fw.factors) == want
+        assert_csr_invariants(fw)
         assert list(factor_range(x, x + y)) == list(enumerate(want, start=x + 1))
         for fam in ORACLE_FAMILIES:
             # integer-valued families: every partial sum is exact in any order
