@@ -165,17 +165,12 @@ def parse_csv(path: str):
 
 
 def _cmd_coeffs(res: _Resolver) -> int:
-    import dataclasses
-
     spec = res.get("family", None, str)
     if spec is None:
         raise UsageError("--family is required")
     order = res.get("J", 24, int)
-    cutoff = res.get("cutoff", None, int)
     out = res.get("out", None, str)
     fam = family_from_spec(spec)
-    if cutoff is not None:
-        fam = dataclasses.replace(fam, prime_cutoff=cutoff)
     co = g_lambda_coeffs(fam, order)
     report = {
         "config": res.resolved,
@@ -185,8 +180,8 @@ def _cmd_coeffs(res: _Resolver) -> int:
         "gamma_j": [[c.real, c.imag] for c in co.gamma_j],
         "g_l": [[c.real, c.imag] for c in co.g_l],
         "lambda_l": [[c.real, c.imag] for c in co.lambda_l],
-        # the bound of the series g_lambda_coeffs just built: a cache hit
-        "tail_bound": g_series_by_euler_product(fam, order, fam.prime_cutoff)[1],
+        # the error figure of the series g_lambda_coeffs just built (cached DFT)
+        "background_error": g_series_by_euler_product(fam, order)[1],
     }
     if out:
         emit_json(report, out)
@@ -484,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     fam = ("--family", dict(help="family spec, e.g. divisor:2, sqfree, omega:3, one"))
-    add("coeffs", fam, ("--J", dict(type=int)), ("--cutoff", dict(type=int)))
+    add("coeffs", fam, ("--J", dict(type=int)))
     add(
         "sum", fam, ("--x", dict(type=_window_bound)), ("--y", dict(type=_window_bound)),
         ("--workers", dict(type=int)),

@@ -2,32 +2,41 @@
 
 Each family is a multiplicative f given by local factors f(p^a) together
 with the parameter bundle (kappa, w, alpha, delta, A, B, M) and the Taylor
-data at s = 1 of the holomorphic background G(s) zeta(2s)^(-w).  For all
-built-ins that background is an Euler product whose local factor fits one
-parametric shape,
+data at s = 1 of the holomorphic background B(s) = G(s) zeta(2s)^(-w).  For
+all built-ins B is an Euler product whose local factor fits one shape,
 
-    (1 + a u) (1 - u)^c (1 - u^2)^w2,   u = p^(-s),
+    L_p(s) = (1 + a u) (1 - u)^c (1 - u^2)^w2 = exp(sum_m d_m u^m),   u = p^(-s),
 
-with log = O(u^2), so the product converges on Re(s) > 1/2.  Its Taylor
-coefficients at s = 1 are assembled from exact per-prime series for small
-primes plus vectorized prime moment sums for the rest, with a
-prime-counting tail correction past the cutoff.
+with d_1 = 0.  Inverting log zeta(s) = sum_k P(ks)/k, P the prime zeta
+function, turns the primes p >= P0 into a product of zeta values with no
+cutoff (Ettahri, Ramare and Surel, Math. Comp. 2021, after Cohen 1998):
+
+    B(s) = prod_{p < P0} L_p(s) * prod_{q >= 2} zeta_{>=P0}(qs)^e_q,
+    e_q  = (1/q) sum_{m | q} m d_m mu(q/m),
+    zeta_{>=P0}(w) = zeta(w) prod_{p < P0} (1 - p^-w).
+
+For `sqfree` and `omega:2` only e_2 = -1 is nonzero, so B = 1/zeta(2s) and
+no prime enters.  The Taylor data come from one DFT of B on the circle
+|s - 1| = r: r = 1.4 (128 nodes) when B = zeta(2s)^-k, which is analytic out
+to s = -1, and r = 0.4 (256 nodes) otherwise, inside the branch point at
+s = 1/2.  The reported error is the largest change in any coefficient when
+every other node is dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DuplicatePrime, NonconvergentProduct, ParameterOutOfRange, UnknownFamily
-from .series import PowerSeries, ps_add, ps_exp, ps_log, ps_mul, ps_scale
+from . import special
+from .errors import DuplicatePrime, NonconvergentProduct, OrderTooHigh
+from .errors import ParameterOutOfRange, UnknownFamily
+from .series import PowerSeries
 from .sieve import primes_up_to
-
-DEFAULT_PRIME_CUTOFF = 100_000
-
 
 @dataclass(frozen=True)
 class TypePParams:
@@ -77,21 +86,6 @@ class LocalModel:
         d[1] = 0j
         return d
 
-    def log_series_at_prime(self, p: int, order: int) -> PowerSeries:
-        """Exact (s-1)-series of log(local factor) at one prime."""
-        lp = math.log(p)
-        u = PowerSeries(tuple((1.0 / p) * (-lp) ** j / math.factorial(j) for j in range(order + 1)))
-        u2 = PowerSeries(tuple((1.0 / p**2) * (-2.0 * lp) ** j / math.factorial(j) for j in range(order + 1)))
-        one = PowerSeries.constant(1.0, order)
-        total = PowerSeries.constant(0.0, order)
-        if self.a != 0:
-            total = ps_add(total, ps_log(ps_add(one, ps_scale(u, self.a))))
-        if self.c != 0:
-            total = ps_add(total, ps_scale(ps_log(ps_add(one, ps_scale(u, -1.0))), self.c))
-        if self.w2 != 0:
-            total = ps_add(total, ps_scale(ps_log(ps_add(one, ps_scale(u2, -1.0))), self.w2))
-        return total
-
     def value_at(self, p: int | np.ndarray, s: complex) -> complex | np.ndarray:
         u = np.asarray(p, dtype=np.float64) ** (-s)
         val = (1.0 + self.a * u) * (1.0 - u) ** self.c * (1.0 - u * u) ** self.w2
@@ -109,124 +103,121 @@ class ArithmeticFamily:
     closed_form_F: Optional[Callable[[np.ndarray], np.ndarray]] = None
     prime_local_value: Optional[complex] = None
     parameter: Optional[complex] = None
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF
 
     def g_times_zeta2s_series(self, order: int) -> PowerSeries:
-        """Taylor data of G(s) zeta(2s)^(-w) at s = 1 (tail bound dropped)."""
-        series, _ = g_series_by_euler_product(self, order, self.prime_cutoff)
+        """Taylor data of G(s) zeta(2s)^(-w) at s = 1 (error figure dropped)."""
+        series, _ = g_series_by_euler_product(self, order)
         return series
 
 
-# --- background series engine ---------------------------------------------------
+# --- background engine ------------------------------------------------------------
 
-def _tail_integrals(m: int, order: int, cutoff: int) -> np.ndarray:
-    """[Gamma(k, x0) / (m-1)^k for k = 0..order], x0 = (m-1) ln cutoff.
+# Size of the last q term kept in the zeta product.
+_LAST_TERM = 1e-18
+# From Re(qs) = 6 on, log zeta_{>=P0}(qs) is summed over the primes directly:
+# zeta(qs) rounds towards 1 there, and e_q would multiply the lost digits back up.
+_DIRECT_RE = 6.0
+# The direct sums run over P0 <= p < max(_DIRECT_PRIMES, 2 P0); the primes past
+# the bound add below 1e-19 at Re(qs) = 6.
+_DIRECT_PRIMES = 4096
 
-    Entry k is integral_P^inf t^-m (ln t)^(k-1) dt, the li-density (1/ln t)
-    estimate of Sum_{p > P} p^-m (ln p)^k; the pi-vs-li residual is a
-    fraction of a percent at desk-scale cutoffs.  Entry 0 is E1(x0) from the
-    even part of its continued fraction (A&S 5.1.22),
-    e^-x0 / (x0 + 1 - 1/(x0 + 3 - 4/(x0 + 5 - ...))), evaluated bottom up: 24
-    levels reach full double precision once x0 >= ln 1000 (m >= 2 and
-    cutoff >= 1000).  The rest follow from Gamma(k+1, x) = k Gamma(k, x) +
-    x^k e^-x (A&S 6.5.22), whose terms are all positive, so the forward
-    recurrence is stable.
+
+def _zeta_exponents(model: LocalModel, q_max: int) -> np.ndarray:
+    """e_q for q = 0..q_max, solving m d_m = sum_{q | m} q e_q by a divisor sieve."""
+    qe = model.log_u_coeffs(q_max) * np.arange(q_max + 1)
+    for q in range(2, q_max + 1):
+        qe[2 * q :: q] -= qe[q]
+    return qe / np.maximum(np.arange(q_max + 1), 1)
+
+
+def _zeta2_power(model: LocalModel) -> bool:
+    """True when B(s) = zeta(2s)^e_2 with e_2 an integer <= 0, which is analytic
+    wherever zeta(2s) is nonzero and needs no prime.  For the local-model shape
+    e_3 = (a^3 - a)/3, and e_3 = 0 makes every later e_q vanish too."""
+    e = _zeta_exponents(model, 8)
+    return bool(np.all(np.abs(e[3:]) < 1e-12)) and e[2] == round(e[2].real) <= 0
+
+
+def _background(model: LocalModel, s: np.ndarray) -> np.ndarray:
+    """B(s) = G(s) zeta(2s)^(-w) at an array of points, with no prime cutoff.
+
+    The primes p < P0 enter by their exact local factors; the rest by
+    prod_{q >= 2} zeta_{>=P0}(qs)^e_q.  P0 is chosen so that |a p^-s| <= 1/4
+    for every p >= P0 on the points, which makes the q-th term O(4^-q).
     """
-    x0 = (m - 1) * math.log(cutoff)
-    f = x0 + 49.0  # the 25th denominator, x0 + 2*24 + 1
-    for i in range(24, 0, -1):
-        f = x0 + (2 * i - 1) - i * i / f
-    term = math.exp(-x0)  # x0^k e^-x0, from k = 0
-    gamma_k = term / f  # Gamma(0, x0) = E1(x0)
-    out = np.empty(order + 1)
-    out[0] = gamma_k
-    for k in range(order):
-        gamma_k = k * gamma_k + term
-        term *= x0
-        out[k + 1] = gamma_k / (m - 1) ** (k + 1)
-    return out
+    if _zeta2_power(model):
+        return special.zeta_batch(2.0 * s) ** _zeta_exponents(model, 2)[2]
+    sigma = float(np.min(s.real))
+    if sigma <= 0.5:
+        raise ParameterOutOfRange(f"this background is evaluated on Re s > 1/2, got {sigma:.3g}")
+    big = max(abs(model.a), 1.0)
+    p0 = max(16, math.ceil((4.0 * big) ** (1.0 / sigma)))
+    q_max = math.ceil(math.log(_LAST_TERM) / math.log(big / p0**sigma))
+    e = _zeta_exponents(model, q_max)
+    primes = primes_up_to(max(_DIRECT_PRIMES, 2 * p0)).astype(np.float64)
+    small = primes[primes < p0]
+    out = np.prod(model.value_at(small[:, None], s), axis=0)
+    log_b = np.zeros_like(s)
+
+    # Re(qs) < _DIRECT_RE: zeta(qs) times prod_{p < P0} (1 - p^-qs)
+    q_direct = math.ceil(_DIRECT_RE / sigma)
+    qs = np.multiply.outer(np.arange(2, min(q_direct, q_max + 1)), s)
+    if qs.size:
+        rough = special.zeta_batch(qs.reshape(-1)).reshape(qs.shape)
+        rough *= np.prod(1.0 - np.exp(-np.multiply.outer(qs, np.log(small))), axis=-1)
+        log_b += np.tensordot(e[2 : 2 + len(qs)], np.log(rough), axes=1)
+
+    # the rest: log zeta_{>=P0}(qs) = sum_k P(kqs)/k with P(w) = sum_{p >= P0} p^-w
+    u = np.exp(-np.multiply.outer(s, np.log(primes[primes >= p0])))
+    power = u**q_direct
+    for m in range(q_direct, q_max + 1):
+        weight = sum(e[q] * q / m for q in range(q_direct, m + 1) if m % q == 0)
+        log_b += weight * power.sum(axis=-1)
+        power *= u
+    return out * np.exp(log_b)
 
 
-def g_series_by_euler_product(
-    family: ArithmeticFamily, order: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
-) -> tuple[PowerSeries, float]:
-    """Taylor series of G(s) zeta(2s)^(-w) at s = 1 plus a reported tail bound.
+@functools.cache
+def _background_taylor(model: LocalModel) -> tuple[float, np.ndarray, np.ndarray]:
+    """(r, fine, coarse): DFTs of B on n and n/2 equispaced nodes of |s - 1| = r.
 
-    The bound is an estimate of the coefficientwise error left after the
-    prime-counting correction (crude Sum_{p>cutoff} |d_2| p^-2 scale at the
-    constant term).
+    Entry l of either DFT, divided by r^l, is the Taylor coefficient of
+    order l at s = 1, up to aliasing from orders l + n (l + n/2).
     """
-    if prime_cutoff < 1_000:
-        raise ParameterOutOfRange("prime_cutoff must be at least 1000")
+    # zeta(2s)^-k is analytic out to |s - 1| = 2 (s = -1), and zeta's box needs
+    # Re 2s > -1; any other background has a branch point or pole at s = 1/2
+    # or s = 1/q, and the split at P0 needs Re s > 1/2
+    r, n = (1.4, 128) if _zeta2_power(model) else (0.4, 256)
+    vals = _background(model, 1.0 + r * np.exp(2j * np.pi * np.arange(n) / n))
+    return r, np.fft.fft(vals) / n, np.fft.fft(vals[::2]) / (n // 2)
+
+
+def g_series_by_euler_product(family: ArithmeticFamily, order: int) -> tuple[PowerSeries, float]:
+    """Taylor series of G(s) zeta(2s)^(-w) at s = 1 and its a-posteriori error.
+
+    The error is the largest change in any coefficient when every other
+    circle node is dropped.
+    """
     model = family.local_model
     if model is None or model.trivial:
         return PowerSeries.constant(1.0, order), 0.0
-
-    # the series depends on the family only through its (frozen) local model
-    key = (model, order, prime_cutoff)
-    if key in _SERIES_CACHE:
-        return _SERIES_CACHE[key]
-
-    amax = max(abs(model.a), abs(model.c), 1.0)
-    switch = max(16, math.ceil(4.0 * amax))
-    m_max = 30
-    d = model.log_u_coeffs(m_max)
-
-    log_total = PowerSeries.constant(0.0, order)
-    primes = primes_up_to(prime_cutoff)
-    small = primes[primes < switch]
-    for p in small.tolist():
-        log_total = ps_add(log_total, model.log_series_at_prime(int(p), order))
-
-    big = primes[primes >= switch].astype(np.float64)
-    coeffs = np.array(log_total.coeffs, dtype=np.complex128)
-    if big.size:
-        logs = np.log(big)
-        # L[k, i] = (ln p_i)^k
-        L = np.ones((order + 1, big.size))
-        for k in range(1, order + 1):
-            L[k] = L[k - 1] * logs
-        inv_fact = np.array([1.0 / math.factorial(k) for k in range(order + 1)])
-        for m in range(2, m_max + 1):
-            if d[m] == 0:
-                continue
-            pm = big ** (-float(m))
-            moments = L @ pm  # Sum_p p^-m (ln p)^k for each k
-            ks = np.arange(order + 1, dtype=np.float64)
-            coeffs += d[m] * ((-float(m)) ** ks) * inv_fact * moments
-        # prime-counting tail correction for the two leading powers
-        for m in (2, 3):
-            if d[m] == 0:
-                continue
-            ks = np.arange(order + 1, dtype=np.float64)
-            coeffs += d[m] * ((-float(m)) ** ks) * inv_fact * _tail_integrals(m, order, prime_cutoff)
-
-    series = ps_exp(PowerSeries(tuple(coeffs)))
-    # residual: pi-vs-li fluctuation on the corrected m=2,3 tails (observed a
-    # few tenths of a percent at desk cutoffs; 5% is a wide margin) plus the
-    # whole uncorrected m>=4 tail
-    ln_p = math.log(prime_cutoff)
-    t23 = sum(abs(d[m]) * _tail_integrals(m, 0, prime_cutoff)[0] for m in (2, 3))
-    t4 = sum(abs(d[m]) * prime_cutoff ** (1 - m) / ((m - 1) * ln_p) for m in range(4, m_max + 1))
-    tail_bound = 0.05 * t23 + t4 + 1e-15
-    out = (series, float(tail_bound))
-    _SERIES_CACHE[key] = out
-    return out
+    r, fine, coarse = _background_taylor(model)
+    if order >= fine.size:
+        raise OrderTooHigh(f"order {order} needs more than the {fine.size} circle nodes")
+    l = np.arange(order + 1)
+    scale = r ** -l.astype(np.float64)
+    series, half = fine[l] * scale, coarse[l % coarse.size] * scale
+    if all(complex(v).imag == 0 for v in (model.a, model.c, model.w2)):
+        series, half = series.real, half.real  # B is real on the real axis
+    return PowerSeries(tuple(series)), float(np.max(np.abs(series - half)))
 
 
-_SERIES_CACHE: dict = {}
-
-
-def euler_product_value(
-    family: ArithmeticFamily, s: complex, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
-) -> complex:
-    """Pointwise value of G(s) zeta(2s)^(-w) by truncated Euler product."""
+def euler_product_value(family: ArithmeticFamily, s: complex) -> complex:
+    """Pointwise value of G(s) zeta(2s)^(-w), exact up to rounding."""
     model = family.local_model
     if model is None or model.trivial:
         return 1.0 + 0j
-    primes = primes_up_to(prime_cutoff)
-    vals = model.value_at(primes, complex(s))
-    return complex(np.exp(np.sum(np.log(vals))))
+    return complex(_background(model, np.array([complex(s)]))[0])
 
 
 # --- family constructors ---------------------------------------------------------
@@ -273,8 +264,6 @@ def builtin_family(name: str, parameter: complex | None = None) -> ArithmeticFam
     omega_power(z)           f(n) = z^omega(n), z real positive
     squarefree_omega_power   f = mu^2         F = zeta(s)/zeta(2s)
     """
-    from . import special  # local import keeps module load light
-
     if name == "constant_one":
         return ArithmeticFamily(
             name=name,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (
     LogOfZeroConstantTerm,
     OrderTooHigh,
+    ParameterOutOfRange,
     TruncationMismatch,
 )
 from .special import STIELTJES_MAX, recip_gamma, stieltjes
@@ -172,6 +173,8 @@ def g_lambda_coeffs(family, order: int) -> ExpansionCoefficients:
     `family` provides kappa, w and g_times_zeta2s_series(J); see the families
     module.
     """
+    if order < 0:
+        raise ParameterOutOfRange(f"series order J must be >= 0, got J={order}")
     kappa = float(family.params.kappa)
     w = complex(family.params.w)
     zc = z_coeffs(kappa, order)

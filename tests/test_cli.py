@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -159,17 +158,44 @@ class TestCoeffs:
 
     @pytest.mark.parametrize("spec", ["sqfree", "one"])
     def test_reports_the_euler_product_tail_bound(self, capsys, spec):
-        code, out, _ = run(capsys, "coeffs", "--family", spec, "--J", "8", "--cutoff", "2000")
+        # the a-posteriori error of the background series, as the library reports it
+        code, out, _ = run(capsys, "coeffs", "--family", spec, "--J", "8")
         assert code == 0
-        fam = dataclasses.replace(family_from_spec(spec), prime_cutoff=2000)
-        _, want = g_series_by_euler_product(fam, 8, 2000)
-        assert json.loads(out)["tail_bound"] == want
+        _, want = g_series_by_euler_product(family_from_spec(spec), 8)
+        doc = json.loads(out)
+        assert doc["background_error"] == want
+        assert "tail_bound" not in doc
         assert (want > 0) == (spec == "sqfree")  # `one` has no background product
 
-    def test_cutoff_past_the_sieve_reach_exits_1(self, capsys):
-        code, _, err = run(capsys, "coeffs", "--family", "sqfree", "--cutoff", str(10**12))
+    @pytest.mark.parametrize("spec", ["sqfree", "omega:1.5"])
+    def test_highest_order_reports_a_finite_error(self, capsys, spec):
+        code, out, _ = run(capsys, "coeffs", "--family", spec, "--J", "65")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["J"] == 65
+        assert math.isfinite(doc["background_error"])
+
+    def test_cutoff_option_is_gone(self, capsys, tmp_path):
+        # the background series has no prime cutoff to set
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--family", "sqfree", "--cutoff", "2000"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        cfg = tmp_path / "coeffs.cfg"
+        cfg.write_text("family=sqfree\ncutoff=2000\n")
+        code, _, err = run(capsys, "coeffs", "--config", str(cfg))
+        assert code == 2
+        assert "cutoff" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--family", "sqfree"),
+        ("predict", "--family", "sqfree", "--x", "100000", "--y", "1000"),
+    ])
+    def test_negative_order_exits_1_naming_J(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--J", "-1")
         assert code == 1
-        assert "sieve's reach" in err
+        assert out == ""
+        assert "J=-1" in err
 
 
 class TestPredictCmd:

@@ -7,19 +7,19 @@ import pytest
 from delange.errors import (
     DuplicatePrime,
     NonconvergentProduct,
+    OrderTooHigh,
     ParameterOutOfRange,
     UnknownFamily,
 )
 from delange.families import (
     LocalModel,
-    _tail_integrals,
     builtin_family,
     euler_product_value,
     f_value,
     family_from_spec,
     g_series_by_euler_product,
 )
-from delange.series import g_lambda_coeffs
+from delange.series import g_decay_diagnostic, g_lambda_coeffs
 from delange.sieve import primes_up_to
 from delange.special import zeta
 
@@ -45,6 +45,41 @@ def reference_f_arrays():
 @pytest.fixture(scope="module")
 def f_refs():
     return reference_f_arrays()
+
+
+def cauchy_taylor(f, order: int, radius: float, nodes: int) -> list[complex]:
+    """Taylor coefficients of f at s = 1 by the trapezoid rule on |s - 1| = radius,
+    in mpmath at the working precision."""
+    import mpmath
+
+    vals = [f(1 + radius * mpmath.expjpi(mpmath.mpf(2 * k) / nodes)) for k in range(nodes)]
+    return [
+        complex(mpmath.fsum(v * mpmath.expjpi(mpmath.mpf(-2 * k * l) / nodes) for k, v in enumerate(vals))
+                / (nodes * mpmath.mpf(radius) ** l))
+        for l in range(order + 1)
+    ]
+
+
+def omega_background_oracle(z: float, s, p0: int = 30, terms: int = 20):
+    """G(s) of z^omega(n) from mpmath: the exact local factors
+    (1 + a p^-s)(1 - p^-s)^a, a = z - 1, for p < p0, and for the rest
+    exp(sum_m d_m (primezeta(ms) - sum_{p<p0} p^-ms)) with
+    d_m = -((-a)^m + a)/m.  Taking the small primes out keeps the m-series
+    converging like (|a|/p0)^m; over all primes it diverges at s = 1 once
+    |a| >= 2."""
+    import mpmath
+
+    a = mpmath.mpf(z) - 1
+    small = [p for p in range(2, p0) if all(p % k for k in range(2, p))]
+    val = mpmath.mpf(1)
+    for p in small:
+        u = mpmath.power(p, -s)
+        val *= (1 + a * u) * (1 - u) ** a
+    tail = mpmath.mpf(0)
+    for m in range(2, terms + 1):
+        rest = mpmath.primezeta(m * s) - mpmath.fsum(mpmath.power(p, -m * s) for p in small)
+        tail += -((-a) ** m + a) / m * rest
+    return val * mpmath.exp(tail)
 
 
 class TestBuiltins:
@@ -129,50 +164,53 @@ class TestBackgroundSeries:
         assert abs(s[0].real - 6.0 / math.pi**2) < bound + 1e-9
         assert abs(s[0].real - 6.0 / math.pi**2) < 1e-6
 
-    def test_cutoff_floor(self, fam_sqfree):
-        with pytest.raises(ParameterOutOfRange):
-            g_series_by_euler_product(fam_sqfree, 4, prime_cutoff=100)
-
-    def test_cutoff_past_the_sieve_reach(self, fam_sqfree):
-        # refused before the prime mask (one byte per integer) is allocated
-        with pytest.raises(ParameterOutOfRange):
-            g_series_by_euler_product(fam_sqfree, 4, prime_cutoff=10**12)
-        with pytest.raises(ParameterOutOfRange):
-            euler_product_value(fam_sqfree, 2.0, prime_cutoff=10**12)
-
-    def test_tail_vector_against_mpmath(self):
+    def test_squarefree_g_against_taylor_oracle(self, fam_sqfree, fam_omega2):
+        # g_l is the Taylor data of ((s-1) zeta(s))^kappa / zeta(2s) at s = 1
+        # for mu^2 (kappa = 1) and for 2^omega (kappa = 2); the oracle is
+        # mpmath's zeta at 30 digits on |s - 1| = 1, where the trapezoid rule's
+        # aliasing is 2^-64 (mpmath.taylor(method='quad') gives the same
+        # doubles but takes 30 s)
         import mpmath
 
-        worst = 0.0
-        with mpmath.workdps(40):
-            for m in (2, 3):
-                for cutoff in (10**3, 10**5, 10**7, 10**8):
-                    x0 = (m - 1) * mpmath.log(cutoff)
-                    want = [mpmath.e1(x0)] + [
-                        mpmath.gammainc(k, x0) / (m - 1) ** k for k in range(1, 66)
-                    ]
-                    got = _tail_integrals(m, 65, cutoff).tolist()
-                    worst = max(worst, max(float(abs(g - w) / w) for g, w in zip(got, want)))
-        assert worst <= 5e-15
-
-    def test_squarefree_g_against_taylor_oracle(self, fam_sqfree):
-        # g_l of mu^2 is the Taylor data of (s-1) zeta(s) / zeta(2s) at s = 1;
-        # the li-density tail past the prime cutoff leaves about 2e-7 at l = 2
-        # and grows with l (README, numerical contracts)
-        import mpmath
-
-        ref = mpmath.taylor(
-            lambda s: (s - 1) * mpmath.zeta(s) / mpmath.zeta(2 * s), 1, 2, method="quad", radius=0.5
-        )
-        g = g_lambda_coeffs(fam_sqfree, 8).g_l
-        for l in range(3):
-            assert abs(g[l] - complex(ref[l])) <= 1e-6, l
-
-    def test_constant_term_stabilizes_under_cutoff_doubling(self, fam_sqfree, fam_omega2):
         for fam in (fam_sqfree, fam_omega2):
-            s1, b1 = g_series_by_euler_product(fam, 6, 10_000)
-            s2, _ = g_series_by_euler_product(fam, 6, 20_000)
-            assert abs(s1[0] - s2[0]) < b1
+            kappa = fam.params.kappa
+            with mpmath.workdps(30):
+                ref = cauchy_taylor(
+                    lambda s: ((s - 1) * mpmath.zeta(s)) ** kappa / mpmath.zeta(2 * s), 24, 1, 64
+                )
+            g = g_lambda_coeffs(fam, 24).g_l
+            for l in range(25):
+                assert abs(g[l] - ref[l]) <= 1e-8 * abs(ref[l]), (fam.name, l)
+        # the fitted radius of the true g_l is 1.84 (set by l = 3)
+        assert g_decay_diagnostic(g_lambda_coeffs(fam_sqfree, 24)) == pytest.approx(1.84, rel=0.05)
+
+    @pytest.mark.parametrize("z", [0.5, 1.5, 3.0])
+    def test_omega_background_against_primezeta_oracle(self, z):
+        import mpmath
+
+        fam = builtin_family("omega_power", z)
+        with mpmath.workdps(30):
+            for s in (1.0, 1.5, 2.0, 3.0):
+                want = complex(omega_background_oracle(z, s))
+                assert abs(euler_product_value(fam, s) - want) <= 1e-12 * abs(want), s
+            # aliasing (0.02/0.5)^8 = 7e-12 on the radius-0.5 series
+            ref = cauchy_taylor(lambda s: omega_background_oracle(z, s), 3, 0.02, 8)
+        series, _ = g_series_by_euler_product(fam, 3)
+        for l in range(4):
+            assert abs(series[l] - ref[l]) <= 1e-9 * abs(ref[l]), l
+
+    def test_every_order_up_to_the_stieltjes_limit_fits_the_circle(self):
+        for spec in ("sqfree", "omega:2", "omega:0.5", "omega:1.5", "omega:3"):
+            series, err = g_series_by_euler_product(family_from_spec(spec), 65)
+            assert series.order == 65 and math.isfinite(err), spec
+        with pytest.raises(OrderTooHigh):
+            g_series_by_euler_product(family_from_spec("sqfree"), 128)
+
+    def test_split_at_p0_needs_re_s_above_one_half(self, fam_sqfree):
+        with pytest.raises(ParameterOutOfRange, match="Re s > 1/2"):
+            euler_product_value(builtin_family("omega_power", 1.5), 0.5)
+        # 1/zeta(2s) is evaluated wherever zeta(2s) is
+        assert euler_product_value(fam_sqfree, 0.2) == pytest.approx(1.0 / zeta(0.4), rel=1e-14)
 
     def test_cache_follows_the_local_model(self, fam_omega2):
         # a family replaced with another local model under the same name and
@@ -191,19 +229,15 @@ class TestBackgroundSeries:
 
     def test_series_matches_pointwise_product_off_center(self, fam_sqfree, fam_omega2):
         # evaluate the Taylor data away from s = 1 and compare against the
-        # pointwise truncated product (an entirely separate evaluation route);
-        # the pointwise side is itself tail-limited by sum_{p>P} p^(-2s)
-        cutoff = 100_000
-        lnp = math.log(cutoff)
-        for fam in (fam_sqfree, fam_omega2):
-            s16, _ = g_series_by_euler_product(fam, 16)
+        # pointwise zeta product (no DFT on that side); the order-24 remainder
+        # is below 1e-16 at |h| <= 0.1 inside either radius of convergence
+        for fam in (fam_sqfree, fam_omega2, builtin_family("omega_power", 1.5)):
+            s24, _ = g_series_by_euler_product(fam, 24)
             for h in (0.05, 0.1, -0.08):
                 s = 1.0 + h
-                series_val = sum(c * h**j for j, c in enumerate(s16.coeffs))
-                point_val = euler_product_value(fam, s, cutoff)
-                point_tail = cutoff ** (1.0 - 2.0 * s) / ((2.0 * s - 1.0) * lnp)
-                tol = 3.0 * point_tail + 1e-9
-                assert abs(series_val - point_val) < tol * abs(point_val), (fam.name, h)
+                series_val = sum(c * h**j for j, c in enumerate(s24.coeffs))
+                point_val = euler_product_value(fam, s)
+                assert abs(series_val - point_val) < 1e-12 * abs(point_val), (fam.name, h)
 
 
 class TestTypePConditions:

@@ -116,6 +116,25 @@ class TestZCoeffs:
             rhs = ps_mul(z_coeffs(z1, 12), z_coeffs(z2, 12))
             assert np.max(np.abs(np.array(lhs.coeffs) - np.array(rhs.coeffs))) < 1e-10
 
+    def test_against_mpmath_taylor(self):
+        # Oracle: the Cauchy integral of ((s-1) zeta(s))^z in mpmath at 20
+        # digits (at 40 digits the errors below move by under 1%, at four times
+        # the cost).  Measured worst over these z and seven others in (0, 4]:
+        # 4.4e-16 absolute and 3.7e-12 relative (a coefficient near 2e-7); the
+        # bounds leave 4.5x and 5.4x.
+        import mpmath
+
+        rng = np.random.default_rng(23)
+        for z in 4.0 - 4.0 * rng.random(3):  # in (0, 4]
+            with mpmath.workdps(20):
+                ref = mpmath.taylor(
+                    lambda s: ((s - 1) * mpmath.zeta(s)) ** z, 1, 12, method="quad", radius=1
+                )
+            got = z_coeffs(z, 12)
+            for j in range(13):
+                err = abs(got[j] - complex(ref[j]))
+                assert err <= 2e-15 and err <= 2e-11 * abs(complex(ref[j])), (z, j)
+
     def test_growth_bound(self):
         rng = np.random.default_rng(17)
         growth = 1.25 ** np.arange(61)

@@ -241,8 +241,11 @@ class TestFactorRange:
             list(factor_range(0, 2 * 10**8))
 
     def test_reversed_bounds_are_refused(self):
+        # refused at the call, before anything is iterated
         with pytest.raises(InvalidWindow, match="hi >= lo"):
-            list(factor_range(5, 3))
+            factor_range(5, 3)
+        with pytest.raises(InvalidWindow, match="lo >= 0"):
+            factor_range(-1, 5)
         assert list(factor_range(5, 5)) == []
 
 
