@@ -16,11 +16,12 @@ cutoff (Ettahri, Ramare and Surel, Math. Comp. 2021, after Cohen 1998):
     zeta_{>=P0}(w) = zeta(w) prod_{p < P0} (1 - p^-w).
 
 For `sqfree` and `omega:2` only e_2 = -1 is nonzero, so B = 1/zeta(2s) and
-no prime enters.  The Taylor data come from one DFT of B on the circle
-|s - 1| = r: r = 1.4 (128 nodes) when B = zeta(2s)^-k, which is analytic out
-to s = -1, and r = 0.4 (256 nodes) otherwise, inside the branch point at
-s = 1/2.  The reported error is the largest change in any coefficient when
-every other node is dropped.
+no prime enters.  Otherwise e_q ~ |a|^q / q magnifies the rounding of zeta(qs),
+and a large |a| is refused (see `_background`).  The Taylor data come from one
+DFT of B on 256 nodes of |s - 1| = r: r = 1.4 when B = zeta(2s)^-k, analytic
+out to s = -1, and r = 0.4 otherwise, inside the branch point at s = 1/2.  The
+reported error is the largest change in any coefficient when every other node
+is dropped.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ class LocalModel:
     def trivial(self) -> bool:
         return self.a == 0 and self.c == 0 and self.w2 == 0
 
+    @property
+    def real(self) -> bool:
+        return all(complex(v).imag == 0 for v in (self.a, self.c, self.w2))
+
     def log_u_coeffs(self, m_max: int) -> np.ndarray:
         """d_m with log(local factor) = sum_m d_m u^m; d_0 = d_1 = 0 required."""
         d = np.zeros(m_max + 1, dtype=np.complex128)
@@ -85,11 +90,6 @@ class LocalModel:
             )
         d[1] = 0j
         return d
-
-    def value_at(self, p: int | np.ndarray, s: complex) -> complex | np.ndarray:
-        u = np.asarray(p, dtype=np.float64) ** (-s)
-        val = (1.0 + self.a * u) * (1.0 - u) ** self.c * (1.0 - u * u) ** self.w2
-        return val
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +114,13 @@ class ArithmeticFamily:
 
 # Size of the last q term kept in the zeta product.
 _LAST_TERM = 1e-18
-# From Re(qs) = 6 on, log zeta_{>=P0}(qs) is summed over the primes directly:
-# zeta(qs) rounds towards 1 there, and e_q would multiply the lost digits back up.
-_DIRECT_RE = 6.0
-# The direct sums run over P0 <= p < max(_DIRECT_PRIMES, 2 P0); the primes past
-# the bound add below 1e-19 at Re(qs) = 6.
-_DIRECT_PRIMES = 4096
+# Error of log zeta_{>=P0}(w) taken as log(zeta(w) prod_{p<P0} (1 - p^-w)): the
+# product rounds at 1e-16 relative to 1 while the log is near P0^-Re w, so e_q
+# multiplies the lost digits back up (measured up to 1.6e-15).
+_ZETA_ROUTE_ERR = 2e-15
+# Direct sums over P0 <= p < X take X <= 2^15.  Each term may err by 1e-17; an
+# estimated error past 1e-9 in log B is refused.
+_DIRECT_PRIMES, _TERM_ERR, _MAX_LOG_ERR = 2**15, 1e-17, 1e-9
 
 
 def _zeta_exponents(model: LocalModel, q_max: int) -> np.ndarray:
@@ -143,7 +144,12 @@ def _background(model: LocalModel, s: np.ndarray) -> np.ndarray:
 
     The primes p < P0 enter by their exact local factors; the rest by
     prod_{q >= 2} zeta_{>=P0}(qs)^e_q.  P0 is chosen so that |a p^-s| <= 1/4
-    for every p >= P0 on the points, which makes the q-th term O(4^-q).
+    for every p >= P0 on the points, which makes the q-th term O(4^-q).  Each
+    log zeta_{>=P0}(qs) comes from a sum over the primes P0 <= p < X when an
+    X <= _DIRECT_PRIMES puts its tail below the worst term of the better
+    route, and from zeta(qs), at an error near _ZETA_ROUTE_ERR |e_q|, when
+    none does.  e_q grows like |a|^q / q, so a large |a| loses digits either
+    way: past _MAX_LOG_ERR in log B this raises.
     """
     if _zeta2_power(model):
         return special.zeta_batch(2.0 * s) ** _zeta_exponents(model, 2)[2]
@@ -154,41 +160,64 @@ def _background(model: LocalModel, s: np.ndarray) -> np.ndarray:
     p0 = max(16, math.ceil((4.0 * big) ** (1.0 / sigma)))
     q_max = math.ceil(math.log(_LAST_TERM) / math.log(big / p0**sigma))
     e = _zeta_exponents(model, q_max)
-    primes = primes_up_to(max(_DIRECT_PRIMES, 2 * p0)).astype(np.float64)
-    small = primes[primes < p0]
-    out = np.prod(model.value_at(small[:, None], s), axis=0)
+    x_max = max(_DIRECT_PRIMES, p0)
+
+    # |w| sum_{p >= x} p^-(m sigma) <= |w| unit x^-excess for x >= p0, excess =
+    # m sigma - 1, by the prime number theorem's density 1/log p
+    m = np.arange(q_max + 1)
+    excess = np.maximum(m * sigma - 1.0, 1e-3)
+    unit = 1.0 / (excess * math.log(p0))
+    by_zeta = _ZETA_ROUTE_ERR * np.abs(e)
+    by_primes = np.abs(e) * unit * float(x_max) ** -excess
+    floor = max(_TERM_ERR, float(np.max(np.minimum(by_zeta, by_primes))))
+    direct = (e != 0) & (by_primes <= floor)
+    weight = np.zeros(q_max + 1, dtype=np.complex128)
+    for q in np.flatnonzero(direct):
+        weight[q::q] += e[q] * q / m[q::q]
+    # from the first direct q on, the sum of order m stops where its tail is
+    # floor / (number of sums), or at x_max
+    ms = m[np.argmax(direct) :] if direct.any() else m[:0]
+    stops = np.clip((np.abs(weight[ms]) * unit[ms] * ms.size / floor) ** (1.0 / excess[ms]), p0, x_max)
+    err = np.sum(by_zeta[~direct]) + np.sum(np.abs(weight[ms]) * unit[ms] * stops ** -excess[ms])
+    if err > _MAX_LOG_ERR:
+        raise ParameterOutOfRange(f"local factor with |a| = {abs(model.a):.3g} at Re s = {sigma:.3g}: "
+                                  f"estimated error {err:.1e} in log B, above {_MAX_LOG_ERR:g}")
+
+    primes = primes_up_to(x_max).astype(np.float64)
+    u = np.exp(-np.multiply.outer(np.log(primes[primes < p0]), s))
+    out = np.prod((1.0 + model.a * u) * (1.0 - u) ** model.c * (1.0 - u * u) ** model.w2, axis=0)
     log_b = np.zeros_like(s)
+    for q in np.flatnonzero(~direct & (e != 0)):
+        log_b += e[q] * np.log(special.zeta_batch(q * s) * np.prod(1.0 - u**q, axis=0))
 
-    # Re(qs) < _DIRECT_RE: zeta(qs) times prod_{p < P0} (1 - p^-qs)
-    q_direct = math.ceil(_DIRECT_RE / sigma)
-    qs = np.multiply.outer(np.arange(2, min(q_direct, q_max + 1)), s)
-    if qs.size:
-        rough = special.zeta_batch(qs.reshape(-1)).reshape(qs.shape)
-        rough *= np.prod(1.0 - np.exp(-np.multiply.outer(qs, np.log(small))), axis=-1)
-        log_b += np.tensordot(e[2 : 2 + len(qs)], np.log(rough), axes=1)
-
-    # the rest: log zeta_{>=P0}(qs) = sum_k P(kqs)/k with P(w) = sum_{p >= P0} p^-w
-    u = np.exp(-np.multiply.outer(s, np.log(primes[primes >= p0])))
-    power = u**q_direct
-    for m in range(q_direct, q_max + 1):
-        weight = sum(e[q] * q / m for q in range(q_direct, m + 1) if m % q == 0)
-        log_b += weight * power.sum(axis=-1)
-        power *= u
+    # log zeta_{>=P0}(qs) = sum_k P(kqs)/k with P(w) = sum_{p >= P0} p^-w; a later
+    # sum never needs more primes than an earlier one is given
+    if ms.size:
+        rest = primes[primes >= p0]
+        counts = np.maximum.accumulate(np.searchsorted(rest, stops)[::-1])[::-1]
+        u = np.exp(-np.multiply.outer(s, np.log(rest[: counts[0]])))
+        power = u ** ms[0]
+        for mm, n in zip(ms, counts):
+            power, u = power[:, :n], u[:, :n]
+            log_b += weight[mm] * power.sum(axis=-1)
+            power *= u
     return out * np.exp(log_b)
 
 
 @functools.cache
 def _background_taylor(model: LocalModel) -> tuple[float, np.ndarray, np.ndarray]:
-    """(r, fine, coarse): DFTs of B on n and n/2 equispaced nodes of |s - 1| = r.
+    """(r, fine, coarse): DFTs of B on 256 and 128 equispaced nodes of |s - 1| = r.
 
     Entry l of either DFT, divided by r^l, is the Taylor coefficient of
-    order l at s = 1, up to aliasing from orders l + n (l + n/2).
+    order l at s = 1, up to aliasing from orders l + 256 (l + 128).
     """
     # zeta(2s)^-k is analytic out to |s - 1| = 2 (s = -1), and zeta's box needs
     # Re 2s > -1; any other background has a branch point or pole at s = 1/2
     # or s = 1/q, and the split at P0 needs Re s > 1/2
-    r, n = (1.4, 128) if _zeta2_power(model) else (0.4, 256)
-    vals = _background(model, 1.0 + r * np.exp(2j * np.pi * np.arange(n) / n))
+    r, n = (1.4 if _zeta2_power(model) else 0.4), 256
+    vals = _background(model, 1.0 + r * np.exp(2j * np.pi * np.arange(n // 2 + 1 if model.real else n) / n))
+    if model.real:  # B(conj s) = conj B(s): the lower half of the circle mirrors the upper
+        vals = np.concatenate([vals, np.conj(vals[-2:0:-1])])
     return r, np.fft.fft(vals) / n, np.fft.fft(vals[::2]) / (n // 2)
 
 
@@ -198,16 +227,17 @@ def g_series_by_euler_product(family: ArithmeticFamily, order: int) -> tuple[Pow
     The error is the largest change in any coefficient when every other
     circle node is dropped.
     """
+    if order < 0:
+        raise ParameterOutOfRange(f"series order J must be >= 0, got J={order}")
     model = family.local_model
     if model is None or model.trivial:
         return PowerSeries.constant(1.0, order), 0.0
     r, fine, coarse = _background_taylor(model)
-    if order >= fine.size:
-        raise OrderTooHigh(f"order {order} needs more than the {fine.size} circle nodes")
-    l = np.arange(order + 1)
-    scale = r ** -l.astype(np.float64)
-    series, half = fine[l] * scale, coarse[l % coarse.size] * scale
-    if all(complex(v).imag == 0 for v in (model.a, model.c, model.w2)):
+    if order >= coarse.size:
+        raise OrderTooHigh(f"order {order} needs more than the {coarse.size} coarse circle nodes")
+    scale = r ** -np.arange(order + 1.0)
+    series, half = fine[: order + 1] * scale, coarse[: order + 1] * scale
+    if model.real:
         series, half = series.real, half.real  # B is real on the real axis
     return PowerSeries(tuple(series)), float(np.max(np.abs(series - half)))
 

@@ -52,11 +52,6 @@ def _check_same_order(a: PowerSeries, b: PowerSeries) -> int:
     return a.order
 
 
-def ps_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    _check_same_order(a, b)
-    return PowerSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
 def ps_scale(a: PowerSeries, factor: complex) -> PowerSeries:
     factor = complex(factor)
     return PowerSeries(tuple(factor * c for c in a.coeffs))

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -60,26 +61,33 @@ def cauchy_taylor(f, order: int, radius: float, nodes: int) -> list[complex]:
     ]
 
 
-def omega_background_oracle(z: float, s, p0: int = 30, terms: int = 20):
+def omega_background_oracle(z: float, s):
     """G(s) of z^omega(n) from mpmath: the exact local factors
     (1 + a p^-s)(1 - p^-s)^a, a = z - 1, for p < p0, and for the rest
     exp(sum_m d_m (primezeta(ms) - sum_{p<p0} p^-ms)) with
-    d_m = -((-a)^m + a)/m.  Taking the small primes out keeps the m-series
-    converging like (|a|/p0)^m; over all primes it diverges at s = 1 once
-    |a| >= 2."""
+    d_m = -((-a)^m + a)/m.  p0 puts |a| p0^-Re s below 1/8, so the m-series
+    converges like 8^-m; over all primes it diverges at s = 1 once |a| >= 2.
+    The difference primezeta(ms) - sum_{p<p0} p^-ms is near p0^-m Re s but
+    is formed from terms near 2^-m Re s, so the working precision grows by
+    log10(|a| 2^-Re s) digits per term."""
     import mpmath
 
     a = mpmath.mpf(z) - 1
-    small = [p for p in range(2, p0) if all(p % k for k in range(2, p))]
-    val = mpmath.mpf(1)
-    for p in small:
-        u = mpmath.power(p, -s)
-        val *= (1 + a * u) * (1 - u) ** a
-    tail = mpmath.mpf(0)
-    for m in range(2, terms + 1):
-        rest = mpmath.primezeta(m * s) - mpmath.fsum(mpmath.power(p, -m * s) for p in small)
-        tail += -((-a) ** m + a) / m * rest
-    return val * mpmath.exp(tail)
+    sigma = float(mpmath.re(s))
+    p0 = max(30, math.ceil((8 * max(abs(z - 1), 1)) ** (1 / sigma)))
+    terms = math.ceil(math.log(1e-20) / math.log(max(abs(z - 1), 1e-3) / p0**sigma))
+    digits = 20 + math.ceil(terms * math.log10(max(abs(z - 1) / 2**sigma, 1)))
+    small = [int(p) for p in primes_up_to(p0 - 1)]
+    with mpmath.workdps(max(mpmath.mp.dps, digits)):
+        val = mpmath.mpf(1)
+        for p in small:
+            u = mpmath.power(p, -s)
+            val *= (1 + a * u) * (1 - u) ** a
+        tail = mpmath.mpf(0)
+        for m in range(2, terms + 1):
+            rest = mpmath.primezeta(m * s) - mpmath.fsum(mpmath.power(p, -m * s) for p in small)
+            tail += -((-a) ** m + a) / m * rest
+        return val * mpmath.exp(tail)
 
 
 class TestBuiltins:
@@ -199,12 +207,40 @@ class TestBackgroundSeries:
         for l in range(4):
             assert abs(series[l] - ref[l]) <= 1e-9 * abs(ref[l]), l
 
+    @pytest.mark.parametrize("z, bound", [(6.0, 3e-11), (10.0, 1e-9)])
+    def test_large_z_background_near_the_left_of_the_circle(self, z, bound):
+        # the series circle |s - 1| = 0.4 reaches Re s = 0.6, where e_q ~ (z-1)^q/q
+        # multiplies the rounding of every zeta(qs) route; measured 3.0e-12
+        # (z = 6) and 1.5e-10 (z = 10), where 1e-9 is the engine's own limit
+        fam = builtin_family("omega_power", z)
+        for s in (0.6, 1 + 0.4 * cmath.exp(2j * math.pi * 120 / 256)):
+            want = complex(omega_background_oracle(z, s))
+            assert abs(euler_product_value(fam, s) - want) <= bound * abs(want), s
+
+    def test_z_past_the_double_precision_reach_is_refused(self):
+        # omega:20 would lose all but a few digits on the series circle
+        g_series_by_euler_product(family_from_spec("omega:11"), 4)
+        with pytest.raises(ParameterOutOfRange, match="estimated error"):
+            g_series_by_euler_product(family_from_spec("omega:20"), 4)
+        with pytest.raises(ParameterOutOfRange, match="estimated error"):
+            euler_product_value(family_from_spec("omega:1000"), 1.0)
+
     def test_every_order_up_to_the_stieltjes_limit_fits_the_circle(self):
         for spec in ("sqfree", "omega:2", "omega:0.5", "omega:1.5", "omega:3"):
             series, err = g_series_by_euler_product(family_from_spec(spec), 65)
             assert series.order == 65 and math.isfinite(err), spec
+        # every order sits below half the node count, so dropping every other
+        # node measures aliasing and rounding, never a wrapped-around order;
+        # measured 2.1e-13 (sqfree) and 4.2e-8 |g_65| (omega:1.5)
+        _, err = g_series_by_euler_product(family_from_spec("sqfree"), 65)
+        assert err < 1e-12
+        series, err = g_series_by_euler_product(family_from_spec("omega:1.5"), 65)
+        assert err < 1e-6 * abs(series[65])
         with pytest.raises(OrderTooHigh):
             g_series_by_euler_product(family_from_spec("sqfree"), 128)
+        for spec in ("one", "sqfree", "omega:1.5"):
+            with pytest.raises(ParameterOutOfRange, match="J=-1"):
+                g_series_by_euler_product(family_from_spec(spec), -1)
 
     def test_split_at_p0_needs_re_s_above_one_half(self, fam_sqfree):
         with pytest.raises(ParameterOutOfRange, match="Re s > 1/2"):
