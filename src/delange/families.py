@@ -26,6 +26,7 @@ is dropped.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -294,6 +295,8 @@ def builtin_family(name: str, parameter: complex | None = None) -> ArithmeticFam
     omega_power(z)           f(n) = z^omega(n), z real positive
     squarefree_omega_power   f = mu^2         F = zeta(s)/zeta(2s)
     """
+    if parameter is not None and not cmath.isfinite(complex(parameter)):
+        raise ParameterOutOfRange(f"{name} parameter must be finite, got {parameter}")
     if name == "constant_one":
         return ArithmeticFamily(
             name=name,

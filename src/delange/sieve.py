@@ -1,6 +1,6 @@
 """Exact window sums of multiplicative functions by segmented sieving.
 
-One engine factors (x, x+y] chunk by chunk (2^20 integers).  Small primes are
+One engine factors (x, x+y] chunk by chunk (2^19 integers).  Small primes are
 struck with strided in-place views, ``residual[off::p] //= p`` and again on
 the multiples of p^2, p^3, ...; the exponents index per-prime tables
 [f(1), f(p), f(p^2), ...].  The larger base primes up to sqrt(x+y) are handed
@@ -11,6 +11,17 @@ remains above 1 is a prime cofactor, so each integer meets its primes in
 ascending order, cofactor last.  Chunks are independent (safe to farm out to
 threads) and the final reduction is an ordered fold, so results are bitwise
 reproducible for any worker count.
+
+Memory traffic, not arithmetic, bounds the chunk work, so the working set is
+kept small.  A chunk's f-vector is float64 when every value multiplied into
+it is real, as for every built-in family, and complex128 otherwise; the
+choice rests on the values alone, so it too is the same for any worker
+count.  The chunk length is 2^19: each worker then holds a few MB, while the
+fixed cost of a chunk (the strided loop over the 564 small primes and the
+first multiple of every bucketed prime) stays small beside its array work.
+Sums are never accumulated in int64, which would wrap silently.  Doubles
+add integers exactly below 2^53, so an integer-valued sum whose |f(n)| add
+up to 2^53 or more is refused rather than rounded.
 
 Factorizations are kept columnar, in CSR form: ``offsets`` (length y + 1)
 delimits each integer's run in ``primes`` and ``exponents``.  A chunk's
@@ -23,6 +34,8 @@ segment at a time into a preallocated array, so at the top of the reach
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +45,7 @@ import numpy as np
 
 from .errors import InvalidWindow, ParameterOutOfRange, WindowTooLarge
 
-CHUNK = 1 << 20
+CHUNK = 1 << 19
 MAX_WINDOW = 100_000_000
 MAX_BASE_PRIME = 100_000_000  # sqrt of the largest sievable x + y, 1e16
 SMALL_PRIME_BOUND = 1 << 12
@@ -166,6 +179,8 @@ def _base_primes(lo: int, hi: int) -> np.ndarray:
 def _progressions(ps: np.ndarray, first: np.ndarray, n: int):
     """(p, offset) for every offset = first + j*p below n, grouped by p in
     the order of ps, offsets ascending within each group."""
+    hit = np.flatnonzero(first < n)  # a prime past the chunk length hits it at most once
+    ps, first = ps.take(hit), first.take(hit)
     cnt = (n - 1 - first) // ps + 1
     hp = np.repeat(ps, cnt)
     return hp, np.repeat(first - (np.cumsum(cnt) - cnt) * ps, cnt) + np.arange(hp.size) * hp
@@ -193,8 +208,10 @@ def _strike(a: int, b: int, primes: np.ndarray):
     big = primes[split:]
     hits = [_progressions(q, -a % q, n) for q in np.split(big, range(BUCKET_SLICE, big.size, BUCKET_SLICE))]
     hp, idx = (np.concatenate(c) for c in zip(*hits))
-    he = np.zeros(hp.size, dtype=np.int8)
-    live = np.arange(hp.size)
+    np.floor_divide.at(residual, idx, hp)
+    he = np.ones(hp.size, dtype=np.int8)
+    rest = residual[idx]
+    live = np.flatnonzero(np.remainder(rest, hp, out=rest) == 0)
     while live.size:  # one division per pass; the survivors hold a higher power
         np.floor_divide.at(residual, idx[live], hp[live])
         he[live] += 1
@@ -230,51 +247,118 @@ def factor_window(win: Window) -> FactoredWindow:
     return FactoredWindow(x=win.x, factors=Factorizations(offsets, ps, exps))
 
 
-def _prime_values(ps: np.ndarray, local_factor, prime_value):
-    """f(p) for every prime in ps; the scalar prime_value when the family has one."""
-    if prime_value is not None:
-        return complex(prime_value)
+# Kinds of values, ordered so that a chunk takes the largest kind among the
+# values multiplied into it
+_NONNEG_INT, _INT, _REAL, _COMPLEX = range(4)
+EXACT_LIMIT = 2**53  # doubles hold every integer below this, and not 2^53 + 1
+
+
+def _local_values(local_factor, pairs) -> np.ndarray:
+    """f(p^e) for every (p, e) in pairs as complex128, f(p^0) being f(1) = 1."""
+    try:
+        return np.array([complex(local_factor(p, e)) if e else 1.0 for p, e in pairs], dtype=np.complex128)
+    except OverflowError as exc:
+        raise ParameterOutOfRange("a local value f(p^e) overflows a double") from exc
+
+
+def _kind(values: np.ndarray) -> int:
+    """The least kind that holds every one of the values."""
+    if values.imag.any():
+        return _COMPLEX
+    re = values.real
+    if (np.floor(re) != re).any():
+        return _REAL
+    return _INT if (re < 0).any() else _NONNEG_INT
+
+
+def _of_kind(values: np.ndarray, kind: int) -> np.ndarray:
+    """values as they are when some value is not real, else their float64 real parts."""
+    return values if kind == _COMPLEX else values.real
+
+
+def _prime_values(ps: np.ndarray, local_factor) -> tuple[np.ndarray, int]:
+    """(f(p) for every prime in ps, their kind)."""
     uniq, inv = np.unique(ps, return_inverse=True)
-    return np.array([complex(local_factor(q, 1)) for q in uniq.tolist()], dtype=np.complex128)[inv]
+    values = _local_values(local_factor, [(q, 1) for q in uniq.tolist()])
+    kind = _kind(values)
+    return _of_kind(values, kind)[inv], kind
 
 
-def _chunk_sum(a: int, b: int, primes: np.ndarray, tables: dict, local_factor, prime_value) -> complex:
-    """Sum of f(n) over [a, b) with f multiplicative given by local_factor(p, e);
-    tables[p] is [f(1), f(p), f(p^2), ...] for every small prime."""
+@np.errstate(over="ignore", invalid="ignore")  # exact_sum refuses a total that is not finite
+def _chunk_sum(a: int, b: int, primes: np.ndarray, tables: dict, kind: int,
+               local_factor, prime_value) -> tuple[complex, float]:
+    """(sum of f(n), sum of |f(n)|) over [a, b), with f multiplicative given by
+    local_factor(p, e) and tables[p] = [f(1), f(p), f(p^2), ...] for every
+    small prime; kind covers the tables and the scalar prime_value, f(p) for
+    every prime, when the family has one.  The second sum is nan unless every
+    value multiplied in is an integer."""
     residual, small, (hp, idx, he) = _strike(a, b, primes)
-    fv = np.ones(b - a, dtype=np.complex128)
+    cofactor = residual > 1  # at most one prime cofactor per integer, met last
+    high = np.flatnonzero(he > 1)
+    powers = _local_values(local_factor, zip(hp[high].tolist(), he[high].tolist()))
+    if prime_value is None:
+        vals, vals_kind = _prime_values(hp, local_factor)
+        cofactors, co_kind = _prime_values(residual[cofactor], local_factor)
+        kind = max(kind, vals_kind, co_kind)
+    else:
+        vals = prime_value
+    kind = max(kind, _kind(powers))
+    fv = np.ones(b - a, dtype=np.complex128 if kind == _COMPLEX else np.float64)
     for p, off, exps in small:
         fv[off::p] *= tables[p][exps]
-    vals = np.full(hp.size, _prime_values(hp, local_factor, prime_value))
-    for k in np.flatnonzero(he > 1).tolist():
-        vals[k] = complex(local_factor(int(hp[k]), int(he[k])))
+    vals = np.full(hp.size, vals, dtype=fv.dtype)
+    vals[high] = _of_kind(powers, kind)
     np.multiply.at(fv, idx, vals)
-    co = np.flatnonzero(residual > 1)  # prime cofactors come last
-    np.multiply.at(fv, co, _prime_values(residual[co], local_factor, prime_value))
-    return complex(fv.sum())  # numpy pairwise summation, ascending order
+    if prime_value is None:
+        fv[cofactor] *= cofactors
+    else:  # in place: a temporary as long as the chunk costs page faults in every chunk
+        np.multiply(fv, prime_value, out=fv, where=cofactor)
+    total = complex(fv.sum())  # numpy pairwise summation, ascending order
+    if kind == _NONNEG_INT:
+        return total, total.real
+    return total, float(np.abs(fv).sum()) if kind == _INT else math.nan
 
 
 def exact_sum(family, win: Window, workers: int = 1) -> complex:
     """Exact sum of family.local_factor-built f(n) over (x, x+y].
 
     Chunk results are reduced in ascending order whatever the worker count,
-    so the output is bitwise deterministic.
+    so the output is bitwise deterministic.  An integer-valued f is summed
+    exactly or refused: WindowTooLarge once the sum of |f(n)| reaches
+    EXACT_LIMIT.  A local value or a total past the double range raises
+    ParameterOutOfRange.
     """
     lo, hi = win.x + 1, win.x + win.y + 1
     primes = _base_primes(lo, hi)
     bounds = [(a, min(a + CHUNK, hi)) for a in range(lo, hi, CHUNK)]
     lf = family.local_factor
     pv = getattr(family, "prime_local_value", None)
-    tables = {p: np.array([1.0] + [complex(lf(p, e)) for e in range(1, int(math.log(hi - 1, p)) + 2)])
-              for p in primes[primes < SMALL_PRIME_BOUND].tolist()}  # e to log_p(x+y) + 1: float logs round
+    small = primes[primes < SMALL_PRIME_BOUND].tolist()
+    tops = [int(math.log(hi - 1, p)) + 2 for p in small]  # e to log_p(x+y) + 1: float logs round
+    flat = _local_values(lf, [(p, e) for p, top in zip(small, tops) for e in range(top)])
+    kind = _kind(flat if pv is None else np.append(flat, complex(pv)))
+    values, starts = _of_kind(flat, kind), [0, *itertools.accumulate(tops)]
+    tables = {p: values[s:t] for p, s, t in zip(small, starts, starts[1:])}
+    if pv is not None:
+        pv = complex(pv) if kind == _COMPLEX else complex(pv).real
+
+    def run(ab):
+        return _chunk_sum(*ab, primes, tables, kind, lf, pv)
+
     if workers <= 1 or len(bounds) == 1:
-        parts = [_chunk_sum(a, b, primes, tables, lf, pv) for a, b in bounds]
+        parts = [run(ab) for ab in bounds]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ab: _chunk_sum(ab[0], ab[1], primes, tables, lf, pv), bounds))
-    total = 0j
-    for part in parts:  # ordered fold
+            parts = list(pool.map(run, bounds))
+    total, magnitude = 0j, 0.0
+    for part, part_magnitude in parts:  # ordered fold
         total += part
+        magnitude += part_magnitude
+    if not cmath.isfinite(total):
+        raise ParameterOutOfRange(f"the sum over ({win.x}, {win.x + win.y}] is not finite: {total}")
+    if magnitude >= EXACT_LIMIT:
+        raise WindowTooLarge(f"the sum of |f(n)| over ({win.x}, {win.x + win.y}] reaches 2^53, "
+                             "past which doubles do not add integers exactly")
     return total
 
 

@@ -131,6 +131,20 @@ class TestSum:
         assert out == ""
         assert "reach" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("sum", "--family", "divisor:inf", "--x", "100", "--y", "10"), "finite"),
+         (("sum", "--family", "omega:1e300", "--x", "100", "--y", "10"), "not finite"),
+         (("sum", "--family", "divisor:1e200", "--x", "1000000", "--y", "1000"), "overflows"),
+         (("perron-check", "--family", "divisor:inf", "--x", "1000", "--y", "100", "--T", "50"), "finite")],
+    )
+    def test_family_values_past_the_double_range_exit_1(self, capsys, argv, message):
+        # these printed nan or inf and exited 0, or ended in an OverflowError traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err and len(err.strip().splitlines()) == 1
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "sum", "--family", "mertens", "--x", "10", "--y", "4")
         assert code == 1

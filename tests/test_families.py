@@ -145,6 +145,17 @@ class TestBuiltins:
         with pytest.raises(ParameterOutOfRange):
             builtin_family("divisor_kappa")
 
+    @pytest.mark.parametrize("name", ["divisor_kappa", "omega_power"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, complex(1, math.inf)])
+    def test_non_finite_parameter_is_refused(self, name, value):
+        with pytest.raises(ParameterOutOfRange, match="finite"):
+            builtin_family(name, value)
+
+    @pytest.mark.parametrize("spec", ["divisor:inf", "omega:nan", "divisor:-inf"])
+    def test_non_finite_spec_is_refused(self, spec):
+        with pytest.raises(ParameterOutOfRange, match="finite"):
+            family_from_spec(spec)
+
     def test_spec_parsing(self):
         assert family_from_spec("divisor:2").parameter == 2.0
         assert family_from_spec("sqfree").name == "squarefree_omega_power"

@@ -304,6 +304,24 @@ def test_top_of_reach_peaks_below_100_mb():
     assert int(peak_kb) / 1024 < 100
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_low_band_window_on_two_workers_peaks_below_85_mb():
+    # two 2^19-integer chunks in flight with float64 f-vectors; with 2^20
+    # complex128 chunks the same call peaked at 117 MB
+    code = (
+        "from delange.families import family_from_spec\n"
+        "from delange.sieve import Window, exact_sum\n"
+        "v = exact_sum(family_from_spec('divisor:1.5'), Window(5 * 10**8, 3 * 2**20), workers=2)\n"
+        "hwm = next(ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:'))\n"
+        "print(v.real, hwm.split()[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    total, peak_kb = proc.stdout.split()
+    assert float(total) > 0
+    assert int(peak_kb) / 1024 < 85
+
+
 def test_primes_up_to_refuses_past_the_reach():
     # an n + 1 byte mask at n = 1e12 would be a terabyte; the check comes first
     with pytest.raises(ParameterOutOfRange):
@@ -313,6 +331,9 @@ def test_primes_up_to_refuses_past_the_reach():
 ORACLE_FAMILIES = [family_from_spec(s) for s in ("one", "divisor:2", "omega:2", "sqfree")] + [
     # p-dependent values and no prime_local_value: exercises the per-prime lookups
     SimpleNamespace(local_factor=lambda p, a: complex(p % 5 + a)),
+    # real at every small prime, complex at the bucketed ones and the cofactors:
+    # real tables, and chunks of either dtype in one call
+    SimpleNamespace(local_factor=lambda p, a: complex(p % 5 + a, 0 if p < sieve.SMALL_PRIME_BOUND else a)),
 ]
 # the two smallest bucketed primes
 SPLIT_PRIMES = [n for n in range(sieve.SMALL_PRIME_BOUND, 2 * sieve.SMALL_PRIME_BOUND)
@@ -415,6 +436,40 @@ class TestInputChecks:
             with pytest.raises(WindowTooLarge):
                 list(factor_range(x, x + 1))
 
+    @pytest.mark.parametrize("spec", ["omega:1e300", "divisor:1e200"])
+    def test_values_past_the_double_range_are_typed(self, spec):
+        # omega:1e300 overflows in the products, divisor:1e200 in f(p^2) itself
+        with pytest.raises(ParameterOutOfRange):
+            exact_sum(family_from_spec(spec), Window(10**6, 1000))
+
     def test_factor_range_rejects_negative_start(self):
         with pytest.raises(InvalidWindow):
             list(factor_range(-1, 5))
+
+
+class TestExactAccumulation:
+    """Doubles add integers exactly only below 2^53: an integer-valued f
+    whose sum of |f(n)| reaches it is refused, not rounded."""
+
+    @staticmethod
+    def family(f3: int, f4: int):
+        # f(3) = f3 and f(4) = f(2^2) = f4; the window (2, 4] holds just 3 and 4
+        vals = {(3, 1): f3, (2, 2): f4}
+        return SimpleNamespace(local_factor=lambda p, a: complex(vals.get((p, a), 1)))
+
+    @pytest.mark.parametrize("chunk", [1, sieve.CHUNK])
+    @pytest.mark.parametrize("f3, f4", [(2**52, 2**52 - 1), (-(2**52), 2**52 - 1)])
+    def test_just_below_two_to_the_53_is_exact(self, chunk, f3, f4):
+        with mock.patch.object(sieve, "CHUNK", chunk):  # one chunk per integer, or one for both
+            assert exact_sum(self.family(f3, f4), Window(2, 2)) == complex(f3 + f4)
+
+    @pytest.mark.parametrize("chunk", [1, sieve.CHUNK])
+    @pytest.mark.parametrize("f3, f4", [(2**52, 2**52), (-(2**52), 2**52), (1, 2**53)])
+    def test_two_to_the_53_is_refused(self, chunk, f3, f4):
+        with mock.patch.object(sieve, "CHUNK", chunk):
+            with pytest.raises(WindowTooLarge, match="2\\^53"):
+                exact_sum(self.family(f3, f4), Window(2, 2))
+
+    def test_non_integer_values_are_not_bounded(self):
+        # f(3) = 0.5 is no integer, so the sum is a rounded one anyway
+        assert exact_sum(self.family(0.5, 2**53), Window(2, 2)) == 2.0**53

@@ -2,6 +2,7 @@ import cmath
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -408,6 +409,27 @@ class TestStieltjes:
         # below that the deviation must sit at the float noise of the constants
         for h in (1e-1, 1e-2, 1e-3):
             assert self._laurent_deviation(h) <= max(2e-15, 4e-14 * (h / 0.1) ** 7)
+
+
+def bernoulli_even(count: int) -> list[float]:
+    """B_2, B_4, ..., B_{2*count} by the exact recurrence."""
+    n = 2 * count
+    b = [Fraction(0)] * (n + 1)
+    b[0] = Fraction(1)
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        c = 1  # C(m+1, j)
+        for j in range(m):
+            acc += c * b[j]
+            c = c * (m + 1 - j) // (j + 1)
+        b[m] = -acc / (m + 1)
+    return [float(b[2 * j]) for j in range(1, count + 1)]
+
+
+def test_shipped_bernoulli_numbers_match_the_recurrence():
+    want = bernoulli_even(special._EM_TERMS_MAX)
+    assert len(special._BERN_2J) == len(want)
+    assert all(a.hex() == b.hex() for a, b in zip(special._BERN_2J, want))
 
 
 def test_background_series_do_not_import_scipy():
