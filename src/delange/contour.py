@@ -71,10 +71,16 @@ class ZeroSet:
 
 
 def zeroset_from_pairs(pairs: Sequence[tuple[float, float]], T: float, source: str = "synthetic") -> ZeroSet:
-    """Build a validated ZeroSet from (beta, gamma) pairs, sorting and truncating."""
+    """Build a validated ZeroSet from (beta, gamma) pairs, sorting and truncating.
+
+    A non-finite beta or gamma raises ParameterOutOfRange."""
     if len(pairs) == 0:
         return ZeroSet(np.zeros(0), np.zeros(0), source, float(T))
     arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        beta, gamma = arr[~finite][0].tolist()
+        raise ParameterOutOfRange(f"zero beta={beta}, gamma={gamma} must be finite")
     beta, gamma = arr[:, 0], arr[:, 1]
     bad = (beta < 0.5) | (beta >= 1.0)
     if bad.any():
@@ -91,6 +97,7 @@ def load_zeros(path, T: float) -> ZeroSet:
 
     One number per line: ordinates of critical-line zeros (beta = 1/2).
     Two numbers per line: explicit "beta gamma" pairs (synthetic set).
+    A line that is not numbers, or holds nan or inf, raises ZeroTableParseError.
     """
     pairs: list[tuple[float, float]] = []
     ncols: Optional[int] = None
@@ -110,6 +117,8 @@ def load_zeros(path, T: float) -> ZeroSet:
                 nums = [float(p) for p in parts]
             except ValueError:
                 raise ZeroTableParseError(lineno, f"not a number: {line!r}") from None
+            if not (math.isfinite(nums[0]) and math.isfinite(nums[-1])):  # one or two columns
+                raise ZeroTableParseError(lineno, f"not a finite number: {line!r}")
             if ncols == 1:
                 pairs.append((0.5, nums[0]))
             else:

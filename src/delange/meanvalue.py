@@ -166,6 +166,22 @@ def theta(kappa: float, delta: float, regime: ThetaRegime = ThetaRegime()) -> Th
     return ThetaResult(val, "case2")
 
 
+def short_windows(x_grid: list[int], theta_exponent: float) -> list[Window]:
+    """The windows (x, x + ceil(x^theta_exponent)] over a grid of heights x.
+
+    theta_exponent must lie in (0, 1], and each x is checked to be finite and
+    within 64 bits before x^theta_exponent is formed.
+    """
+    if not (0.0 < theta_exponent <= 1.0):
+        raise ValueError("theta_exponent must lie in (0, 1]")
+    windows = []
+    for x in x_grid:
+        Window(x, 1)
+        x = int(x)
+        windows.append(Window(x, int(math.ceil(x**theta_exponent))))
+    return windows
+
+
 def run_experiment(
     family,
     x_grid: list[int],
@@ -178,15 +194,10 @@ def run_experiment(
     """Exact-vs-predicted records over an x grid with y = ceil(x^theta_exponent)."""
     from .series import g_lambda_coeffs
 
-    if not (0.0 < theta_exponent <= 1.0):
-        raise ValueError("theta_exponent must lie in (0, 1]")
+    windows = short_windows(x_grid, theta_exponent)
     coeffs = g_lambda_coeffs(family, order if order is not None else max(N + 1, 8))
     records = []
-    for x in x_grid:
-        Window(x, 1)  # a finite x within 64 bits, checked before x^theta
-        x = int(x)
-        y = int(math.ceil(x**theta_exponent))
-        win = Window(x, y)
+    for win in windows:
         exact = exact_sum(family, win, workers=workers)
         pred = predict(coeffs, win, N)
         rb = remainder_bound(coeffs, win, N, rp)
@@ -194,8 +205,8 @@ def run_experiment(
         records.append(
             ExperimentRecord(
                 family=family.name,
-                x=x,
-                y=y,
+                x=win.x,
+                y=win.y,
                 N=N,
                 exact=exact,
                 predicted=pred,

@@ -15,6 +15,7 @@ integrated by composite Gauss panels (the branch phase on the circle is not
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,6 +27,7 @@ from .contour import ZeroSet
 from .errors import (
     NoClosedForm,
     OutOfValidatedRange,
+    ParameterOutOfRange,
     QuadratureNotConverged,
     require_finite,
 )
@@ -63,6 +65,10 @@ def _kernel(s: np.ndarray, x: float, y: float) -> np.ndarray:
 
 
 def _converged(fine: complex, coarse: complex, spec: QuadratureSpec) -> complex:
+    if not (cmath.isfinite(fine) and cmath.isfinite(coarse)):
+        raise ParameterOutOfRange(
+            f"the quadrature is not finite ({fine} at full density, {coarse} at half)"
+        )
     if abs(fine - coarse) > spec.abs_tol:
         raise QuadratureNotConverged(
             f"halving nodes moved the integral by {abs(fine - coarse):.3g}"
@@ -124,6 +130,8 @@ def perron_line_sum(
     moves the result by more than abs_tol, and OutOfValidatedRange for a
     non-finite T, one above zeta's validated height TAU_MAX, or one the
     family's closed form cannot reach (checked at the top node up front).
+    b_offset must be finite and positive, which keeps the line right of the
+    pole at s = 1; otherwise ParameterOutOfRange.
     """
     if family.closed_form_F is None:
         raise NoClosedForm(f"family {family.name!r} has no closed-form Dirichlet series")
@@ -134,6 +142,8 @@ def perron_line_sum(
         raise OutOfValidatedRange(f"T={T} must be finite and at most {TAU_MAX:g}")
     if T < 10.0:
         raise ValueError("T must be at least 10")
+    if not (0.0 < b_offset < math.inf):
+        raise ParameterOutOfRange(f"b_offset={b_offset} must be finite and positive")
     b = 1.0 + b_offset / math.log(x)
     _check_line_reach(family, b, T)
 
@@ -215,9 +225,12 @@ def _hankel_value(
 
     u_weight(s) must be analytic near the cut and real on it (both kernels
     used here are); the branch phases of (s-1)^(l-kappa) on the two legs then
-    combine to -sin(pi(l-kappa))/pi times a real integral.
+    combine to -sin(pi(l-kappa))/pi times a real integral.  The circle must
+    stay right of the legs' end, 0 < r < 1/2 - eta, or ParameterOutOfRange.
     """
     a = 0.5 + eta
+    if not (0.0 < r < 1.0 - a):
+        raise ParameterOutOfRange(f"loop radius r={r:g} must lie in (0, 1/2 - eta = {1 - a:g})")
     nu = l - kappa
 
     def leg_integrand(sigma: np.ndarray) -> np.ndarray:
@@ -246,8 +259,8 @@ def hankel_main_term(
     """(1/2 pi i) int_loop (s-1)^(l-kappa) u^(s-1) ds, loop radius r = 1/log u.
 
     Approaches (log u)^(kappa-1-l)/Gamma(kappa-l) as u grows; the truncation
-    of the legs at 1/2 + eta costs O(u^(eta-1/2)).  A non-finite u, kappa or r
-    raises ParameterOutOfRange.
+    of the legs at 1/2 + eta costs O(u^(eta-1/2)).  A non-finite u, kappa or r,
+    and an r outside (0, 1/2 - eta), raise ParameterOutOfRange.
     """
     require_finite(u=u, kappa=kappa)
     if u < 100.0:
@@ -286,12 +299,13 @@ def ml_integral_check(
     eta: float = HANKEL_LEG_LEFT_ETA,
 ) -> LoopCheckReport:
     """Loop integral of (s-1)^(l-kappa) ((x+y)^s - x^s)/s against its main term
-    y (log x)^(kappa-1-l)/Gamma(kappa-l).  A non-finite kappa raises
-    ParameterOutOfRange."""
+    y (log x)^(kappa-1-l)/Gamma(kappa-l), on the loop of radius 1/log x.  A
+    non-finite kappa, and a radius outside (0, 1/2 - eta) (x < 10 at the
+    default eta), raise ParameterOutOfRange."""
     require_finite(kappa=kappa)
     x, y = float(win.x), float(win.y)
     lx = math.log(x)
-    r = 1.0 / lx
+    r = 1.0 / lx if lx > 0 else math.inf  # x = 1: no loop, which _hankel_value refuses
 
     def weight(s: np.ndarray) -> np.ndarray:
         return _kernel(np.asarray(s, dtype=np.complex128), x, y)

@@ -1,9 +1,10 @@
 import json
 import math
+import shutil
 
 import pytest
 
-from delange.cli import main, parse_csv
+from delange.cli import OPTIONS, _build_parser, _resolve, main, parse_csv
 from delange.families import family_from_spec, g_series_by_euler_product
 
 
@@ -233,6 +234,28 @@ class TestPredictCmd:
         assert "must be finite" in err
 
 
+    @pytest.mark.parametrize(
+        "x, texp, message",
+        [("1000000", "inf", "(0, 1]"), ("1000000", "-1", "(0, 1]"), ("1000000", "nan", "(0, 1]"),
+         ("1e400", "0.5", "64-bit")],
+    )
+    def test_theta_exp_outside_its_range_exits_1(self, capsys, x, texp, message):
+        # inf and x = 1e400 ended in an OverflowError traceback, -1 used y = 1 with exit 0
+        code, out, err = run(capsys, "predict", "--family", "one", "--x", x, "--theta-exp", texp)
+        assert code == 1
+        assert out == ""
+        assert message in err and len(err.strip().splitlines()) == 1
+
+    def test_theta_exp_gives_the_experiment_window(self, capsys, tmp_path):
+        p = tmp_path / "p.json"
+        code, _, _ = run(capsys, "predict", "--family", "one", "--x", "1e6", "--theta-exp", "0.5",
+                         "--out", str(p))
+        assert code == 0
+        doc = json.loads(p.read_text())
+        assert (doc["x"], doc["y"]) == (10**6, 1000)
+        assert doc["config"]["y"] is None and doc["config"]["theta_exp"] == 0.5
+
+
 class TestExperimentCmd:
     @pytest.mark.parametrize(
         "grid, message", [("inf", "must be finite"), ("1e4,nan", "must be finite"),
@@ -375,6 +398,69 @@ class TestConfigFile:
         capsys.readouterr()
 
 
+# One working command per subcommand ({o}: output directory, {z}: zero table),
+# and a value off the default for each option that command leaves out.
+CLI_CASES = {
+    "coeffs": ({"--family": "sqfree", "--J": "8", "--out": "{o}/c.json"}, {}),
+    "sum": ({"--family": "divisor:2", "--x": "1e4", "--y": "100", "--out": "{o}/s.json"},
+            {"--workers": "2"}),
+    "predict": (
+        {"--family": "divisor:2", "--x": "1e7", "--theta-exp": "0.6", "--out": "{o}/p.json"},
+        {"--y": "1e5", "--N": "1", "--J": "10", "--a1": "2", "--a2": "0.25", "--M": "0.5"},
+    ),
+    "theta": ({"--kappa": "1", "--delta": "0", "--out": "{o}/t.json"},
+              {"--regime": "zero_density_hypothesis", "--eta1": "0.3", "--eps": "0.02"}),
+    "experiment": (
+        {"--family": "one", "--x-grid": "1e4,1e5", "--out": "{o}/e.csv"},
+        {"--theta-exp": "0.7", "--N": "1", "--J": "10", "--a1": "2", "--a2": "0.25",
+         "--M": "0.5", "--workers": "2"},
+    ),
+    "contour": (
+        {"--zeros": "{z}", "--T": "32768", "--cstar": "0.1", "--out": "{o}/k.json"},
+        {"--alpha": "0.65", "--eta": "0.05", "--corner-eps": "0.001", "--logx": "12",
+         "--emit-csv": "{o}/k.csv"},
+    ),
+    "perron-check": (
+        {"--family": "one", "--x": "100", "--y": "10", "--T": "50", "--out": "{o}/pc.json"},
+        {"--nodes-per-unit": "40", "--scheme": "trapezoid", "--abs-tol": "5e-4",
+         "--b-offset": "1.5", "--zeros": "{z}"},
+    ),
+    "hankel-check": (
+        {"--u": "1e6", "--kappa": "0.5", "--out": "{o}/h.json"},
+        {"--l": "1", "--r": "0.1", "--x": "10000", "--y": "1000", "--nodes-per-unit": "40",
+         "--abs-tol": "5e-4"},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "sub, flag", [(sub, row[0]) for sub, rows in OPTIONS.items() for row in rows]
+)
+def test_config_value_matches_the_flag(capsys, tmp_path, zero_table_path, sub, flag):
+    # every option of the table: the same value through --config resolves to
+    # what the flag gives and writes byte-identical output
+    base, samples = CLI_CASES[sub]
+    out_dir = tmp_path / "o"
+    given = {f: v.format(o=out_dir, z=zero_table_path) for f, v in {**base, **samples}.items()}
+    value = given[flag]
+    key = flag[2:].replace("-", "_")
+    argv = [sub] + [a for f in base if f != flag for a in (f, given[f])]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    runs = []
+    for extra in ([flag, value], ["--config", str(cfg)]):
+        resolved = _resolve(_build_parser().parse_args(argv + extra))
+        out_dir.mkdir()
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        runs.append((resolved, out, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}))
+        shutil.rmtree(out_dir)
+    assert runs[0] == runs[1]
+    default = {f: d for f, _, d in OPTIONS[sub]}[flag]
+    assert runs[0][0][key] not in (default, None)
+    assert runs[0][2]  # an output file was written
+
+
 class TestContourCmd:
     def test_json_and_csv_outputs(self, capsys, tmp_path):
         zeros = tmp_path / "zeros.txt"
@@ -427,6 +513,24 @@ class TestContourCmd:
         assert out == ""
         assert message in err
         assert not out_json.exists()
+
+    @pytest.mark.parametrize(
+        "argv, text, lineno",
+        [(("contour", "--T", "65536", "--out", "c.json"), "nan 5000\n0.8 nan\n0.9 inf\n", 1),
+         (("contour", "--T", "65536", "--out", "c.json"), "0.7 9000\n0.9 inf\n", 2),
+         (("perron-check", "--family", "one", "--x", "10000", "--y", "1000", "--T", "100"),
+          "14.134725\nnan\n", 2)],
+    )
+    def test_non_finite_zero_table_entry_exits_1(self, capsys, tmp_path, argv, text, lineno):
+        # these rows were dropped silently: contour reported PASS, perron-check ran on
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text(text)
+        argv = [str(tmp_path / a) if a == "c.json" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--zeros", str(zeros))
+        assert code == 1
+        assert out == ""
+        assert f"line {lineno}: not a finite number" in err
+        assert not (tmp_path / "c.json").exists()
 
     def test_degenerate_exit(self, capsys, tmp_path):
         zeros = tmp_path / "zeros.txt"
@@ -504,6 +608,29 @@ class TestQuadratureCmds:
         assert out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("hankel-check", "--u", "1e6", "--kappa", "0.5", "--r", "-0.1"), "loop radius"),
+         (("hankel-check", "--u", "1e6", "--kappa", "0.5", "--r", "0"), "loop radius"),
+         (("hankel-check", "--u", "1e6", "--kappa", "0.5", "--r", "0.9"), "loop radius"),
+         (("hankel-check", "--kappa", "0.5", "--x", "1", "--y", "1"), "loop radius"),
+         (("hankel-check", "--kappa", "0.5", "--x", "3", "--y", "2"), "loop radius"),
+         (("perron-check", "--family", "one", "--x", "10000", "--y", "1000", "--b-offset", "-2"),
+          "b_offset"),
+         (("perron-check", "--family", "one", "--x", "10000", "--y", "1000", "--b-offset", "0"),
+          "b_offset"),
+         (("perron-check", "--family", "one", "--x", "10000", "--y", "1000", "--b-offset", "inf"),
+          "b_offset")],
+    )
+    def test_malformed_quadrature_exits_1(self, capsys, tmp_path, argv, message):
+        # each of these printed nan, a wrong number or a ZeroDivisionError traceback
+        out_path = tmp_path / "q.json"
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
     def test_hankel_check_has_no_scheme_option(self, capsys, tmp_path):
         # the Hankel loop always uses composite Gauss panels
         with pytest.raises(SystemExit) as exc:
@@ -512,6 +639,18 @@ class TestQuadratureCmds:
         out = tmp_path / "h.json"
         assert main(["hankel-check", "--u", "1e6", "--kappa", "0.5", "--out", str(out)]) == 0
         assert "scheme" not in json.loads(out.read_text())["config"]
+
+    def test_hankel_check_window_mode_records_every_option(self, capsys, tmp_path):
+        out = tmp_path / "h.json"
+        code, _, _ = run(
+            capsys, "hankel-check", "--kappa", "1", "--x", "10000", "--y", "1000",
+            "--out", str(out),
+        )
+        assert code == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["r"] is None  # the loop radius is unused in window mode, and recorded
+        assert set(config) == {"subcommand", "out", "u", "kappa", "l", "r", "x", "y",
+                               "nodes_per_unit", "abs_tol"}
 
     def test_hankel_check_window_mode(self, capsys):
         code, out, _ = run(

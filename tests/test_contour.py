@@ -72,6 +72,26 @@ class TestLoadZeros:
         with pytest.raises(ZeroTableParseError):
             load_zeros(p, 100.0)
 
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [("nan 5000\n", 1), ("0.7 9000\n0.8 nan\n", 2), ("0.9 inf\n", 1),
+         ("14.13\nnan\n", 2), ("-inf\n", 1)],
+    )
+    def test_non_finite_entry_names_its_line(self, tmp_path, text, lineno):
+        # these rows were dropped silently, and contour still reported PASS
+        p = tmp_path / "z.txt"
+        p.write_text(text)
+        with pytest.raises(ZeroTableParseError, match="not a finite number") as exc:
+            load_zeros(p, 65536.0)
+        assert exc.value.lineno == lineno
+
+    @pytest.mark.parametrize(
+        "pair", [(math.nan, 5000.0), (0.8, math.nan), (0.9, math.inf), (math.inf, 100.0)]
+    )
+    def test_pairs_must_be_finite(self, pair):
+        with pytest.raises(ParameterOutOfRange, match="must be finite"):
+            zeroset_from_pairs([(0.7, 9000.0), pair], 65536.0)
+
     def test_beta_out_of_range(self, tmp_path):
         p = tmp_path / "z.txt"
         p.write_text("1.2 50.0\n")

@@ -16,6 +16,7 @@ from delange.meanvalue import (
     remainder_bound,
     remainder_value,
     run_experiment,
+    short_windows,
     theta,
     theta_prior_bound,
 )
@@ -115,6 +116,21 @@ class TestRunExperiment:
         # x^theta of this x overflows a double, so x is checked first
         with pytest.raises(InvalidWindow, match="64-bit"):
             run_experiment(fam_one, [10**400], 0.8, 0)
+
+
+class TestShortWindows:
+    def test_y_is_the_ceiling_of_x_to_theta(self):
+        got = short_windows([10**6, 10**4 + 1], 0.5)
+        assert got == [Window(10**6, 1000), Window(10**4 + 1, 101)]
+
+    @pytest.mark.parametrize("texp", [0.0, -1.0, 1.5, math.inf, math.nan])
+    def test_exponent_outside_zero_one_is_refused_even_for_an_empty_grid(self, texp):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            short_windows([], texp)
+
+    def test_height_is_checked_before_the_power(self):
+        with pytest.raises(InvalidWindow, match="64-bit"):
+            short_windows([10**400], 0.5)
 
 
 class TestTheta:

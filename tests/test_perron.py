@@ -14,6 +14,7 @@ from delange.perron import (
     DEFAULT_B_OFFSET,
     QuadratureSpec,
     _check_line_reach,
+    _converged,
     hankel_closed_form,
     hankel_main_term,
     line_node_count,
@@ -82,6 +83,12 @@ class TestPerronLine:
         for fam in (fam_one, fam_div2):
             _check_line_reach(fam, b, 6.0e4)
 
+    @pytest.mark.parametrize("b_offset", [-2.0, 0.0, math.inf, math.nan])
+    def test_line_at_or_left_of_the_pole_is_refused(self, fam_one, b_offset):
+        # offset -2 gave rel_dev ~1 and offset 0 gave 0.5, both with exit 0
+        with pytest.raises(ParameterOutOfRange, match="b_offset"):
+            perron_line_sum(fam_one, Window(10**4, 10**3), 100.0, b_offset=b_offset)
+
     def test_node_count(self):
         spec = QuadratureSpec(nodes_per_unit=60)
         assert line_node_count(100.0, spec) == 6000
@@ -146,6 +153,24 @@ class TestHankelLoop:
         with pytest.raises(ParameterOutOfRange):
             hankel_main_term(u, kappa, 0)
 
+    @pytest.mark.parametrize("r", [-0.1, 0.0, 0.45, 0.9])
+    def test_loop_radius_outside_its_range_is_refused(self, r):
+        # r = -0.1 returned nan; r = 0.9 ran the legs backwards (1 - r < 1/2 + eta)
+        with pytest.raises(ParameterOutOfRange, match="loop radius"):
+            hankel_main_term(1e6, 0.5, 0, r=r)
+
+    def test_largest_admissible_radius_is_accepted(self):
+        v = hankel_main_term(1e6, 0.5, 0, r=0.44)
+        assert abs(v - hankel_closed_form(1e6, 0.5, 0)) <= 1e-3
+
+    def test_non_finite_quadrature_is_refused(self):
+        spec = QuadratureSpec()
+        with pytest.raises(ParameterOutOfRange, match="not finite"):
+            _converged(complex(math.nan, 0.0), 1.0 + 0j, spec)
+        with pytest.raises(ParameterOutOfRange, match="not finite"):
+            _converged(1.0 + 0j, complex(0.0, math.inf), spec)
+        assert _converged(1.0 + 0j, 1.0 + 0j, spec) == 1.0
+
 
 class TestMlLoop:
     def test_residue_case_equals_y(self):
@@ -176,3 +201,12 @@ class TestMlLoop:
     def test_non_finite_kappa(self, kappa):
         with pytest.raises(ParameterOutOfRange):
             ml_integral_check(kappa, 0, Window(10**4, 10**3))
+
+    @pytest.mark.parametrize("x, y", [(1, 1), (3, 2), (9, 2)])
+    def test_window_whose_loop_radius_is_too_large(self, x, y):
+        # 1/log x >= 1/2 - eta: x = 1 divided by zero, x = 3 returned rel_dev 0.34
+        with pytest.raises(ParameterOutOfRange, match="loop radius"):
+            ml_integral_check(0.5, 0, Window(x, y))
+
+    def test_smallest_admissible_window(self):
+        assert ml_integral_check(1.0, 0, Window(10, 2)).rel_dev <= 1e-10
