@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Generate the bundled table of the first 10^4 critical-line zero ordinates.
 
-A vectorized first-order Riemann-Siegel scan locates sign changes of Z(t);
-every bracket is then refined with Brent's method on mpmath.fp.siegelz
-(accurate at all desk heights, unlike the first-order formula near t = 14).
-Completeness is checked block-wise against the smooth counting formula and
-the result is spot-checked against mpmath.zetazero.  Output: one ordinate
-per line, six decimals.
+Hardy's Z(t) = Re(e^(i theta(t)) zeta(1/2 + it)) is evaluated with the
+package's own zeta_batch (Euler-Maclaurin below t = 500, Riemann-Siegel
+above).  Each 50-unit block is scanned once for sign changes and rescanned
+finer if it holds fewer than the smooth counting formula predicts; all
+brackets are then refined together by the Illinois method.  The result is
+checked against the counting formula and spot-checked against
+mpmath.zetazero.  Output: one ordinate per line, six decimals.
 
-Usage: python scripts/make_zero_table.py [--count 10000] [--out PATH]
+Usage: PYTHONPATH=src python scripts/make_zero_table.py [--out PATH]
 """
 
 from __future__ import annotations
@@ -18,124 +19,89 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
 
-TWO_PI = 2.0 * math.pi
-Z = mpmath.fp.siegelz
+from delange.special import _stirling_tail, zeta_batch
 
-
-def rs_theta(t):
-    t = np.asarray(t, dtype=np.float64)
-    return (
-        0.5 * t * np.log(t / TWO_PI)
-        - 0.5 * t
-        - math.pi / 8.0
-        + 1.0 / (48.0 * t)
-        + 7.0 / (5760.0 * t**3)
-    )
+COUNT = 10_000
+T_LO, T_HI = 14.0, 9950.0  # the 10^4-th zero sits near 9877.78
+BLOCK = 50.0
+STEP = 0.02  # about half the smallest gap below T_HI: 0.0377, from #6709 to #6710
+TOL = 1e-11  # #4850 lies 1.8e-11 from a rounding boundary of the sixth decimal
 
 
-def _z_coarse(t: np.ndarray, nu: int) -> np.ndarray:
-    """First-order Riemann-Siegel Z for floor(sqrt(t/2pi)) = nu (locator only)."""
-    th = rs_theta(t)
-    total = np.zeros_like(t)
-    for n in range(1, nu + 1):
-        total += np.cos(th - t * math.log(n)) / math.sqrt(n)
-    total *= 2.0
-    p = np.sqrt(t / TWO_PI) - nu
-    c0 = np.cos(TWO_PI * (p * p - p - 1.0 / 16.0)) / np.cos(TWO_PI * p)
-    total += (-1.0) ** (nu - 1) * (t / TWO_PI) ** (-0.25) * c0
-    return total
+def theta(t: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel theta: theta0 plus the Stirling tail of log Gamma(1/4 + it/2)."""
+    theta0 = 0.5 * t * (np.log(t / (2.0 * math.pi)) - 1.0) - math.pi / 8.0
+    return theta0 + _stirling_tail(0.25, t).imag
+
+
+def hardy_z(t: np.ndarray) -> np.ndarray:
+    """Z(t); an error d in theta scales it by cos d and leaves its zeros in place."""
+    return (np.exp(1j * theta(t)) * zeta_batch(0.5 + 1j * t)).real
 
 
 def smooth_count(t: float) -> float:
     """Main term of the zero-counting function N(t)."""
-    return float(rs_theta(np.array([t]))[0]) / math.pi + 1.0
+    return float(theta(np.array([t]))[0]) / math.pi + 1.0
 
 
-def _brackets(t_lo: float, t_hi: float, step: float) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    if t_lo < 60.0:
-        # first-order RS is unreliable this low; scan with siegelz directly
-        hi = min(t_hi, 60.0)
-        grid = np.arange(t_lo, hi + step, step)
-        vals = np.array([Z(float(t)) for t in grid])
-        for i in np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]:
-            out.append((float(grid[i]), float(grid[i + 1])))
-        t_lo = hi
-    nu_lo = int(math.isqrt(int(t_lo / TWO_PI)))
-    nu_hi = int(math.isqrt(int(t_hi / TWO_PI))) + 1
-    for nu in range(max(1, nu_lo), nu_hi + 1):
-        a = max(t_lo, TWO_PI * nu * nu)
-        b = min(t_hi, TWO_PI * (nu + 1) * (nu + 1))
-        if a >= b:
-            continue
-        n = int(math.ceil((b - a) / step)) + 1
-        grid = np.linspace(a, b, n)
-        vals = _z_coarse(grid, nu)
-        for i in np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]:
-            out.append((float(grid[i]), float(grid[i + 1])))
-    return out
+def block_brackets(lo: float, hi: float, step: float):
+    """Sign changes of Z on a grid of [lo, hi]: left ends, right ends, Z at both."""
+    t = np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
+    z = hardy_z(t)
+    i = np.flatnonzero(np.signbit(z[:-1]) != np.signbit(z[1:]))
+    return t[i], t[i + 1], z[i], z[i + 1]
 
 
-def _refine(a: float, b: float, step: float) -> float | None:
-    """Brent root of siegelz on the bracket, widening if the coarse locator
-    and the accurate Z disagree about the sign change."""
-    fa, fb = Z(a), Z(b)
-    tries = 0
-    while fa * fb > 0 and tries < 4:
-        a -= step
-        b += step
-        fa, fb = Z(a), Z(b)
-        tries += 1
-    if fa * fb > 0:
-        return None
-    return float(brentq(Z, a, b, xtol=1e-9))
+def illinois(a, b, fa, fb) -> np.ndarray:
+    """Roots of Z in the brackets [a, b], all refined at once to width TOL."""
+    live = np.arange(a.size)
+    for _ in range(100):
+        if not live.size:
+            return b
+        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
+        c = bl - fbl * (bl - al) / (fbl - fal)
+        fc = hardy_z(c)
+        flip = np.signbit(fc) != np.signbit(fbl)
+        a[live] = np.where(flip, bl, al)
+        fa[live] = np.where(flip, fbl, 0.5 * fal)
+        b[live], fb[live] = c, fc
+        live = live[(np.abs(c - a[live]) > TOL) & (fc != 0.0)]
+    raise SystemExit(f"Illinois iteration did not converge on {live.size} brackets")
 
 
-def scan_zeros(t_lo: float, t_hi: float, step: float) -> list[float]:
-    roots = []
-    for a, b in _brackets(t_lo, t_hi, step):
-        r = _refine(a, b, step)
-        if r is not None and t_lo <= r <= t_hi:
-            roots.append(r)
-    return sorted(set(round(r, 9) for r in roots))
+def scan(t_lo: float, t_hi: float) -> np.ndarray:
+    """Zeros in the BLOCK-unit blocks from t_lo up to t_hi, in ascending order.
+
+    A block with fewer sign changes than the smooth count predicts is
+    rescanned on a grid eight times finer.
+    """
+    parts = []
+    for lo in np.arange(t_lo, t_hi, BLOCK):
+        hi = min(lo + BLOCK, t_hi)
+        br = block_brackets(lo, hi, STEP)
+        if lo > T_LO and br[0].size < round(smooth_count(hi) - smooth_count(lo)):
+            br = block_brackets(lo, hi, STEP / 8.0)
+        parts.append(br)
+    return np.sort(illinois(*(np.concatenate(col) for col in zip(*parts))))
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--count", type=int, default=10_000)
     ap.add_argument("--out", default="src/delange/data/zeta_zeros_10k.txt")
-    ap.add_argument("--step", type=float, default=0.004)
     args = ap.parse_args()
 
-    if args.count > 10_000:
-        raise SystemExit("--count beyond 10000 needs a taller scan window")
-    t_hi = 9950.0  # the 10^4-th zero sits near 9877.78
-    zeros = scan_zeros(14.0, t_hi, args.step)
+    zeros = scan(T_LO, T_HI)
 
-    # block-wise completeness against the smooth count; rescan finer on deficit
-    final: list[float] = []
-    edges = np.arange(14.0, t_hi + 50.0, 50.0)
-    for a, b in zip(edges[:-1], edges[1:]):
-        hi = min(b, t_hi)
-        blk = [z for z in zeros if a <= z < hi]
-        if a > 14.0:
-            expected = round(smooth_count(hi) - smooth_count(a))
-            if len(blk) < expected:
-                blk = [z for z in scan_zeros(a, hi, args.step / 8.0) if a <= z < hi]
-        final.extend(blk)
-    zeros = sorted(set(final))
-
-    if len(zeros) < args.count:
-        raise SystemExit(f"found only {len(zeros)} zeros below {t_hi}")
-    zeros = zeros[: args.count]
+    if zeros.size < COUNT:
+        raise SystemExit(f"found only {zeros.size} zeros below {T_HI}")
+    zeros = zeros[:COUNT]
 
     n_formula = smooth_count(zeros[-1] + 1e-3)
-    if abs(n_formula - args.count) > 1.5:
-        raise SystemExit(f"count check failed: formula gives {n_formula:.2f} at #{args.count}")
+    if abs(n_formula - COUNT) > 1.5:
+        raise SystemExit(f"count check failed: formula gives {n_formula:.2f} at #{COUNT}")
 
-    for idx in (1, 2, 3, 100, 1000, args.count):
+    for idx in (1, 2, 3, 100, 1000, COUNT):
         ref = float(mpmath.im(mpmath.zetazero(idx)))
         got = zeros[idx - 1]
         if abs(ref - got) > 5e-6:
@@ -145,7 +111,7 @@ def main() -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         for z in zeros:
             fh.write(f"{z:.6f}\n")
-    print(f"wrote {len(zeros)} ordinates to {args.out} (top {zeros[-1]:.3f})")
+    print(f"wrote {zeros.size} ordinates to {args.out} (top {zeros[-1]:.3f})")
     return 0
 
 

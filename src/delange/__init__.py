@@ -60,7 +60,6 @@ from .series import (
 )
 from .sieve import FactoredWindow, Window, exact_sum, factor_window, primes_up_to
 from .special import (
-    EvalPrecision,
     principal_pow,
     recip_gamma,
     stieltjes,
@@ -75,7 +74,6 @@ __all__ = [
     "ContourPath",
     "DelangeError",
     "DyadicBlock",
-    "EvalPrecision",
     "ExpansionCoefficients",
     "ExperimentRecord",
     "FactoredWindow",

@@ -56,7 +56,8 @@ _FAMILY = ("--family", dict(help="family spec, e.g. divisor:2, sqfree, omega:3, 
 _REMAINDER = (("--a1", _FLOAT, 1.0), ("--a2", _FLOAT, 0.5), ("--M", _FLOAT, 1.0))
 
 # (flag, argparse keywords, default or REQUIRED), in the parser's order.  A
-# default of None for --J in predict and experiment stands for max(8, N + 1).
+# default of None for --J in predict and experiment stands for
+# meanvalue.default_order(N).
 OPTIONS = {
     "coeffs": (_OUT, _FAMILY, ("--J", _INT, 24)),
     "sum": (_OUT, _FAMILY, ("--x", _BOUND, REQUIRED), ("--y", _BOUND, REQUIRED),
@@ -251,7 +252,7 @@ def _cmd_predict(cfg: dict) -> int:
         raise UsageError("one of --y or --theta-exp is required")
     n_order = cfg["N"]
     if cfg["J"] is None:
-        cfg["J"] = max(8, n_order + 1)
+        cfg["J"] = mv.default_order(n_order)
     fam = family_from_spec(cfg["family"])
     co = g_lambda_coeffs(fam, cfg["J"])
     if cfg["y"] is None:
@@ -280,7 +281,7 @@ def _cmd_theta(cfg: dict) -> int:
 
 def _cmd_experiment(cfg: dict) -> int:
     if cfg["J"] is None:
-        cfg["J"] = max(8, cfg["N"] + 1)
+        cfg["J"] = mv.default_order(cfg["N"])
     rp = _remainder_params(cfg)
     fam = family_from_spec(cfg["family"])
     grid_raw = cfg["x_grid"]
@@ -418,10 +419,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DelangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (DelangeError, ValueError, OSError) as exc:
+        # an OSError's message names the file it could not open
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -452,7 +452,7 @@ def log_zeta_diagnostic(path: ContourPath, a5: float = 1.0, samples: int = 128) 
     Meaningful for table-sourced sets (the real zeta); heights are capped at
     the validated box.
     """
-    from .special import DEFAULT_PRECISION, zeta_batch
+    from .special import zeta_batch
 
     sigma, lo, hi = _vertical_segments(np.asarray(path.vertices))
     mid = 0.5 * (lo + hi)
@@ -460,7 +460,7 @@ def log_zeta_diagnostic(path: ContourPath, a5: float = 1.0, samples: int = 128) 
     if not pts.size:
         return {"max_abs_log_zeta": 0.0, "cap": math.inf, "ratio": 0.0, "samples": 0}
     pts = pts[: max(1, samples)]
-    vals = zeta_batch(pts, DEFAULT_PRECISION)
+    vals = zeta_batch(pts)
     logs = np.abs(np.log(vals))
     T = path.covered_top
     cap = a5 * math.log(T) / math.log(math.log(T))

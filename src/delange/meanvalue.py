@@ -182,6 +182,11 @@ def short_windows(x_grid: list[int], theta_exponent: float) -> list[Window]:
     return windows
 
 
+def default_order(N: int) -> int:
+    """Series order J for an order-N prediction when none is given."""
+    return max(8, N + 1)
+
+
 def run_experiment(
     family,
     x_grid: list[int],
@@ -195,7 +200,7 @@ def run_experiment(
     from .series import g_lambda_coeffs
 
     windows = short_windows(x_grid, theta_exponent)
-    coeffs = g_lambda_coeffs(family, order if order is not None else max(N + 1, 8))
+    coeffs = g_lambda_coeffs(family, order if order is not None else default_order(N))
     records = []
     for win in windows:
         exact = exact_sum(family, win, workers=workers)

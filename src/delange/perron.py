@@ -36,6 +36,10 @@ from .special import TAU_MAX, recip_gamma
 
 DEFAULT_B_OFFSET = 2.0
 HANKEL_LEG_LEFT_ETA = 0.05
+MAX_NODES_PER_UNIT = 1000
+# Nodes of a line at full density that perron_line_sum accepts: what the default
+# density of 60 a unit reaches at T = TAU_MAX (6e6 Gauss nodes, 6e6 + 1 trapezoid).
+MAX_LINE_NODES = 6_000_001
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes_per_unit < 4:
             raise ValueError("nodes_per_unit must be at least 4")
+        if self.nodes_per_unit > MAX_NODES_PER_UNIT:
+            raise ParameterOutOfRange(
+                f"nodes_per_unit={self.nodes_per_unit} exceeds {MAX_NODES_PER_UNIT}"
+            )
         if self.scheme not in ("trapezoid", "gauss_segment"):
             raise ValueError("scheme must be 'trapezoid' or 'gauss_segment'")
         if not (0.0 < self.abs_tol <= 1e-3):
@@ -98,22 +106,28 @@ def _half_line_nodes(T: float, spec: QuadratureSpec, level: int):
     in t (one row per Gauss offset, a single row for the trapezoid rule), the
     layout zeta_batch evaluates with its factored direct sum.
     """
-    npu = spec.nodes_per_unit // (2**level)
+    n = _panels(T, spec, level)
     if spec.scheme == "trapezoid":
-        n = max(32, int(math.ceil(T * npu)))
         t = np.linspace(0.0, T, n + 1)
         w = np.full(n + 1, T / n)
         w[0] *= 0.5
         w[-1] *= 0.5
         return t[None, :], w[None, :]
     glx, glw = leggauss(10)
-    panels = max(4, int(math.ceil(T * npu / 10.0)))
-    edges = np.linspace(0.0, T, panels + 1)
+    edges = np.linspace(0.0, T, n + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     t = mid[None, :] + half * glx[:, None]
-    w = np.repeat((glw * half)[:, None], panels, axis=1)
+    w = np.repeat((glw * half)[:, None], n, axis=1)
     return t, w
+
+
+def _panels(T: float, spec: QuadratureSpec, level: int) -> int:
+    """Trapezoid intervals, or 10-node Gauss panels, on [0, T] at a level."""
+    npu = spec.nodes_per_unit // (2**level)
+    if spec.scheme == "trapezoid":
+        return max(32, int(math.ceil(T * npu)))
+    return max(4, int(math.ceil(T * npu / 10.0)))
 
 
 def perron_line_sum(
@@ -131,7 +145,8 @@ def perron_line_sum(
     non-finite T, one above zeta's validated height TAU_MAX, or one the
     family's closed form cannot reach (checked at the top node up front).
     b_offset must be finite and positive, which keeps the line right of the
-    pole at s = 1; otherwise ParameterOutOfRange.
+    pole at s = 1, and the line may have at most MAX_LINE_NODES nodes at full
+    density; otherwise ParameterOutOfRange.
     """
     if family.closed_form_F is None:
         raise NoClosedForm(f"family {family.name!r} has no closed-form Dirichlet series")
@@ -144,6 +159,12 @@ def perron_line_sum(
         raise ValueError("T must be at least 10")
     if not (0.0 < b_offset < math.inf):
         raise ParameterOutOfRange(f"b_offset={b_offset} must be finite and positive")
+    nodes = line_node_count(T, spec)
+    if nodes > MAX_LINE_NODES:
+        raise ParameterOutOfRange(
+            f"the line up to T={T:g} at {spec.nodes_per_unit} nodes a unit needs {nodes}"
+            f" nodes, more than {MAX_LINE_NODES}"
+        )
     b = 1.0 + b_offset / math.log(x)
     _check_line_reach(family, b, T)
 
@@ -163,7 +184,8 @@ def perron_line_sum(
 
 def line_node_count(T: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> int:
     """Quadrature nodes the line integral uses at full density."""
-    return int(_half_line_nodes(T, spec, 0)[0].size)
+    n = _panels(T, spec, 0)
+    return n + 1 if spec.scheme == "trapezoid" else 10 * n
 
 
 def loop_node_count(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> int:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
 
@@ -65,43 +64,15 @@ _FACT_2J = [float(math.factorial(2 * j)) for j in range(1, _EM_TERMS_MAX + 1)]
 ZETA_ABS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EvalPrecision:
-    """Knobs for the Euler-Maclaurin route of zeta.
-
-    They act on the progression path and on the scattered points that the
-    Riemann-Siegel route does not take (|Im s| < RS_T_MIN, or Re s >=
-    RS_SIGMA_MAX); a Riemann-Siegel point ignores them.
-
-    tail_cutoff is a budget: the evaluator picks each point's direct-sum
-    length adaptively from its |Im(s)|, long enough for ZETA_ABS_TOL, and
-    refuses (OutOfValidatedRange) if any length exceeds the budget.  The
-    default budget covers the whole validated box; 1e4 does not (the
-    correction series diverges once the cutoff drops below ~|t|/2pi).
-    """
-
-    euler_maclaurin_terms: int = 22
-    tail_cutoff: int = 40_000
-    oversample: float = 1.0  # scales the adaptive cutoff; >1 gives an
-    # independent second route for cross-checking results
-
-    def __post_init__(self):
-        if self.euler_maclaurin_terms < 1 or self.euler_maclaurin_terms > _EM_TERMS_MAX:
-            raise ValueError(f"euler_maclaurin_terms must be in [1, {_EM_TERMS_MAX}]")
-        if self.tail_cutoff < 16:
-            raise ValueError("tail_cutoff too small to mean anything")
-        if not (1.0 <= self.oversample <= 8.0):
-            raise ValueError("oversample must lie in [1, 8]")
-
-
-DEFAULT_PRECISION = EvalPrecision()
+# Euler-Maclaurin correction terms after the direct sum of _direct_sum_cutoff
+_EM_CORRECTIONS = 22
 
 # To the right of this real part the Euler-Maclaurin direct terms decay fast
 # enough for a shorter cutoff; to its left, high points take Riemann-Siegel.
 RS_SIGMA_MAX = 1.15
 
 
-def _direct_sum_cutoff(sigma, t, prec: EvalPrecision) -> np.ndarray:
+def _direct_sum_cutoff(sigma, t) -> np.ndarray:
     """Direct-sum length K for each point sigma + i t (|t| given), as int64."""
     # 0.36|t| keeps the correction-term ratio ((|t|+2m)/(2 pi K))^2 below ~0.5,
     # so 20+ corrections push truncation under 1e-12 relative.  To the right of
@@ -110,17 +81,8 @@ def _direct_sum_cutoff(sigma, t, prec: EvalPrecision) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     k = np.maximum(32.0, np.ceil(0.36 * t) + 48.0)
-    if prec.euler_maclaurin_terms >= 18:
-        short = np.minimum(k, np.maximum(64.0, np.ceil(0.25 * t) + 64.0))
-        k = np.where(sigma >= RS_SIGMA_MAX, short, k)
-    k = np.ceil(k * prec.oversample).astype(np.int64)
-    over = k > prec.tail_cutoff
-    if np.any(over):
-        raise OutOfValidatedRange(
-            f"tail_cutoff={prec.tail_cutoff} cannot meet the target at |t|={np.min(t[over]):.3g}"
-            f" (needs {np.min(k[over])} direct terms)"
-        )
-    return k
+    short = np.minimum(k, np.maximum(64.0, np.ceil(0.25 * t) + 64.0))
+    return np.where(sigma >= RS_SIGMA_MAX, short, k).astype(np.int64)
 
 
 # Elements of the largest temporary a direct-sum chunk may allocate.
@@ -189,7 +151,7 @@ def _scattered_sum(s: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _euler_maclaurin_tail(s: np.ndarray, k, prec: EvalPrecision) -> np.ndarray:
+def _euler_maclaurin_tail(s: np.ndarray, k) -> np.ndarray:
     """zeta(s) - sum_{n<k} n^-s: the integral, the half term and the corrections."""
     # k^(1-s) and k^(-s-(2j-1)) are k^-s times real powers of k
     ln_k = np.log(k) if isinstance(k, np.ndarray) else math.log(k)
@@ -197,7 +159,7 @@ def _euler_maclaurin_tail(s: np.ndarray, k, prec: EvalPrecision) -> np.ndarray:
     corr = k / (s - 1.0) + 0.5
     rise = np.ones_like(s)
     k_pow = 1.0 / k
-    for j in range(1, prec.euler_maclaurin_terms + 1):
+    for j in range(1, _EM_CORRECTIONS + 1):
         rise = s if j == 1 else rise * (s + (2 * j - 3)) * (s + (2 * j - 2))
         corr += (_BERN_2J[j - 1] / _FACT_2J[j - 1] * k_pow) * rise
         k_pow /= k * k
@@ -348,7 +310,7 @@ def _riemann_siegel(s: np.ndarray) -> np.ndarray:
     return np.where(flip, out.conj(), out)
 
 
-def zeta_batch(s: np.ndarray, prec: EvalPrecision = DEFAULT_PRECISION) -> np.ndarray:
+def zeta_batch(s: np.ndarray) -> np.ndarray:
     """zeta on an array of points of the validated box, away from s = 1.
 
     A 2-D s whose rows are vertical progressions sigma + i(t0[row] + j dt),
@@ -379,8 +341,8 @@ def zeta_batch(s: np.ndarray, prec: EvalPrecision = DEFAULT_PRECISION) -> np.nda
 
     grid = _progression(s)
     if grid is not None:
-        k = int(_direct_sum_cutoff(sig_min, t_max, prec))
-        total = _progression_sum(*grid, s.shape[1], k) + _euler_maclaurin_tail(s, k, prec)
+        k = int(_direct_sum_cutoff(sig_min, t_max))
+        total = _progression_sum(*grid, s.shape[1], k) + _euler_maclaurin_tail(s, k)
     else:
         flat = s.reshape(-1)
         total = np.empty_like(flat)
@@ -389,17 +351,17 @@ def zeta_batch(s: np.ndarray, prec: EvalPrecision = DEFAULT_PRECISION) -> np.nda
             total[rs] = _riemann_siegel(flat[rs])
         em = flat[~rs]
         if em.size:
-            k = _direct_sum_cutoff(em.real, np.abs(em.imag), prec)
-            total[~rs] = _scattered_sum(em, k) + _euler_maclaurin_tail(em, k, prec)
+            k = _direct_sum_cutoff(em.real, np.abs(em.imag))
+            total[~rs] = _scattered_sum(em, k) + _euler_maclaurin_tail(em, k)
         total = total.reshape(s.shape)
     if not np.all(np.isfinite(total)):
         raise OutOfValidatedRange("zeta evaluation overflowed inside the batch")
     return total
 
 
-def zeta(s: complex, prec: EvalPrecision = DEFAULT_PRECISION) -> complex:
+def zeta(s: complex) -> complex:
     """zeta(s) for a single point of the validated box."""
-    return complex(zeta_batch(np.array([complex(s)]), prec)[0])
+    return complex(zeta_batch(np.array([complex(s)]))[0])
 
 
 # --- Stieltjes constants -----------------------------------------------------

@@ -338,6 +338,25 @@ class TestExperimentCmd:
         assert body == ["family,x,y,N,exact_re,exact_im,predicted_re,predicted_im,remainder_bound,rel_error"]
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("theta", "--kappa", "1", "--delta", "0", "--config", "{missing}/run.cfg"),
+      "{missing}/run.cfg"),
+     (("contour", "--zeros", "{missing}/zeros.txt", "--out", "{tmp}/k.json"),
+      "{missing}/zeros.txt"),
+     (("experiment", "--family", "one", "--x-grid", "1e4", "--out", "{missing}/e.csv"),
+      "{missing}/e.csv"),
+     (("contour", "--zeros", "{table}", "--out", ""), "''")],
+)
+def test_missing_or_unwritable_file_exits_1(capsys, tmp_path, zero_table_path, argv, name):
+    # each of these ended in a FileNotFoundError traceback
+    where = dict(missing=tmp_path / "missing", tmp=tmp_path, table=zero_table_path)
+    code, _, err = run(capsys, *(a.format(**where) for a in argv))
+    assert code == 1
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert name.format(**where) in err
+
+
 class TestConfigFile:
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -620,7 +639,13 @@ class TestQuadratureCmds:
          (("perron-check", "--family", "one", "--x", "10000", "--y", "1000", "--b-offset", "0"),
           "b_offset"),
          (("perron-check", "--family", "one", "--x", "10000", "--y", "1000", "--b-offset", "inf"),
-          "b_offset")],
+          "b_offset"),
+         (("perron-check", "--family", "one", "--x", "1000", "--y", "100", "--T", "100",
+           "--nodes-per-unit", "1001"), "nodes_per_unit=1001 exceeds 1000"),
+         (("hankel-check", "--u", "1e6", "--kappa", "0.5", "--nodes-per-unit", "1001"),
+          "nodes_per_unit=1001 exceeds 1000"),
+         (("perron-check", "--family", "one", "--x", "1000", "--y", "100", "--T", "1e5",
+           "--nodes-per-unit", "61"), "needs 6100000 nodes")],
     )
     def test_malformed_quadrature_exits_1(self, capsys, tmp_path, argv, message):
         # each of these printed nan, a wrong number or a ZeroDivisionError traceback

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from delange import perron
 from delange.contour import load_zeros, zeroset_from_pairs
 from delange.errors import (
     NoClosedForm,
@@ -93,6 +94,39 @@ class TestPerronLine:
         spec = QuadratureSpec(nodes_per_unit=60)
         assert line_node_count(100.0, spec) == 6000
         assert line_node_count(100.0, QuadratureSpec(scheme="trapezoid")) == 6001
+
+    @pytest.mark.parametrize("scheme", ["gauss_segment", "trapezoid"])
+    @pytest.mark.parametrize("T", [0.5, 123.4, 1000.0])
+    def test_node_count_matches_the_nodes_built(self, T, scheme):
+        spec = QuadratureSpec(nodes_per_unit=60, scheme=scheme)
+        assert line_node_count(T, spec) == perron._half_line_nodes(T, spec, 0)[0].size
+
+    @pytest.mark.parametrize(
+        "T, npu, scheme, refused",
+        [(1.0e5, 60, "gauss_segment", False),   # 6e6 nodes, the default density at TAU_MAX
+         (1.0e5, 60, "trapezoid", False),       # 6e6 + 1
+         (60000.1, 100, "gauss_segment", True),  # 6e6 + 10
+         (60000.02, 100, "trapezoid", True)],    # 6e6 + 3
+    )
+    def test_line_node_budget(self, fam_one, monkeypatch, T, npu, scheme, refused):
+        # the count is checked before any node is built, so an accepted line
+        # gets as far as building its nodes and a refused one does not
+        class Built(Exception):
+            pass
+
+        def build(*args):
+            raise Built
+
+        monkeypatch.setattr(perron, "_half_line_nodes", build)
+        spec = QuadratureSpec(nodes_per_unit=npu, scheme=scheme)
+        assert (line_node_count(T, spec) > 6_000_001) == refused
+        with pytest.raises(ParameterOutOfRange if refused else Built):
+            perron_line_sum(fam_one, Window(10**4, 10**3), T, spec)
+
+    def test_density_above_its_bound_is_refused(self):
+        assert QuadratureSpec(nodes_per_unit=1000).nodes_per_unit == 1000
+        with pytest.raises(ParameterOutOfRange, match="nodes_per_unit"):
+            QuadratureSpec(nodes_per_unit=1001)
 
 
 class TestNudge:
