@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -129,6 +130,33 @@ def _resolve(args: argparse.Namespace) -> dict:
         names = (" and " if len(need) == 2 else ", ").join(need)
         raise UsageError(f"{names} {'is' if len(need) == 1 else 'are'} required")
     return cfg
+
+
+def _check_outputs(cfg: dict, options: dict) -> None:
+    """Fail before any work on an output file the command could not write.
+
+    A file is written when its option is required or given non-empty.  Its
+    name must then be non-empty and not a directory's, and its directory must
+    exist and be writable.  Nothing is created here, so a run that fails
+    leaves no file behind."""
+    for key in ("out", "emit_csv"):
+        if key not in cfg or not (cfg[key] or options[key][1] is REQUIRED):
+            continue
+        path = cfg[key]
+        folder = os.path.dirname(path) or "."
+        if not path:
+            why = "empty file name"
+        elif os.path.isdir(path):
+            why = "is a directory"
+        elif not os.path.isdir(folder):
+            why = f"no directory {folder!r}"
+        elif not os.access(folder, os.W_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)
+        ):
+            why = "permission denied"
+        else:
+            continue
+        raise OSError(f"cannot write {path!r}: {why}")
 
 
 # --- output -------------------------------------------------------------------------
@@ -350,14 +378,18 @@ def _cmd_perron_check(cfg: dict) -> int:
         zs = contour_mod.load_zeros(cfg["zeros"], 2.0 * t_height)
         t_used = perron_mod.nudge_to_zero_gap(zs, t_height)
     win = Window(cfg["x"], cfg["y"])
-    val = perron_mod.perron_line_sum(fam, win, t_used, q, b_offset=cfg["b_offset"])
+    diagnostics: dict = {}
+    val = perron_mod.perron_line_sum(
+        fam, win, t_used, q, b_offset=cfg["b_offset"], diagnostics=diagnostics
+    )
     reference = exact_sum(fam, win)
     rel = abs(val - reference) / abs(reference) if reference != 0 else math.inf
     print(f"perron = {_fmt_value(val)}  exact = {_fmt_value(reference)}  rel_dev = {rel:.3e}")
     if t_used != t_height:
         print(f"T nudged {t_height} -> {t_used} (zero-gap midpoint)", file=sys.stderr)
     _emit(cfg, value_re=val.real, value_im=val.imag, reference=reference.real, rel_dev=rel,
-          nodes=perron_mod.line_node_count(t_used, q), T_used=t_used)
+          nodes=perron_mod.line_node_count(t_used, q), T_used=t_used,
+          quadrature_delta=diagnostics["quadrature_delta"])
     return 0
 
 
@@ -367,18 +399,23 @@ def _cmd_hankel_check(cfg: dict) -> int:
     if x is not None and y is not None:
         rep = perron_mod.ml_integral_check(kappa, ell, Window(x, y), q)
         value, reference, rel, nodes = rep.value, rep.reference, rep.rel_dev, rep.nodes
+        delta = rep.quadrature_delta
     else:
         u = cfg["u"]
         if u is None:
             raise UsageError("--u (loop weight) or --x/--y (window kernel) is required")
-        value = perron_mod.hankel_main_term(u, kappa, ell, r=cfg["r"], spec=q)
+        diagnostics: dict = {}
+        value = perron_mod.hankel_main_term(
+            u, kappa, ell, r=cfg["r"], spec=q, diagnostics=diagnostics
+        )
+        delta = diagnostics["quadrature_delta"]
         reference = perron_mod.hankel_closed_form(u, kappa, ell)
         scale = abs(reference) if reference != 0 else 1.0
         rel = abs(value - reference) / scale
         nodes = perron_mod.loop_node_count(q)
     print(f"loop = {_fmt_value(value)}  reference = {_fmt_value(reference)}  rel_dev = {rel:.3e}")
     _emit(cfg, value_re=value.real, value_im=value.imag, reference=reference.real,
-          rel_dev=rel, nodes=nodes)
+          rel_dev=rel, nodes=nodes, quadrature_delta=delta)
     return 0
 
 
@@ -415,7 +452,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](_resolve(args))
+        cfg = _resolve(args)
+        _check_outputs(cfg, args.options)
+        return _COMMANDS[args.subcommand](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

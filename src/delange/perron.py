@@ -8,9 +8,20 @@ constant.  The default offset 2 keeps the fitted truncation envelope O(1).
 
 The Hankel loop is a circle of radius r about s = 1 plus two legs straddling
 the branch cut back to Re(s) = 1/2 + eta.  Leg contributions combine
-analytically into -sin(pi(l-kappa))/pi times a real integral; every piece is
-integrated by composite Gauss panels (the branch phase on the circle is not
-2 pi periodic, which rules out the trapezoid rule's spectral shortcut).
+analytically into -sin(pi(l-kappa))/pi times a real integral.  The branch
+phase on the circle is not 2 pi periodic, which rules out the trapezoid
+rule's spectral shortcut there.
+
+Every quadrature yields a fine and a coarse estimate from one evaluation per
+node, and abs_tol bounds their distance (QuadratureNotConverged past it).
+The Gauss scheme puts the 21-point Gauss-Kronrod rule on each panel: the
+fine estimate is the Kronrod sum, the coarse one the 10-point Gauss sum on
+the odd-indexed nodes.  The panels are those of a 10-point Gauss rule at
+half the requested density: ceil(T (nodes_per_unit // 2) / 10) on the line
+(at least 4), nodes_per_unit // 2 on the legs (graded toward s = 1, at
+least 8) and on the circle (at least 12).  The trapezoid rule on the line
+nests: it runs on twice its half-density count of intervals and takes every
+other node as the coarse rule.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .contour import ZeroSet
 from .errors import (
@@ -37,9 +47,34 @@ from .special import TAU_MAX, recip_gamma
 DEFAULT_B_OFFSET = 2.0
 HANKEL_LEG_LEFT_ETA = 0.05
 MAX_NODES_PER_UNIT = 1000
-# Nodes of a line at full density that perron_line_sum accepts: what the default
-# density of 60 a unit reaches at T = TAU_MAX (6e6 Gauss nodes, 6e6 + 1 trapezoid).
-MAX_LINE_NODES = 6_000_001
+
+# The 21-point Gauss-Kronrod rule on [-1, 1] (Kronrod 1965; QUADPACK's qk21),
+# nodes ascending.  The odd-indexed nodes are the 10-point Gauss-Legendre
+# nodes.  Row 0 of _PAIR_WEIGHTS holds the Kronrod weights (the fine rule),
+# row 1 the Gauss weights on the odd-indexed nodes and zeros elsewhere (the
+# coarse rule), so one set of values gives both estimates.
+_KRONROD_NODES = np.array([
+    -0.9956571630258081, -0.9739065285171717, -0.9301574913557082, -0.8650633666889845,
+    -0.7808177265864169, -0.6794095682990244, -0.5627571346686047, -0.4333953941292472,
+    -0.2943928627014602, -0.14887433898163122, 0.0, 0.14887433898163122,
+    0.2943928627014602, 0.4333953941292472, 0.5627571346686047, 0.6794095682990244,
+    0.7808177265864169, 0.8650633666889845, 0.9301574913557082, 0.9739065285171717,
+    0.9956571630258081,
+])
+_PAIR_WEIGHTS = np.array([
+    [0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+     0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+     0.14277593857706009, 0.14773910490133849, 0.1494455540029169, 0.14773910490133849,
+     0.14277593857706009, 0.13470921731147334, 0.12349197626206584, 0.10938715880229764,
+     0.0931254545836976, 0.07503967481091996, 0.054755896574351995, 0.032558162307964725,
+     0.011694638867371874],
+    [0.0, 0.06667134430868814, 0.0, 0.1494513491505806,
+     0.0, 0.21908636251598204, 0.0, 0.26926671930999635,
+     0.0, 0.29552422471475287, 0.0, 0.29552422471475287,
+     0.0, 0.26926671930999635, 0.0, 0.21908636251598204,
+     0.0, 0.1494513491505806, 0.0, 0.06667134430868814,
+     0.0],
+])
 
 
 @dataclass(frozen=True)
@@ -72,17 +107,35 @@ def _kernel(s: np.ndarray, x: float, y: float) -> np.ndarray:
     return np.exp(s * math.log(x)) * ew / s
 
 
-def _converged(fine: complex, coarse: complex, spec: QuadratureSpec) -> complex:
+def _converged(
+    fine: complex, coarse: complex, spec: QuadratureSpec, diagnostics: Optional[dict] = None
+) -> complex:
+    """The fine estimate, once it lies within abs_tol of the coarse one.
+
+    A given diagnostics dict receives that distance as "quadrature_delta".
+    """
     if not (cmath.isfinite(fine) and cmath.isfinite(coarse)):
         raise ParameterOutOfRange(
-            f"the quadrature is not finite ({fine} at full density, {coarse} at half)"
+            f"the quadrature is not finite ({fine} by the fine rule, {coarse} by the coarse)"
         )
-    if abs(fine - coarse) > spec.abs_tol:
+    delta = abs(fine - coarse)
+    if delta > spec.abs_tol:
         raise QuadratureNotConverged(
-            f"halving nodes moved the integral by {abs(fine - coarse):.3g}"
-            f" > abs_tol={spec.abs_tol:g}"
+            f"the coarse rule moved the integral by {delta:.3g} > abs_tol={spec.abs_tol:g}"
         )
+    if diagnostics is not None:
+        diagnostics["quadrature_delta"] = delta
     return fine
+
+
+def _panel_pair(f, edges: np.ndarray) -> np.ndarray:
+    """Kronrod and Gauss sums of f over the panels between consecutive edges.
+
+    f takes a (21, panels) array of nodes, one row per Kronrod node.
+    """
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    vals = f(mid + half * _KRONROD_NODES[:, None])
+    return _PAIR_WEIGHTS @ (vals * half).sum(axis=1)
 
 
 def _check_line_reach(family, b: float, T: float) -> None:
@@ -99,35 +152,51 @@ def _check_line_reach(family, b: float, T: float) -> None:
         ) from exc
 
 
-def _half_line_nodes(T: float, spec: QuadratureSpec, level: int):
-    """Nodes and weights on t in [0, T]; level 0 is full density, 1 halved.
-
-    Both come as (rows, count) arrays whose rows are arithmetic progressions
-    in t (one row per Gauss offset, a single row for the trapezoid rule), the
-    layout zeta_batch evaluates with its factored direct sum.
-    """
-    n = _panels(T, spec, level)
-    if spec.scheme == "trapezoid":
-        t = np.linspace(0.0, T, n + 1)
-        w = np.full(n + 1, T / n)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return t[None, :], w[None, :]
-    glx, glw = leggauss(10)
-    edges = np.linspace(0.0, T, n + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    t = mid[None, :] + half * glx[:, None]
-    w = np.repeat((glw * half)[:, None], n, axis=1)
-    return t, w
-
-
-def _panels(T: float, spec: QuadratureSpec, level: int) -> int:
-    """Trapezoid intervals, or 10-node Gauss panels, on [0, T] at a level."""
-    npu = spec.nodes_per_unit // (2**level)
+def _panels(T: float, spec: QuadratureSpec) -> int:
+    """Gauss-Kronrod panels, or coarse trapezoid intervals, on [0, T]."""
+    npu = spec.nodes_per_unit // 2
     if spec.scheme == "trapezoid":
         return max(32, int(math.ceil(T * npu)))
     return max(4, int(math.ceil(T * npu / 10.0)))
+
+
+def _line_nodes(T: float, spec: QuadratureSpec):
+    """Nodes t on [0, T] and the weights of the fine and the coarse rule.
+
+    The nodes come as a (rows, count) array whose rows are arithmetic
+    progressions in t (one row per Kronrod node, a single row for the
+    trapezoid rule), the layout zeta_batch evaluates with its factored direct
+    sum.  The weights come as a (2, rows, count) array, fine rule first; for
+    the Gauss panels it is a broadcast view.
+    """
+    n = _panels(T, spec)
+    if spec.scheme == "trapezoid":
+        t = np.linspace(0.0, T, 2 * n + 1)
+        w = np.full((2, 1, 2 * n + 1), T / n)
+        w[0] *= 0.5
+        w[1, :, 1::2] = 0.0
+        w[:, :, [0, -1]] *= 0.5
+        return t[None, :], w
+    edges = np.linspace(0.0, T, n + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    t = mid[None, :] + half * _KRONROD_NODES[:, None]
+    return t, np.broadcast_to((half * _PAIR_WEIGHTS)[:, :, None], (2, *t.shape))
+
+
+def _line_pair(family, x: float, y: float, b: float, T: float, spec: QuadratureSpec):
+    """Fine and coarse estimates of the line integral over Re(s) = b, |t| <= T."""
+    t, w = _line_nodes(T, spec)
+    pair = np.zeros(2, dtype=np.complex128)
+    step = 65536 // t.shape[0]
+    for lo in range(0, t.shape[1], step):
+        cols = slice(lo, lo + step)
+        s = b + 1j * t[:, cols]
+        vals = family.closed_form_F(s) * _kernel(s, x, y)
+        pair += (w[:, :, cols] * vals).sum(axis=(1, 2))
+    # f(-t) = conj(f(t)):  (1/2pi) * (I + conj I) = Re(I)/pi
+    fine, coarse = pair.real / math.pi
+    return complex(fine, 0.0), complex(coarse, 0.0)
 
 
 def perron_line_sum(
@@ -136,17 +205,19 @@ def perron_line_sum(
     T: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
     b_offset: float = DEFAULT_B_OFFSET,
+    diagnostics: Optional[dict] = None,
 ) -> complex:
     """(1/2 pi i) integral of F(s) ((x+y)^s - x^s)/s over the truncated line.
 
     Uses the Schwarz reflection F(conj s) = conj F(s) to integrate the upper
-    half only.  Raises QuadratureNotConverged if halving the node density
-    moves the result by more than abs_tol, and OutOfValidatedRange for a
-    non-finite T, one above zeta's validated height TAU_MAX, or one the
-    family's closed form cannot reach (checked at the top node up front).
-    b_offset must be finite and positive, which keeps the line right of the
-    pole at s = 1, and the line may have at most MAX_LINE_NODES nodes at full
-    density; otherwise ParameterOutOfRange.
+    half only.  Raises QuadratureNotConverged if the coarse rule moves the
+    result by more than abs_tol, and OutOfValidatedRange for a non-finite T,
+    one above zeta's validated height TAU_MAX, or one the family's closed
+    form cannot reach (checked at the top node up front).  b_offset must be
+    finite and positive, which keeps the line right of the pole at s = 1, and
+    the line may have at most MAX_LINE_NODES nodes; otherwise
+    ParameterOutOfRange.  A given diagnostics dict receives the fine-coarse
+    distance as "quadrature_delta".
     """
     if family.closed_form_F is None:
         raise NoClosedForm(f"family {family.name!r} has no closed-form Dirichlet series")
@@ -167,30 +238,29 @@ def perron_line_sum(
         )
     b = 1.0 + b_offset / math.log(x)
     _check_line_reach(family, b, T)
-
-    def evaluate(level: int) -> complex:
-        t, w = _half_line_nodes(T, spec, level)
-        total = 0.0 + 0.0j
-        step = 65536 // t.shape[0]
-        for lo in range(0, t.shape[1], step):
-            s = b + 1j * t[:, lo : lo + step]
-            vals = family.closed_form_F(s) * _kernel(s, x, y)
-            total += np.sum(vals * w[:, lo : lo + step])
-        # f(-t) = conj(f(t)):  (1/2pi) * (I + conj I) = Re(I)/pi
-        return complex(total.real / math.pi, 0.0)
-
-    return _converged(evaluate(0), evaluate(1), spec)
+    return _converged(*_line_pair(family, x, y, b, T, spec), spec, diagnostics)
 
 
 def line_node_count(T: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> int:
-    """Quadrature nodes the line integral uses at full density."""
-    n = _panels(T, spec, 0)
-    return n + 1 if spec.scheme == "trapezoid" else 10 * n
+    """Nodes at which the line integral evaluates F."""
+    n = _panels(T, spec)
+    return 2 * n + 1 if spec.scheme == "trapezoid" else 21 * n
+
+
+# Nodes of a line that perron_line_sum accepts: what the default density
+# reaches at T = TAU_MAX (6.3e6 Gauss-Kronrod nodes, 6e6 + 1 trapezoid).
+MAX_LINE_NODES = line_node_count(TAU_MAX, DEFAULT_QUADRATURE)
+
+
+def _loop_panels(spec: QuadratureSpec) -> tuple[int, int]:
+    """Gauss-Kronrod panels on the loop's legs and on its circle."""
+    npu = spec.nodes_per_unit // 2
+    return max(8, npu), max(12, npu)
 
 
 def loop_node_count(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> int:
-    """Quadrature nodes a Hankel loop uses at full density (legs plus circle)."""
-    return 10 * (max(8, spec.nodes_per_unit) + max(12, spec.nodes_per_unit))
+    """Nodes at which a Hankel loop evaluates its weight (legs plus circle)."""
+    return 21 * sum(_loop_panels(spec))
 
 
 def nudge_to_zero_gap(zeroset: ZeroSet, T: float) -> float:
@@ -212,38 +282,11 @@ def nudge_to_zero_gap(zeroset: ZeroSet, T: float) -> float:
 
 # --- Hankel loop ----------------------------------------------------------------
 
-def _loop_legs_integral(f_real, a: float, b: float, spec: QuadratureSpec, level: int) -> float:
-    """integral_a^b f(sigma) dsigma with panels graded toward b."""
-    glx, glw = leggauss(10)
-    panels = max(8, spec.nodes_per_unit // (2**level))
-    # geometric grading toward the right endpoint (integrand mass sits there)
-    ratios = np.geomspace(1.0, 1e-3, panels + 1)
-    edges = b - (b - a) * (ratios - ratios[-1]) / (ratios[0] - ratios[-1])
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += half * float(np.sum(glw * f_real(mid + half * glx)))
-    return total
-
-
-def _loop_circle_integral(f_theta, spec: QuadratureSpec, level: int) -> complex:
-    # (r e^{i theta})^(nu+1) is not 2 pi periodic for fractional nu (branch
-    # phase jumps at theta = -pi/pi), so the trapezoid rule loses its spectral
-    # rate here; composite Gauss treats [-pi, pi] as an ordinary segment.
-    glx, glw = leggauss(10)
-    panels = max(12, spec.nodes_per_unit // (2**level))
-    edges = np.linspace(-math.pi, math.pi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    theta = (mid[:, None] + half * glx[None, :]).ravel()
-    w = np.tile(glw * half, panels)
-    return complex(np.sum(f_theta(theta) * w))
-
-
 def _hankel_value(
-    u_weight, kappa: float, l: int, r: float, eta: float, spec: QuadratureSpec, level: int
-) -> complex:
-    """Loop integral (1/2 pi i) int (s-1)^(l-kappa) W(s) ds, legs to 1/2+eta.
+    u_weight, kappa: float, l: int, r: float, eta: float, spec: QuadratureSpec
+) -> tuple[complex, complex]:
+    """Loop integral (1/2 pi i) int (s-1)^(l-kappa) W(s) ds, legs to 1/2+eta:
+    its fine and coarse estimates.
 
     u_weight(s) must be analytic near the cut and real on it (both kernels
     used here are); the branch phases of (s-1)^(l-kappa) on the two legs then
@@ -254,20 +297,25 @@ def _hankel_value(
     if not (0.0 < r < 1.0 - a):
         raise ParameterOutOfRange(f"loop radius r={r:g} must lie in (0, 1/2 - eta = {1 - a:g})")
     nu = l - kappa
+    leg_panels, circle_panels = _loop_panels(spec)
 
     def leg_integrand(sigma: np.ndarray) -> np.ndarray:
         return (1.0 - sigma) ** nu * np.real(u_weight(sigma.astype(np.complex128)))
 
-    legs = -math.sin(math.pi * nu) / math.pi * _loop_legs_integral(
-        leg_integrand, a, 1.0 - r, spec, level
-    )
+    # panels on [a, 1 - r] graded geometrically toward 1 - r, where the mass sits
+    ratios = np.geomspace(1.0, 1e-3, leg_panels + 1)
+    edges = (1.0 - r) - (1.0 - r - a) * (ratios - ratios[-1]) / (ratios[0] - ratios[-1])
+    legs = -math.sin(math.pi * nu) / math.pi * _panel_pair(leg_integrand, edges)
 
     def circle_integrand(theta: np.ndarray) -> np.ndarray:
         s = 1.0 + r * np.exp(1j * theta)
         return (r * np.exp(1j * theta)) ** (nu + 1.0) * u_weight(s)
 
-    circle = _loop_circle_integral(circle_integrand, spec, level) / (2.0 * math.pi)
-    return complex(legs + circle)
+    # (r e^{i theta})^(nu+1) is not 2 pi periodic for fractional nu (its branch
+    # phase jumps at theta = -pi/pi), so [-pi, pi] is an ordinary segment here
+    circle = _panel_pair(circle_integrand, np.linspace(-math.pi, math.pi, circle_panels + 1))
+    fine, coarse = legs + circle / (2.0 * math.pi)
+    return complex(fine), complex(coarse)
 
 
 def hankel_main_term(
@@ -277,12 +325,14 @@ def hankel_main_term(
     r: Optional[float] = None,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
     eta: float = HANKEL_LEG_LEFT_ETA,
+    diagnostics: Optional[dict] = None,
 ) -> complex:
     """(1/2 pi i) int_loop (s-1)^(l-kappa) u^(s-1) ds, loop radius r = 1/log u.
 
     Approaches (log u)^(kappa-1-l)/Gamma(kappa-l) as u grows; the truncation
     of the legs at 1/2 + eta costs O(u^(eta-1/2)).  A non-finite u, kappa or r,
-    and an r outside (0, 1/2 - eta), raise ParameterOutOfRange.
+    and an r outside (0, 1/2 - eta), raise ParameterOutOfRange.  A given
+    diagnostics dict receives the fine-coarse distance as "quadrature_delta".
     """
     require_finite(u=u, kappa=kappa)
     if u < 100.0:
@@ -295,9 +345,7 @@ def hankel_main_term(
     def weight(s: np.ndarray) -> np.ndarray:
         return np.exp((np.asarray(s) - 1.0) * lu)
 
-    fine = _hankel_value(weight, kappa, l, r, eta, spec, 0)
-    coarse = _hankel_value(weight, kappa, l, r, eta, spec, 1)
-    return _converged(fine, coarse, spec)
+    return _converged(*_hankel_value(weight, kappa, l, r, eta, spec), spec, diagnostics)
 
 
 def hankel_closed_form(u: float, kappa: float, l: int) -> complex:
@@ -311,6 +359,7 @@ class LoopCheckReport:
     reference: complex
     rel_dev: float
     nodes: int
+    quadrature_delta: float
 
 
 def ml_integral_check(
@@ -332,12 +381,12 @@ def ml_integral_check(
     def weight(s: np.ndarray) -> np.ndarray:
         return _kernel(np.asarray(s, dtype=np.complex128), x, y)
 
-    fine = _hankel_value(weight, kappa, l, r, eta, spec, 0)
-    coarse = _hankel_value(weight, kappa, l, r, eta, spec, 1)
-    value = _converged(fine, coarse, spec)
+    diagnostics: dict = {}
+    value = _converged(*_hankel_value(weight, kappa, l, r, eta, spec), spec, diagnostics)
     reference = y * lx ** (kappa - 1.0 - l) * recip_gamma(kappa - l)
     scale = abs(reference) if reference != 0 else y * lx ** (kappa - 1.0 - l)
     rel = abs(value - reference) / scale
     return LoopCheckReport(
-        value=value, reference=reference, rel_dev=rel, nodes=loop_node_count(spec)
+        value=value, reference=reference, rel_dev=rel, nodes=loop_node_count(spec),
+        quadrature_delta=diagnostics["quadrature_delta"],
     )

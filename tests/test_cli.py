@@ -1,9 +1,11 @@
 import json
 import math
 import shutil
+import time
 
 import pytest
 
+from delange import cli, perron
 from delange.cli import OPTIONS, _build_parser, _resolve, main, parse_csv
 from delange.families import family_from_spec, g_series_by_euler_product
 
@@ -357,6 +359,43 @@ def test_missing_or_unwritable_file_exits_1(capsys, tmp_path, zero_table_path, a
     assert name.format(**where) in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("experiment", "--family", "divisor:2", "--x-grid", "1e13", "--theta-exp", "0.55",
+       "--N", "1", "--out", "{missing}/e.csv"), "{missing}/e.csv"),
+     (("experiment", "--family", "divisor:2", "--x-grid", "1e13", "--theta-exp", "0.55",
+       "--out", "{tmp}"), "is a directory"),
+     (("contour", "--zeros", "{table}", "--out", "{missing}/c.json"), "{missing}/c.json"),
+     (("contour", "--zeros", "{table}", "--out", "{tmp}/c.json", "--emit-csv", "{missing}/c.csv"),
+      "{missing}/c.csv"),
+     (("contour", "--zeros", "{table}", "--out", "{tmp}/c.json", "--emit-csv", "{tmp}"),
+      "is a directory"),
+     (("perron-check", "--family", "one", "--x", "100000", "--y", "10000", "--T", "5e4",
+       "--out", "{missing}/p.json"), "{missing}/p.json")],
+)
+def test_unwritable_output_fails_before_the_work(capsys, tmp_path, zero_table_path, argv, name):
+    # experiment sieved for 2.2 s and contour built and validated its whole
+    # path (writing --out before it failed on --emit-csv) before the path was tried
+    where = dict(missing=tmp_path / "missing", tmp=tmp_path, table=zero_table_path)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *(a.format(**where) for a in argv))
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert name.format(**where) in err
+    assert list(tmp_path.iterdir()) == []  # no file left behind
+
+
+def test_output_in_a_directory_that_refuses_writes(capsys, tmp_path, monkeypatch):
+    # permission bits do not bind the superuser, so the refusal is simulated
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    code, out, err = run(capsys, "theta", "--kappa", "1", "--delta", "0",
+                         "--out", str(tmp_path / "t.json"))
+    assert code == 1 and out == ""
+    assert "permission denied" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigFile:
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -575,6 +614,32 @@ class TestQuadratureCmds:
         assert doc["rel_dev"] <= 0.05
         assert doc["nodes"] > 0
 
+    def test_quadrature_delta_is_reported(self, capsys, tmp_path, fam_one):
+        # the fine-coarse distance that abs_tol bounds goes to --out; stdout is unchanged
+        out = tmp_path / "p.json"
+        code, text, _ = run(
+            capsys, "perron-check", "--family", "one", "--x", "10000", "--y", "1000",
+            "--T", "500", "--out", str(out),
+        )
+        assert code == 0
+        assert text.startswith("perron = ") and len(text.splitlines()) == 1
+        b = 1.0 + perron.DEFAULT_B_OFFSET / math.log(10000)
+        fine, coarse = perron._line_pair(fam_one, 10000.0, 1000.0, b, 500.0,
+                                         perron.DEFAULT_QUADRATURE)
+        doc = json.loads(out.read_text())
+        assert doc["quadrature_delta"] == abs(fine - coarse)
+        assert 0.0 < doc["quadrature_delta"] <= 1e-3
+
+    @pytest.mark.parametrize(
+        "args", [("--u", "1e6", "--kappa", "0.5"), ("--kappa", "2", "--x", "10000", "--y", "1000")]
+    )
+    def test_hankel_quadrature_delta_is_reported(self, capsys, tmp_path, args):
+        out = tmp_path / "h.json"
+        code, text, _ = run(capsys, "hankel-check", *args, "--out", str(out))
+        assert code == 0
+        assert text.startswith("loop = ") and len(text.splitlines()) == 1
+        assert 0.0 < json.loads(out.read_text())["quadrature_delta"] <= 1e-3
+
     def test_perron_check_nudges_T(self, capsys, zero_table_path):
         code, out, err = run(
             capsys, "perron-check", "--family", "one", "--x", "10000", "--y", "1000",
@@ -645,7 +710,7 @@ class TestQuadratureCmds:
          (("hankel-check", "--u", "1e6", "--kappa", "0.5", "--nodes-per-unit", "1001"),
           "nodes_per_unit=1001 exceeds 1000"),
          (("perron-check", "--family", "one", "--x", "1000", "--y", "100", "--T", "1e5",
-           "--nodes-per-unit", "61"), "needs 6100000 nodes")],
+           "--nodes-per-unit", "62"), "needs 6510000 nodes")],
     )
     def test_malformed_quadrature_exits_1(self, capsys, tmp_path, argv, message):
         # each of these printed nan, a wrong number or a ZeroDivisionError traceback

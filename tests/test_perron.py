@@ -1,7 +1,13 @@
+import dataclasses
 import math
+import random
 import time
+from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from delange import perron
 from delange.contour import load_zeros, zeroset_from_pairs
@@ -12,7 +18,10 @@ from delange.errors import (
     QuadratureNotConverged,
 )
 from delange.perron import (
+    _KRONROD_NODES,
+    _PAIR_WEIGHTS,
     DEFAULT_B_OFFSET,
+    HANKEL_LEG_LEFT_ETA,
     QuadratureSpec,
     _check_line_reach,
     _converged,
@@ -25,6 +34,113 @@ from delange.perron import (
     perron_line_sum,
 )
 from delange.sieve import Window, exact_sum
+
+
+def _legendre(n: int) -> list[Fraction]:
+    """Coefficients of P_n, lowest degree first, by Bonnet's recurrence."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, n):
+        x_cur = [Fraction(0)] + cur
+        prev = prev + [Fraction(0)] * (len(x_cur) - len(prev))
+        prev, cur = cur, [((2 * k + 1) * a - k * b) / (k + 1) for a, b in zip(x_cur, prev)]
+    return cur
+
+
+def _moment(k: int) -> Fraction:
+    """integral of x^k over [-1, 1]."""
+    return Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+
+
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _weights_exact_to(nodes, degree: int):
+    """Weights on nodes that integrate x^0..x^(n-1) exactly, and the largest
+    error of the rule over x^0..x^degree (mpmath at the working precision)."""
+    n = len(nodes)
+    A = mpmath.matrix([[x**k for x in nodes] for k in range(n)])
+    w = mpmath.lu_solve(A, mpmath.matrix([_mpf(_moment(k)) for k in range(n)]))
+    err = max(abs(mpmath.fsum(wj * x**k for wj, x in zip(w, nodes)) - _mpf(_moment(k)))
+              for k in range(degree + 1))
+    return [w[j] for j in range(n)], err
+
+
+class TestKronrodRule:
+    def test_rule_rebuilt_at_40_digits(self):
+        # E_11 = x^11 + c_9 x^9 + ... + c_1 x is orthogonal to x^k P_10 for odd
+        # k <= 9 (even k vanish by parity); its roots and P_10's are the nodes
+        p10 = _legendre(10)
+
+        def against(j, k):  # integral of x^j x^k P_10
+            return sum(c * _moment(i + j + k) for i, c in enumerate(p10))
+
+        odd = (1, 3, 5, 7, 9)
+        with mpmath.workdps(40):
+            A = mpmath.matrix([[_mpf(against(j, k)) for j in odd] for k in odd])
+            rhs = mpmath.matrix([-_mpf(against(11, k)) for k in odd])
+            c = mpmath.lu_solve(A, rhs)
+            e11 = [mpmath.mpf(0)] * 12
+            e11[11] = mpmath.mpf(1)
+            for j, cj in zip(odd, c):
+                e11[j] = cj
+            stieltjes = sorted(mpmath.re(r) for r in mpmath.polyroots(e11[::-1], maxsteps=200, extraprec=100))
+            gauss = sorted(mpmath.re(r) for r in mpmath.polyroots(
+                [_mpf(q) for q in p10[::-1]], maxsteps=200, extraprec=100))
+            nodes = sorted(stieltjes + gauss)
+            assert nodes[1::2] == gauss and nodes[0::2] == stieltjes  # they interlace
+            wk, err_k = _weights_exact_to(nodes, 31)
+            wg, err_g = _weights_exact_to(gauss, 19)
+            assert err_k < mpmath.mpf(10) ** -30 and err_g < mpmath.mpf(10) ** -30
+            assert _KRONROD_NODES.tolist() == [float(x) for x in nodes]
+            assert _PAIR_WEIGHTS[0].tolist() == [float(w) for w in wk]
+            assert _PAIR_WEIGHTS[1][1::2].tolist() == [float(w) for w in wg]
+        assert not _PAIR_WEIGHTS[1][0::2].any()
+
+    def test_odd_nodes_are_the_10_point_gauss_rule(self):
+        glx, glw = leggauss(10)
+        np.testing.assert_allclose(_KRONROD_NODES[1::2], glx, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_PAIR_WEIGHTS[1][1::2], glw, rtol=0, atol=1e-15)
+
+    def test_coarse_estimate_is_the_gauss_sum_on_the_same_panels(self, fam_div2):
+        x, y, T, npu = 1000.0, 100.0, 200.0, 60
+        b = 1.0 + DEFAULT_B_OFFSET / math.log(x)
+        fine, coarse = perron._line_pair(fam_div2, x, y, b, T, QuadratureSpec(nodes_per_unit=npu))
+        panels = max(4, math.ceil(T * (npu // 2) / 10))
+        glx, glw = leggauss(10)
+        edges = np.linspace(0.0, T, panels + 1)
+        half = 0.5 * (edges[1] - edges[0])
+        s = b + 1j * (0.5 * (edges[:-1] + edges[1:])[:, None] + half * glx[None, :])
+        vals = fam_div2.closed_form_F(s) * perron._kernel(s, x, y)
+        want = np.sum(vals * (half * glw)).real / math.pi
+        assert abs(coarse - want) <= 1e-14 * abs(want)
+        assert coarse.imag == fine.imag == 0.0 and fine != coarse
+
+    @pytest.mark.parametrize("npu, converges", [(24, False), (30, True)])
+    def test_density_threshold_is_unchanged(self, fam_one, npu, converges):
+        # the verdicts of the two 10-point Gauss passes this rule replaced
+        spec = QuadratureSpec(nodes_per_unit=npu)
+        win = Window(20000, 2000)
+        if converges:
+            v = perron_line_sum(fam_one, win, 100.0, spec)
+            assert abs(v - 2000.0) * 100.0 / win.x**1.01 <= 20.0  # criterion 6's envelope
+        else:
+            with pytest.raises(QuadratureNotConverged):
+                perron_line_sum(fam_one, win, 100.0, spec)
+
+    @pytest.mark.parametrize("scheme, npu", [("gauss_segment", 60), ("trapezoid", 600)])
+    def test_closed_form_evaluated_once_per_node(self, fam_one, scheme, npu):
+        seen = []
+
+        def spy(s):
+            seen.append(np.size(s))
+            return fam_one.closed_form_F(s)
+
+        fam = dataclasses.replace(fam_one, closed_form_F=spy)
+        spec = QuadratureSpec(nodes_per_unit=npu, scheme=scheme)
+        perron_line_sum(fam, Window(1000, 100), 123.4, spec)
+        assert seen[0] == 1  # the reach probe at the top node
+        assert sum(seen[1:]) == line_node_count(123.4, spec)
 
 
 class TestPerronLine:
@@ -92,21 +208,21 @@ class TestPerronLine:
 
     def test_node_count(self):
         spec = QuadratureSpec(nodes_per_unit=60)
-        assert line_node_count(100.0, spec) == 6000
+        assert line_node_count(100.0, spec) == 6300
         assert line_node_count(100.0, QuadratureSpec(scheme="trapezoid")) == 6001
 
     @pytest.mark.parametrize("scheme", ["gauss_segment", "trapezoid"])
     @pytest.mark.parametrize("T", [0.5, 123.4, 1000.0])
     def test_node_count_matches_the_nodes_built(self, T, scheme):
         spec = QuadratureSpec(nodes_per_unit=60, scheme=scheme)
-        assert line_node_count(T, spec) == perron._half_line_nodes(T, spec, 0)[0].size
+        assert line_node_count(T, spec) == perron._line_nodes(T, spec)[0].size
 
     @pytest.mark.parametrize(
         "T, npu, scheme, refused",
-        [(1.0e5, 60, "gauss_segment", False),   # 6e6 nodes, the default density at TAU_MAX
+        [(1.0e5, 60, "gauss_segment", False),   # 6.3e6 nodes, the default density at TAU_MAX
          (1.0e5, 60, "trapezoid", False),       # 6e6 + 1
-         (60000.1, 100, "gauss_segment", True),  # 6e6 + 10
-         (60000.02, 100, "trapezoid", True)],    # 6e6 + 3
+         (60000.1, 100, "gauss_segment", True),  # 6.3e6 + 21, one panel more
+         (63000.0, 100, "trapezoid", True)],     # 6.3e6 + 1
     )
     def test_line_node_budget(self, fam_one, monkeypatch, T, npu, scheme, refused):
         # the count is checked before any node is built, so an accepted line
@@ -117,9 +233,9 @@ class TestPerronLine:
         def build(*args):
             raise Built
 
-        monkeypatch.setattr(perron, "_half_line_nodes", build)
+        monkeypatch.setattr(perron, "_line_nodes", build)
         spec = QuadratureSpec(nodes_per_unit=npu, scheme=scheme)
-        assert (line_node_count(T, spec) > 6_000_001) == refused
+        assert (line_node_count(T, spec) > 6_300_000) == refused
         with pytest.raises(ParameterOutOfRange if refused else Built):
             perron_line_sum(fam_one, Window(10**4, 10**3), T, spec)
 
@@ -127,6 +243,35 @@ class TestPerronLine:
         assert QuadratureSpec(nodes_per_unit=1000).nodes_per_unit == 1000
         with pytest.raises(ParameterOutOfRange, match="nodes_per_unit"):
             QuadratureSpec(nodes_per_unit=1001)
+
+
+class TestRandomInputs:
+    def test_perron_line_on_seeded_windows(self, fam_one, fam_div2, fam_sqfree):
+        # criterion 6's fitted envelope |perron - exact| T / x^1.01 <= 20
+        rng = random.Random(20240601)
+        for _ in range(12):
+            fam = rng.choice((fam_one, fam_div2, fam_sqfree))
+            x = int(10 ** rng.uniform(3.0, 5.0))
+            T = rng.choice((250.0, 500.0, 1000.0))
+            win = Window(x, x // 10)
+            v = perron_line_sum(fam, win, T)
+            assert abs(v - exact_sum(fam, win)) * T / x**1.01 <= 20.0, (fam.name, x, T)
+
+    def test_hankel_at_seeded_heights(self):
+        # what the legs leave out left of 1/2 + eta bounds the deviation:
+        # |sin(pi nu)|/pi integral_a^inf (t^nu) u^-t dt with a = 1/2 - eta,
+        # nu = l - kappa, at most |sin(pi nu)|/pi a^nu u^-a / (log u - max(nu, 0)/a)
+        rng = random.Random(7)
+        a = 0.5 - HANKEL_LEG_LEFT_ETA
+        for _ in range(20):
+            u = 10 ** rng.uniform(4.0, 8.0)
+            kappa, l = rng.uniform(0.25, 3.0), rng.randint(0, 3)
+            nu = l - kappa
+            left_out = (abs(math.sin(math.pi * nu)) / math.pi * a**nu * u**-a
+                        / (math.log(u) - max(nu, 0.0) / a))
+            want = hankel_closed_form(u, kappa, l)
+            dev = abs(hankel_main_term(u, kappa, l) - want)
+            assert dev <= left_out + 1e-12 * max(1.0, abs(want)), (u, kappa, l)
 
 
 class TestNudge:
@@ -229,7 +374,7 @@ class TestMlLoop:
         spec = QuadratureSpec(nodes_per_unit=120, abs_tol=1e-3)
         rep = ml_integral_check(2.0, 0, Window(10**4, 10**3), spec)
         assert rep.rel_dev <= 0.02
-        assert rep.nodes == loop_node_count(spec) == 2400
+        assert rep.nodes == loop_node_count(spec) == 2520
 
     @pytest.mark.parametrize("kappa", [math.nan, math.inf])
     def test_non_finite_kappa(self, kappa):
