@@ -13,7 +13,6 @@ from .contour import (
     ZeroSet,
     assemble_contour,
     build_blocks,
-    classify,
     load_zeros,
     validate_contour,
     zero_density_count,
@@ -59,13 +58,7 @@ from .series import (
     z_coeffs,
 )
 from .sieve import FactoredWindow, Window, exact_sum, factor_window, primes_up_to
-from .special import (
-    principal_pow,
-    recip_gamma,
-    stieltjes,
-    zeta,
-    zeta_batch,
-)
+from .special import recip_gamma, stieltjes, zeta, zeta_batch
 
 __version__ = "0.1.0"
 
@@ -89,7 +82,6 @@ __all__ = [
     "assemble_contour",
     "build_blocks",
     "builtin_family",
-    "classify",
     "euler_product_value",
     "exact_sum",
     "f_value",
@@ -105,7 +97,6 @@ __all__ = [
     "perron_line_sum",
     "predict",
     "primes_up_to",
-    "principal_pow",
     "ps_exp",
     "ps_log",
     "ps_mul",

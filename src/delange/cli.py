@@ -78,7 +78,9 @@ OPTIONS = {
                 ("--logx", _FLOAT, math.log(1e6)), ("--emit-csv", _STR, None)),
     "perron-check": (_OUT, _FAMILY, ("--x", _BOUND, REQUIRED), ("--y", _BOUND, REQUIRED),
                      ("--T", _FLOAT, 1000.0), ("--nodes-per-unit", _INT, 60),
-                     ("--scheme", dict(choices=("trapezoid", "gauss_segment")), "gauss_segment"),
+                     ("--scheme", dict(choices=("trapezoid", "gauss_segment"), help=(
+                         "quadrature rule on the line; trapezoid converges only near"
+                         " --nodes-per-unit 600, ten times the default")), "gauss_segment"),
                      ("--abs-tol", _FLOAT, 1e-3),
                      ("--b-offset", _FLOAT, perron_mod.DEFAULT_B_OFFSET), ("--zeros", _STR, None)),
     "hankel-check": (_OUT, ("--u", _FLOAT, None), ("--kappa", _FLOAT, REQUIRED),

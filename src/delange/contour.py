@@ -34,9 +34,6 @@ from .errors import (
     require_finite,
 )
 
-GOOD = "good"
-EXCEPTIONAL = "exceptional"
-
 BLOCK_MIN_L = 5  # slab owns |t| <= 2^5; dyadic blocks start there
 
 
@@ -127,13 +124,6 @@ def load_zeros(path, T: float) -> ZeroSet:
     return zeroset_from_pairs(pairs, T, source=source)
 
 
-def classify(zero: tuple[float, float], c_star: float) -> str:
-    """'good' iff beta < 1 - C*/log log(|gamma| + 2), strict; else 'exceptional'."""
-    beta, gamma = float(zero[0]), float(zero[1])
-    threshold = 1.0 - c_star / math.log(math.log(abs(gamma) + 2.0))
-    return GOOD if beta < threshold else EXCEPTIONAL
-
-
 # --- dyadic blocks ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -165,7 +155,14 @@ def _choose_block_split(U: int) -> tuple[int, float, float]:
 
 
 def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> list[DyadicBlock]:
-    """Dyadic blocks covering [2^BLOCK_MIN_L, 2^floor(log2 T)] with levels beta_j*."""
+    """Dyadic blocks covering [2^BLOCK_MIN_L, 2^floor(log2 T)] with levels beta_j*.
+
+    Interval j of block l is elevated to the largest beta >= alpha among the
+    zeros whose gamma lies within 2H of its midpoint U + (2j - 1)H.  A zero
+    reaches at most three intervals of its own dyadic block and of each block
+    beside it, so all blocks share one level array and every zero is applied
+    to it in one pass.
+    """
     require_finite(T=T, c_star=c_star)
     if c_star <= 0:
         raise ParameterOutOfRange(f"c_star={c_star} must be positive")
@@ -174,39 +171,54 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> lis
     if not (0.5 < alpha < 1.0):
         raise ValueError("alpha must lie in (1/2, 1)")
     l_top = int(math.floor(math.log2(T)))
-    blocks = []
-    for l in range(BLOCK_MIN_L, l_top):
-        U = 2**l
-        m, h, c_l = _choose_block_split(U)
-        margin = c_star / math.log(math.log(2.0 * (U + 12)))
-        beta_raw = np.full(m + 2, -np.inf)  # 1-based worklist with slack ends
-        if len(zeroset):
-            sel = (zeroset.beta >= alpha) & (zeroset.gamma >= U - 2 * h) & (
-                zeroset.gamma <= 2 * U + 2 * h
-            )
-            for b, g in zip(zeroset.beta[sel], zeroset.gamma[sel]):
-                # affected j: U_j in [gamma - 2H, gamma + 2H]
-                lo = math.ceil((g - U) / (2 * h) - 0.5)
-                hi = math.floor((g - U) / (2 * h) + 1.5)
-                lo = max(1, lo)
-                hi = min(m, hi)
-                if lo <= hi:
-                    idx = np.arange(lo, hi + 1)
-                    beta_raw[idx] = np.maximum(beta_raw[idx], b)
-        has_zero = np.isfinite(beta_raw[1 : m + 1])
-        star = np.where(has_zero, beta_raw[1 : m + 1] + margin, alpha)
-        if np.any(star >= 1.0):
-            j_bad = int(np.argmax(star)) + 1
-            raise DegenerateBlock(
-                f"block l={l}: beta*_{j_bad} = {star[j_bad - 1]:.4f} >= 1"
-                " (reduce C* or the zero heights)"
-            )
-        blocks.append(
-            DyadicBlock(
-                l=l, U=U, m=m, H=h, c_l=c_l, margin=margin,
-                beta_j_star=star, has_zero=has_zero,
-            )
+    ls = range(BLOCK_MIN_L, l_top)
+    splits = [_choose_block_split(2**l) for l in ls]
+    m, h, _ = map(np.array, zip(*splits))
+    U = 2.0 ** np.arange(BLOCK_MIN_L, l_top)
+    margins = [c_star / math.log(math.log(2.0 * (2**l + 12))) for l in ls]
+    start = np.concatenate([[0], np.cumsum(m)])
+
+    # blocks span [U - 2H, 2U + 2H] within [2^(BLOCK_MIN_L - 1), 2^(l_top + 1))
+    sel = (zeroset.beta >= alpha) & (zeroset.gamma >= 2.0 ** (BLOCK_MIN_L - 1)) & (
+        zeroset.gamma < 2.0 ** (l_top + 1)
+    )
+    beta, gamma = zeroset.beta[sel], zeroset.gamma[sel]
+    # gamma in [2^e, 2^(e+1)) lies in block e - BLOCK_MIN_L; try it and both neighbours
+    block = (np.frexp(gamma)[1] - 1 - BLOCK_MIN_L)[:, None] + np.arange(-1, 2)
+    exists = (block >= 0) & (block < m.size)
+    block = np.where(exists, block, 0)
+    Ub, hb, mb = U[block], h[block], m[block]
+    g = gamma[:, None]
+    near = exists & (g >= Ub - 2 * hb) & (g <= 2 * Ub + 2 * hb)
+    # affected j: midpoint U + (2j - 1)H in [gamma - 2H, gamma + 2H]
+    lo = np.maximum(1, np.ceil((g - Ub) / (2 * hb) - 0.5)).astype(np.int64)
+    hi = np.minimum(mb, np.floor((g - Ub) / (2 * hb) + 1.5)).astype(np.int64)
+    j = lo[..., None] + np.arange(3)
+    hit = near[..., None] & (j <= hi[..., None])
+    # rounding is monotone, so the largest beta + margin is the largest beta, plus the margin
+    raw = np.full(start[-1], -np.inf)
+    lifted = beta[:, None] + np.array(margins)[block]
+    np.maximum.at(raw, (start[block][..., None] + j - 1)[hit],
+                  np.broadcast_to(lifted[..., None], hit.shape)[hit])
+    has_zero = np.isfinite(raw)
+    star = np.where(has_zero, raw, alpha)
+
+    over = np.flatnonzero(star >= 1.0)
+    if over.size:
+        i = int(np.searchsorted(start, over[0], side="right")) - 1
+        level = star[start[i] : start[i + 1]]
+        j_bad = int(np.argmax(level)) + 1
+        raise DegenerateBlock(
+            f"block l={ls[i]}: beta*_{j_bad} = {level[j_bad - 1]:.4f} >= 1"
+            " (reduce C* or the zero heights)"
         )
+    blocks = [
+        DyadicBlock(
+            l=l, U=2**l, m=m_l, H=h_l, c_l=c_l, margin=margin,
+            beta_j_star=star[lo_i:hi_i], has_zero=has_zero[lo_i:hi_i],
+        )
+        for l, (m_l, h_l, c_l), margin, lo_i, hi_i in zip(ls, splits, margins, start, start[1:])
+    ]
     return blocks
 
 

@@ -27,10 +27,6 @@ class OrderTooHigh(DelangeError):
     """Requested series/constant order exceeds the cached table."""
 
 
-class ZeroBase(DelangeError):
-    """principal_pow with base 0 has no principal branch."""
-
-
 # --- truncated power series ---------------------------------------------------
 
 class TruncationMismatch(DelangeError):

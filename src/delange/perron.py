@@ -16,8 +16,9 @@ Every quadrature yields a fine and a coarse estimate from one evaluation per
 node, and abs_tol bounds their distance (QuadratureNotConverged past it).
 The Gauss scheme puts the 21-point Gauss-Kronrod rule on each panel: the
 fine estimate is the Kronrod sum, the coarse one the 10-point Gauss sum on
-the odd-indexed nodes.  The panels are those of a 10-point Gauss rule at
-half the requested density: ceil(T (nodes_per_unit // 2) / 10) on the line
+the odd-indexed nodes.  The requested density must be even, and the panels
+are those of a 10-point Gauss rule at half of it:
+ceil(T (nodes_per_unit // 2) / 10) on the line
 (at least 4), nodes_per_unit // 2 on the legs (graded toward s = 1, at
 least 8) and on the circle (at least 12).  The trapezoid rule on the line
 nests: it runs on twice its half-density count of intervals and takes every
@@ -90,6 +91,9 @@ class QuadratureSpec:
             raise ParameterOutOfRange(
                 f"nodes_per_unit={self.nodes_per_unit} exceeds {MAX_NODES_PER_UNIT}"
             )
+        if self.nodes_per_unit % 2:
+            # the rules are laid out at half the density, which must be whole
+            raise ParameterOutOfRange(f"nodes_per_unit={self.nodes_per_unit} must be even")
         if self.scheme not in ("trapezoid", "gauss_segment"):
             raise ValueError("scheme must be 'trapezoid' or 'gauss_segment'")
         if not (0.0 < self.abs_tol <= 1e-3):

@@ -1,4 +1,4 @@
-"""Numeric substrate: zeta, Stieltjes constants, reciprocal gamma, principal powers.
+"""Numeric substrate: zeta, Stieltjes constants, reciprocal gamma.
 
 The validated box of zeta is Re(s) > -1, |Im(s)| <= 1e5, s != 1.  In double
 precision the achievable *absolute* error is floored by eps_mach * |zeta(s)|,
@@ -10,9 +10,12 @@ progressions sigma + i(t0[row] + j dt), as the Perron line's Gauss panels
 are, takes Euler-Maclaurin summation with one cutoff K ~ 0.36 |t|max and
 factors the direct sum into one matrix product, about 2 K sqrt(points) exps.
 Any other batch is routed point by point: a point with |t| >= RS_T_MIN and
-Re(s) < RS_SIGMA_MAX takes the Riemann-Siegel formula, about 2 sqrt(|t|/2pi)
-terms plus fixed corrections, and every other point takes Euler-Maclaurin
-with its own cutoff, one exp per term.
+Re(s) < RS_SIGMA_MAX takes the Riemann-Siegel formula, two sums over
+n <= sqrt(|t|/2pi) plus fixed corrections, and every other point takes
+Euler-Maclaurin with its own cutoff, one exp per term.  The Riemann-Siegel
+sums take an exponential for n^-it only at the primes and build every
+composite as a product of two earlier phases; the corrections evaluate each
+derivative order of their kernel once.
 
 The Stieltjes constants gamma_0..gamma_64 come from the bundled table
 data/stieltjes.txt, read once per process on the first lookup and written by
@@ -30,10 +33,11 @@ import functools
 import math
 from fractions import Fraction
 from importlib.resources import files
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OrderTooHigh, OutOfValidatedRange, PoleAtOne, ZeroBase
+from .errors import OrderTooHigh, OutOfValidatedRange, PoleAtOne
 
 SIGMA_MIN = -1.0
 TAU_MAX = 1.0e5
@@ -180,6 +184,15 @@ def _euler_maclaurin_tail(s: np.ndarray, k) -> np.ndarray:
 # F(z) = (e^(i pi (z^2/2 + 3/8)) - i sqrt(2) cos(pi z/2)) / (2 cos(pi z)), and
 # d_kj polynomials in 1 - 2x from a three-term recurrence.  Negative t uses
 # zeta(conj s) = conj zeta(s).
+#
+# A batch forms each phase n^-it of the main sums only once, and only at the
+# primes: a composite n takes the product of the phases of its smallest prime
+# factor spf(n) and of n / spf(n), both below n, so one gather-multiply per
+# dyadic range [2^k, 2^(k+1)) completes the table (26 of the 102 rows at
+# t = 2^16 need an exponential).  The corrections need F^(m)(p) for the 27
+# distinct orders m = 3k - 2j among the 75 pairs (k, j); F is even, so each is
+# p^(m mod 2) times a polynomial in p^2, evaluated once and gathered out to
+# the pairs it serves.
 
 # Lowest |t| routed here.  Against mpmath at 30 digits the formula with
 # _RS_TERMS corrections is within 1.5e-15 relative of zeta from t = 300 up
@@ -192,6 +205,8 @@ _RS_TERMS = 10
 # Even Taylor coefficients of F in data/rs_taylor.txt (scripts/make_rs_taylor_table.py)
 RS_TAYLOR_TERMS = 60
 _STIRLING_TERMS = 5
+# Bound on N = floor(sqrt(t/2pi)), which reaches 126 at the top of the box
+_RS_N_MAX = 128
 
 
 def _rs_d_polys(terms: int) -> dict:
@@ -219,31 +234,115 @@ def _rs_d_polys(terms: int) -> dict:
     return d
 
 
-@functools.cache
-def _rs_tables():
-    """Correction tables, built on the first Riemann-Siegel call of a process.
+class _RSTables(NamedTuple):
+    """Riemann-Siegel tables.
 
-    One row per pair (k, j) of `pairs`: the Taylor row giving F^(3k-2j)(p)
-    from powers of p, the coefficients of d_kj in powers of q, the weight
-    1/(pi^(2k-j) (2i)^j) and the order k.  Also 2 pi to extended precision.
+    orders: the distinct derivative orders m = 3k - 2j, the even ones first,
+    each run ascending; kernel: per order, the coefficients of
+    F^(m)(p) / p^(m mod 2) in powers of p^2, as the real and imaginary column
+    of a real matrix.  Per pair (k, j) of `pairs`: the row of its order and k.
+    poly: per pair, the coefficients of d_kj(q) / (pi^(2k-j) (2i)^j) in powers
+    of q, real and imaginary columns again.  primes: the primes up to
+    _RS_N_MAX with their logs in extended precision; ln_n: log n for
+    n = 1.._RS_N_MAX as doubles; steps: per dyadic range [2^k, 2^(k+1)),
+    k >= 2, its composites n with spf(n) and n / spf(n).  two_pi: 2 pi in
+    extended precision.
     """
+
+    pairs: list
+    orders: np.ndarray
+    kernel: np.ndarray
+    pair_row: np.ndarray
+    pair_k: np.ndarray
+    poly: np.ndarray
+    primes: np.ndarray
+    ln_primes: np.ndarray
+    ln_n: np.ndarray
+    steps: tuple
+    two_pi: np.longdouble
+
+
+def _real_columns(z: np.ndarray) -> np.ndarray:
+    """A complex (rows, cols) matrix as a real one whose rows alternate real and
+    imaginary parts, so that (x @ out).view(complex) is x @ z.T for real x."""
+    return np.ascontiguousarray(np.stack([z.real, z.imag], axis=1).reshape(-1, z.shape[1]).T)
+
+
+@functools.cache
+def _rs_tables() -> _RSTables:
+    """Correction and phase tables, built on the first Riemann-Siegel call of a process."""
     text = files("delange").joinpath("data/rs_taylor.txt").read_text(encoding="utf-8")
-    taylor = np.zeros(2 * RS_TAYLOR_TERMS, dtype=np.complex128)
-    taylor[0::2] = [complex(float(re), float(im)) for re, im in map(str.split, text.splitlines())]
+    taylor = np.array([complex(float(re), float(im)) for re, im in map(str.split, text.splitlines())])
     d = _rs_d_polys(_RS_TERMS)
     pairs = sorted(d)
-    deriv = np.zeros((len(pairs), taylor.size), dtype=np.complex128)
-    poly = np.zeros((len(pairs), max(j for _, j in pairs) + 1))
+    pair_orders = [3 * k - 2 * j for k, j in pairs]
+    orders = np.array(sorted(set(pair_orders), key=lambda m: (m % 2, m)))
+    kernel = np.zeros((orders.size, RS_TAYLOR_TERMS), dtype=np.complex128)
+    for row, m in enumerate(orders.tolist()):
+        # F^(m)(p) = sum over even n >= m of taylor[n/2] n!/(n - m)! p^(n - m)
+        n = np.arange(m + m % 2, 2 * RS_TAYLOR_TERMS, 2)
+        kernel[row, : n.size] = taylor[n // 2] * [float(math.perm(v, m)) for v in n.tolist()]
+    poly = np.zeros((len(pairs), max(j for _, j in pairs) + 1), dtype=np.complex128)
     for row, (k, j) in enumerate(pairs):
-        m = 3 * k - 2 * j
-        # F^(m)(p) = sum_i taylor[i + m] (i + m)!/i! p^i
-        falling = [float(math.perm(i, m)) for i in range(m, taylor.size)]
-        deriv[row, : taylor.size - m] = taylor[m:] * falling
-        poly[row, : j + 1] = [float(v) for v in d[k, j]]
-    weight = np.array([1.0 / (math.pi ** (2 * k - j) * (2j) ** j) for k, j in pairs])
-    order = np.array([float(k) for k, _ in pairs])
-    two_pi = 8 * np.arctan(np.longdouble(1))
-    return pairs, deriv, poly, weight, order, two_pi
+        poly[row, : j + 1] = [float(v) / (math.pi ** (2 * k - j) * (2j) ** j) for v in d[k, j]]
+    n = np.arange(_RS_N_MAX + 1)
+    spf = np.array([0, 1] + [next(q for q in range(2, v + 1) if v % q == 0) for v in range(2, n.size)])
+    composite = n[spf < n]
+    steps = []
+    for lo in 2 ** np.arange(2, _RS_N_MAX.bit_length()):
+        c = composite[(lo <= composite) & (composite < 2 * lo)]
+        steps.append((c, spf[c], c // spf[c]))
+    primes = n[(n > 1) & (spf == n)]
+    return _RSTables(
+        pairs=pairs,
+        orders=orders,
+        kernel=_real_columns(kernel),
+        pair_row=np.array([orders.tolist().index(m) for m in pair_orders]),
+        pair_k=np.array([k for k, _ in pairs]),
+        poly=_real_columns(poly),
+        primes=primes,
+        ln_primes=np.log(primes.astype(np.longdouble)),
+        ln_n=np.log(np.arange(1, _RS_N_MAX + 1, dtype=np.longdouble)).astype(np.float64),
+        steps=tuple(steps),
+        two_pi=8 * np.arctan(np.longdouble(1)),
+    )
+
+
+def _rs_reduced(phase: np.ndarray) -> np.ndarray:
+    """A long double phase reduced mod 2 pi into about [-pi, pi], as doubles.
+
+    The whole turns are counted in double precision, which can miss the
+    nearest integer only next to an odd multiple of pi, where either is fine.
+    """
+    turns = np.round(phase.astype(np.float64) * (0.5 / math.pi))
+    return (phase - turns.astype(np.longdouble) * _rs_tables().two_pi).astype(np.float64)
+
+
+def _rs_kernel(p: np.ndarray) -> np.ndarray:
+    """F^(m)(p) for every order m of _rs_tables().orders, one row per point."""
+    tab = _rs_tables()
+    out = (np.vander(p * p, RS_TAYLOR_TERMS, increasing=True) @ tab.kernel).view(np.complex128)
+    out[:, np.count_nonzero(tab.orders % 2 == 0) :] *= p[:, None]
+    return out
+
+
+def _rs_phases(t: np.ndarray, count: int) -> np.ndarray:
+    """n^-it for 1 <= n <= count as row n of a (count + 1)-row array; row 0 is 0.
+
+    Only the primes take an exponential, of their phase t log p formed and
+    reduced mod 2 pi in extended precision.  Every composite is then the
+    product of two rows below it, filled one dyadic range at a time.
+    """
+    tab = _rs_tables()
+    out = np.empty((count + 1, t.size), dtype=np.complex128)
+    out[0], out[1] = 0.0, 1.0
+    live = np.searchsorted(tab.primes, count, side="right")
+    phase = np.multiply.outer(tab.ln_primes[:live], t.astype(np.longdouble))
+    out[tab.primes[:live]] = np.exp(-1j * _rs_reduced(phase))
+    for n, spf, cofactor in tab.steps:
+        live = np.searchsorted(n, count, side="right")
+        out[n[:live]] = out[spf[:live]] * out[cofactor[:live]]
+    return out
 
 
 def _stirling_tail(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -267,41 +366,40 @@ def _stirling_tail(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _riemann_siegel(s: np.ndarray) -> np.ndarray:
     """zeta at 1-D points with |Im s| >= RS_T_MIN, by the Riemann-Siegel formula.
 
-    The phases t log n and theta0 reach ~1e6; they are formed and reduced mod
+    The phases t log p and theta0 reach ~1e6; they are formed and reduced mod
     2pi in extended precision (np.longdouble) before the exponentials, which
-    keeps their rounding near 1e-16 where the long double is wider than a
-    double (x86-64), and near 1e-10 at t = 1e5 where it is not.
+    keeps n^-it within 5e-14 of mpmath up to t = 1e5 where the long double is
+    wider than a double (x86-64), and near 1e-10 at t = 1e5 where it is not.
     """
-    _, deriv, poly, weight, order, two_pi = _rs_tables()
+    tab = _rs_tables()
     flip = s.imag < 0
     s = np.where(flip, s.conj(), s)
     sigma, t = s.real, s.imag
     a = np.sqrt(t / (2.0 * math.pi))
     n_top = np.floor(a).astype(np.int64)
     p = 1.0 - 2.0 * (a - n_top)
-    # one column per point: F^(3k-2j)(p) a^-k / (pi^(2k-j) (2i)^j) per (k, j)
-    scaled = (deriv @ np.vander(p, deriv.shape[1], increasing=True).T) * (
-        weight[:, None] * a ** -order[:, None]
-    )
-
-    def corrections(x):
-        d = poly @ np.vander(1.0 - 2.0 * x, poly.shape[1], increasing=True).T
-        return np.einsum("ij,ij->j", scaled, d)
-
-    def reduced(phase):
-        return (phase - two_pi * np.round(phase / two_pi)).astype(np.float64)
+    # per pair (k, j), F^(3k-2j)(p) a^-k; the weights sit in tab.poly
+    a_pow = a[:, None] ** -np.arange(_RS_TERMS, dtype=np.float64)
+    scaled = _rs_kernel(p)[:, tab.pair_row] * a_pow[:, tab.pair_k]
+    # sum over the pairs at x = sigma (row 0) and x = 1 - sigma (row 1), q = 1 - 2x
+    q = 1.0 - 2.0 * sigma
+    d_kj = np.vander(np.concatenate([q, -q]), tab.poly.shape[0], increasing=True) @ tab.poly
+    corrections = np.einsum("ij,xij->xi", scaled, d_kj.view(np.complex128).reshape(2, *scaled.shape))
 
     t_ld = t.astype(np.longdouble)
-    e_theta = np.exp(-1j * reduced(t_ld / 2 * (np.log(t_ld / two_pi) - 1) - two_pi / 16))
-    ln_n_ld = np.log(np.arange(1, int(n_top.max()) + 1, dtype=np.longdouble))
-    ln_n = ln_n_ld.astype(np.float64)
-    n_it = np.exp(-1j * reduced(np.multiply.outer(t_ld, ln_n_ld)))
-    n_it *= np.arange(1, ln_n.size + 1) <= n_top[:, None]
+    e_theta = np.exp(-1j * _rs_reduced(t_ld / 2 * (np.log(t_ld / tab.two_pi) - 1) - tab.two_pi / 16))
+    # n^-sigma and n^(sigma - 1) = 1/(n n^-sigma), one row per n, zero past N
+    count = int(n_top.max())
+    live = np.arange(1, count + 1)[:, None] <= n_top
+    left_w = np.exp(tab.ln_n[:count, None] * -sigma)
+    right_w = live / (np.arange(1.0, count + 1)[:, None] * left_w)
+    left_w *= live
+    n_it = _rs_phases(t, count)[1:]
     head = np.where(n_top % 2 == 1, 1.0, -1.0) * e_theta
-    left = np.einsum("ij,ij->i", np.exp(-np.multiply.outer(sigma, ln_n)), n_it)
-    left += head * a ** -sigma * corrections(sigma)
-    right = np.einsum("ij,ij->i", np.exp(np.multiply.outer(sigma - 1.0, ln_n)), n_it.conj())
-    right += np.conj(head * a ** (sigma - 1.0) * corrections(1.0 - sigma))
+    left = (left_w * n_it).sum(axis=0)
+    left += head * a ** -sigma * corrections[0]
+    right = np.conj((right_w * n_it).sum(axis=0))
+    right += np.conj(head * a ** (sigma - 1.0) * corrections[1])
     # chi(s) = e^(-2 i theta0) exp((1/2 - sigma)(log(t/2pi) - 1) + tails)
     log_chi = (0.5 - sigma) * (np.log(t / (2.0 * math.pi)) - 1.0) + (
         np.conj(_stirling_tail(0.5 * (1.0 - sigma), t)) - _stirling_tail(0.5 * sigma, t)
@@ -320,8 +418,9 @@ def zeta_batch(s: np.ndarray) -> np.ndarray:
 
     Every other input (1-D, mixed real parts, uneven spacing) is routed point
     by point.  Points with |Im s| >= RS_T_MIN and Re s < RS_SIGMA_MAX take the
-    Riemann-Siegel formula, about sqrt(|t|/2pi) terms on each side of the
-    functional equation plus a fixed set of corrections.  The rest take
+    Riemann-Siegel formula, sqrt(|t|/2pi) terms on each side of the
+    functional equation, whose phases need an exponential only at the
+    primes, plus a fixed set of corrections.  The rest take
     Euler-Maclaurin with their own cutoff, so a low point never pays for a
     high one.  The correction terms cost one complex power per point.
     """
@@ -444,21 +543,3 @@ def recip_gamma(z: complex) -> complex:
     # reflection: 1/Gamma(z) = sin(pi z)/pi * Gamma(1-z)
     return _sinpi(z) / math.pi * _gamma_lanczos(1.0 - z)
 
-
-# --- principal powers ----------------------------------------------------------
-
-def principal_pow(base: complex, exponent: complex) -> complex:
-    """base**exponent via exp(exponent * Log base), principal branch.
-
-    Real positive base with real exponent stays exactly real.
-    """
-    base = complex(base)
-    exponent = complex(exponent)
-    if base == 0:
-        raise ZeroBase("principal power of base 0 is undefined")
-    for v in (base, exponent):
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError("non-finite argument")
-    if base.imag == 0.0 and base.real > 0.0 and exponent.imag == 0.0:
-        return complex(math.exp(exponent.real * math.log(base.real)), 0.0)
-    return cmath.exp(exponent * cmath.log(base))

@@ -710,7 +710,9 @@ class TestQuadratureCmds:
          (("hankel-check", "--u", "1e6", "--kappa", "0.5", "--nodes-per-unit", "1001"),
           "nodes_per_unit=1001 exceeds 1000"),
          (("perron-check", "--family", "one", "--x", "1000", "--y", "100", "--T", "1e5",
-           "--nodes-per-unit", "62"), "needs 6510000 nodes")],
+           "--nodes-per-unit", "62"), "needs 6510000 nodes"),
+         (("perron-check", "--family", "one", "--x", "1000", "--y", "100", "--T", "100",
+           "--nodes-per-unit", "61"), "nodes_per_unit=61 must be even")],
     )
     def test_malformed_quadrature_exits_1(self, capsys, tmp_path, argv, message):
         # each of these printed nan, a wrong number or a ZeroDivisionError traceback

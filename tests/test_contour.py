@@ -7,12 +7,9 @@ import pytest
 
 from delange.contour import (
     BLOCK_MIN_L,
-    EXCEPTIONAL,
-    GOOD,
     assemble_contour,
     build_blocks,
     bundled_zero_table,
-    classify,
     contour_abscissa,
     load_zeros,
     log_zeta_diagnostic,
@@ -103,33 +100,6 @@ class TestLoadZeros:
         assert len(zs) == 100  # ordinate #100 is 236.52, #101 is above 237
 
 
-class TestClassify:
-    def test_strict_threshold(self):
-        # threshold at C* = 1, t = 1000 is 1 - 1/loglog(1002) ~ 0.4827: a
-        # critical-line zero at that height is *not* good for C* = 1
-        thr = 1.0 - 1.0 / math.log(math.log(1002.0))
-        assert classify((0.5, 1000.0), 1.0) == (GOOD if 0.5 < thr else EXCEPTIONAL)
-        assert classify((0.5, 1000.0), 1.0) == EXCEPTIONAL
-
-    def test_small_constant_marks_critical_line_good(self):
-        assert classify((0.5, 1000.0), 0.3) == GOOD
-        assert classify((0.5, 14.134725), 0.3) == GOOD
-
-    def test_high_beta_exceptional(self):
-        assert classify((0.999, 1000.0), 1.0) == EXCEPTIONAL
-
-    def test_boundary_is_exceptional(self):
-        thr = 1.0 - 0.2 / math.log(math.log(5000.0 + 2.0))
-        assert classify((thr, 5000.0), 0.2) == EXCEPTIONAL
-        assert classify((thr - 1e-9, 5000.0), 0.2) == GOOD
-
-    def test_table_sets_have_no_exceptional_members_at_small_cstar(self, zero_table_path):
-        zs = load_zeros(zero_table_path, 9999.0)
-        assert all(
-            classify((b, g), 0.5) == GOOD for b, g in zip(zs.beta, zs.gamma)
-        )
-
-
 class TestBlocks:
     def test_partition_exactness(self):
         # the float half-length tiles [U, 2U] exactly: the endpoints
@@ -194,6 +164,76 @@ class TestBlocks:
         zs = zeroset_from_pairs([], T16)
         with pytest.raises(ParameterOutOfRange):
             build_blocks(zs, T, 0.6, c_star)
+
+
+def per_zero_levels(blocks, zeroset, alpha, c_star):
+    """beta_j* and has_zero of every block, one zero at a time (the reference loop)."""
+    out = []
+    for blk in blocks:
+        U, m, h = blk.U, blk.m, blk.H
+        margin = c_star / math.log(math.log(2.0 * (U + 12)))
+        beta_raw = np.full(m + 2, -np.inf)
+        sel = (zeroset.beta >= alpha) & (zeroset.gamma >= U - 2 * h) & (
+            zeroset.gamma <= 2 * U + 2 * h
+        )
+        for b, g in zip(zeroset.beta[sel], zeroset.gamma[sel]):
+            lo = max(1, math.ceil((g - U) / (2 * h) - 0.5))
+            hi = min(m, math.floor((g - U) / (2 * h) + 1.5))
+            if lo <= hi:
+                idx = np.arange(lo, hi + 1)
+                beta_raw[idx] = np.maximum(beta_raw[idx], b)
+        has_zero = np.isfinite(beta_raw[1 : m + 1])
+        out.append((np.where(has_zero, beta_raw[1 : m + 1] + margin, alpha), has_zero))
+    return out
+
+
+def edge_zero_set(seed: int) -> list[tuple[float, float]]:
+    """Zeros in the overlaps [U - 2H, U) and (2U, 2U + 2H] of every block,
+    on their ends, exactly on powers of two, and at odd multiples of H above
+    U, exactly 2H from the middle of an interval."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for blk in build_blocks(zeroset_from_pairs([], T16), T16, **SUITE):
+        U, h = float(blk.U), blk.H
+        heights = [U - 2 * h, U - h * rng.uniform(0.0, 2.0), np.nextafter(U, 0.0), U,
+                   np.nextafter(2 * U, np.inf), 2 * U + h * rng.uniform(0.0, 2.0), 2 * U + 2 * h,
+                   *(U + (2 * rng.integers(0, blk.m, 4) + 1) * h)]
+        pairs += [(rng.uniform(0.6, 0.88), g) for g in heights]
+    return pairs
+
+
+class TestBlocksAgainstPerZeroLoop:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_mix(self, seed):
+        zs = synthetic_zero_set(seed)
+        blocks = build_blocks(zs, T16, **SUITE)
+        for blk, (star, has_zero) in zip(blocks, per_zero_levels(blocks, zs, **SUITE)):
+            assert np.array_equal(blk.beta_j_star, star) and np.array_equal(blk.has_zero, has_zero)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overlaps_and_powers_of_two(self, seed):
+        zs = zeroset_from_pairs(edge_zero_set(seed), T16)
+        blocks = build_blocks(zs, T16, **SUITE)
+        assert any(blk.has_zero.any() for blk in blocks)
+        for blk, (star, has_zero) in zip(blocks, per_zero_levels(blocks, zs, **SUITE)):
+            assert np.array_equal(blk.beta_j_star, star) and np.array_equal(blk.has_zero, has_zero)
+
+    def test_bundled_table_with_elevated_copies(self, zero_table_path):
+        # the table's own zeros (all at 1/2) plus an elevated copy of every tenth
+        table = load_zeros(zero_table_path, T16)
+        pairs = list(zip(table.beta, table.gamma))
+        pairs += [(0.7, g) for g in table.gamma[::10]]
+        for zs in (table, zeroset_from_pairs(pairs, T16)):
+            blocks = build_blocks(zs, T16, **SUITE)
+            for blk, (star, has_zero) in zip(blocks, per_zero_levels(blocks, zs, **SUITE)):
+                assert np.array_equal(blk.beta_j_star, star)
+                assert np.array_equal(blk.has_zero, has_zero)
+
+    def test_degenerate_block_named_as_before(self):
+        # the first block whose level reaches 1 is reported, with its worst interval
+        zs = zeroset_from_pairs([(0.95, 300.0), (0.97, 5000.0)], T16)
+        with pytest.raises(DegenerateBlock, match=r"^block l=8: beta\*_\d+ = 1\.\d{4} >= 1"):
+            build_blocks(zs, T16, alpha=0.6, c_star=1.0)
 
 
 class TestAssembly:

@@ -244,6 +244,14 @@ class TestPerronLine:
         with pytest.raises(ParameterOutOfRange, match="nodes_per_unit"):
             QuadratureSpec(nodes_per_unit=1001)
 
+    def test_odd_density_is_refused(self):
+        # the rules run at half the density: 61 would run as 60 and be recorded as 61
+        for npu in (5, 61, 999):
+            with pytest.raises(ParameterOutOfRange, match=f"nodes_per_unit={npu} must be even"):
+                QuadratureSpec(nodes_per_unit=npu)
+        with pytest.raises(ParameterOutOfRange, match="exceeds 1000"):
+            QuadratureSpec(nodes_per_unit=1001)
+
 
 class TestRandomInputs:
     def test_perron_line_on_seeded_windows(self, fam_one, fam_div2, fam_sqfree):

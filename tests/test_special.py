@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delange import special
-from delange.errors import OrderTooHigh, OutOfValidatedRange, PoleAtOne, ZeroBase
+from delange.errors import OrderTooHigh, OutOfValidatedRange, PoleAtOne
 from delange.special import (
     RS_SIGMA_MAX,
     RS_T_MIN,
     SIGMA_MIN,
     TAU_MAX,
     ZETA_ABS_TOL,
-    principal_pow,
     recip_gamma,
     stieltjes,
     zeta,
@@ -257,20 +256,37 @@ class TestRiemannSiegel:
             assert abs(v - ref) <= ZETA_ABS_TOL * max(1.0, abs(ref)), point
 
     def test_kernel_derivatives_from_the_table(self):
-        # every derivative row built from the bundled Taylor coefficients
+        # every derivative order, built from the bundled Taylor coefficients,
         # against the Taylor data of F taken numerically from its definition
         import mpmath
 
-        pairs, deriv, *_ = special._rs_tables()
-        rows = {3 * k - 2 * j: row for row, (k, j) in enumerate(pairs)}
+        tab = special._rs_tables()
+        # the orders 3k - 2j of the pairs k < 10, j <= 3k/2: 0..27 except 26
+        assert sorted(tab.orders.tolist()) == [m for m in range(28) if m != 26]
+        assert tab.orders[tab.pair_row].tolist() == [3 * k - 2 * j for k, j in tab.pairs]
         kernel = _mpmath_rs_kernel()
-        for p in (-0.93, -0.31, 0.27, 0.999):
+        points = (-0.93, -0.31, 0.27, 0.999)
+        for p, fp in zip(points, special._rs_kernel(np.array(points))):
             with mpmath.workdps(40):
-                coeffs = mpmath.taylor(kernel, mpmath.mpf(p), max(rows))
-            fp = deriv @ p ** np.arange(deriv.shape[1])
-            for m, row in rows.items():
+                coeffs = mpmath.taylor(kernel, mpmath.mpf(p), int(tab.orders.max()))
+            for m, got in zip(tab.orders.tolist(), fp):
                 want = complex(coeffs[m] * mpmath.factorial(m))
-                assert abs(fp[row] - want) <= 1e-13 * max(1.0, abs(want)), (p, m)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (p, m)
+
+    def test_phases_from_the_primes(self):
+        # every n^-it the main sums can use, each composite built from the
+        # prime phases, against mpmath at 40 digits
+        import mpmath
+
+        t = np.random.default_rng(16).uniform(500.0, 1e5, 20)
+        phases = special._rs_phases(t, special._RS_N_MAX)
+        with mpmath.workdps(40):
+            for n in range(1, special._RS_N_MAX + 1):
+                for height, got in zip(t.tolist(), phases[n]):
+                    want = complex(mpmath.expj(-mpmath.mpf(height) * mpmath.log(n)))
+                    assert abs(got - want) <= 1e-13, (n, height)
+        # a batch that needs fewer rows builds the same ones
+        assert np.array_equal(special._rs_phases(t, 50), phases[:51])
 
     def test_diagnostic_points_take_riemann_siegel(self, rs_calls, zero_table_path, monkeypatch):
         from delange.contour import assemble_contour, build_blocks, load_zeros, log_zeta_diagnostic
@@ -475,29 +491,3 @@ class TestRecipGamma:
                         ref = complex(mpmath.rgamma(mpmath.mpc(z.real, z.imag)))
                         assert abs(recip_gamma(z) - ref) <= 1e-13 * abs(ref), z
 
-
-class TestPrincipalPow:
-    def test_examples(self):
-        assert principal_pow(4.0, 0.5) == pytest.approx(2.0)
-        assert principal_pow(math.e, complex(0, math.pi)) == pytest.approx(-1.0, abs=1e-12)
-        assert principal_pow(2.0, 1.5) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
-
-    def test_real_stays_real(self):
-        v = principal_pow(3.7, 2.25)
-        assert v.imag == 0.0
-
-    def test_zero_base(self):
-        with pytest.raises(ZeroBase):
-            principal_pow(0.0, 2.0)
-
-    def test_exponent_additivity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            b = complex(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
-            if abs(cmath.phase(b)) >= math.pi / 2:
-                continue
-            p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            q = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            lhs = principal_pow(b, p + q)
-            rhs = principal_pow(b, p) * principal_pow(b, q)
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
