@@ -1,7 +1,7 @@
 """Built-in arithmetic-function families and their analytic background data.
 
 Each family is a multiplicative f given by local factors f(p^a) together
-with the parameter bundle (kappa, w, alpha, delta, A, B, M) and the Taylor
+with its constants (kappa, w) and the Taylor
 data at s = 1 of the holomorphic background B(s) = G(s) zeta(2s)^(-w).  For
 all built-ins B is an Euler product whose local factor fits one shape,
 
@@ -42,23 +42,15 @@ from .sieve import primes_up_to
 
 @dataclass(frozen=True)
 class TypePParams:
-    """Declared analytic constants of a family."""
+    """The two constants of a family that the expansion reads: kappa, the
+    power of zeta(s), and w, the power of zeta(2s)^-1 in the background."""
 
     kappa: float
     w: complex
-    alpha_growth: float
-    delta: float = 0.0
-    A: float = 1.0
-    B: float = 2.0
-    M: float = 2.0
 
     def __post_init__(self):
-        if not (0.0 < self.kappa <= self.B):
-            raise ParameterOutOfRange(f"need 0 < kappa <= B, got kappa={self.kappa}, B={self.B}")
-        if abs(complex(self.w)) > self.B:
-            raise ParameterOutOfRange(f"need |w| <= B, got |w|={abs(complex(self.w)):.3g}")
-        if self.alpha_growth <= 0 or self.delta < 0 or self.A < 0 or self.M <= 0:
-            raise ParameterOutOfRange("alpha > 0, delta >= 0, A >= 0, M > 0 required")
+        if not 0.0 < self.kappa:
+            raise ParameterOutOfRange(f"need kappa > 0, got kappa={self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -104,11 +96,6 @@ class ArithmeticFamily:
     closed_form_F: Optional[Callable[[np.ndarray], np.ndarray]] = None
     prime_local_value: Optional[complex] = None
     parameter: Optional[complex] = None
-
-    def g_times_zeta2s_series(self, order: int) -> PowerSeries:
-        """Taylor data of G(s) zeta(2s)^(-w) at s = 1 (error figure dropped)."""
-        series, _ = g_series_by_euler_product(self, order)
-        return series
 
 
 # --- background engine ------------------------------------------------------------
@@ -302,7 +289,7 @@ def builtin_family(name: str, parameter: complex | None = None) -> ArithmeticFam
             name=name,
             local_factor=lambda p, a: 1.0 + 0j,
             prime_local_value=1.0 + 0j,
-            params=TypePParams(kappa=1.0, w=0j, alpha_growth=1.0),
+            params=TypePParams(kappa=1.0, w=0j),
             local_model=LocalModel(),
             closed_form_F=lambda s: special.zeta_batch(np.asarray(s, dtype=np.complex128)),
         )
@@ -326,7 +313,7 @@ def builtin_family(name: str, parameter: complex | None = None) -> ArithmeticFam
             parameter=kap,
             local_factor=_divisor_local(kap),
             prime_local_value=complex(kap),
-            params=TypePParams(kappa=kap, w=0j, alpha_growth=kap, B=max(2.0, kap)),
+            params=TypePParams(kappa=kap, w=0j),
             local_model=LocalModel(),
             closed_form_F=closed,
         )
@@ -342,9 +329,7 @@ def builtin_family(name: str, parameter: complex | None = None) -> ArithmeticFam
             parameter=zr,
             local_factor=lambda p, a, _z=zr: complex(_z),
             prime_local_value=complex(zr),
-            params=TypePParams(
-                kappa=zr, w=0j, alpha_growth=zr, B=max(2.0, zr), M=10.0
-            ),
+            params=TypePParams(kappa=zr, w=0j),
             local_model=LocalModel(a=zr - 1.0, c=zr - 1.0, w2=0.0),
             closed_form_F=None,
         )
@@ -358,7 +343,7 @@ def builtin_family(name: str, parameter: complex | None = None) -> ArithmeticFam
             name=name,
             local_factor=lambda p, a: 1.0 + 0j if a == 1 else 0j,
             prime_local_value=1.0 + 0j,
-            params=TypePParams(kappa=1.0, w=1.0 + 0j, alpha_growth=1.0),
+            params=TypePParams(kappa=1.0, w=1.0 + 0j),
             local_model=LocalModel(w2=1.0),
             closed_form_F=closed,
         )

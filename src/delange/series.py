@@ -165,15 +165,18 @@ def g_lambda_coeffs(family, order: int) -> ExpansionCoefficients:
     """Expansion coefficients for a family: g from the series product, lambda
     from division by Gamma(kappa - l) via the entire reciprocal.
 
-    `family` provides kappa, w and g_times_zeta2s_series(J); see the families
-    module.
+    `family` provides params.kappa and params.w, and its background series
+    comes from families.g_series_by_euler_product (its error figure is not
+    used here).
     """
+    from . import families  # families imports this module
+
     if order < 0:
         raise ParameterOutOfRange(f"series order J must be >= 0, got J={order}")
     kappa = float(family.params.kappa)
     w = complex(family.params.w)
     zc = z_coeffs(kappa, order)
-    background = family.g_times_zeta2s_series(order)
+    background, _ = families.g_series_by_euler_product(family, order)
     g = ps_mul(background, zc)
     lam = tuple(g[l] * recip_gamma(kappa - l) for l in range(order + 1))
     return ExpansionCoefficients(

@@ -1,27 +1,47 @@
 """Exact window sums of multiplicative functions by segmented sieving.
 
-One engine factors (x, x+y] chunk by chunk (2^19 integers).  Small primes are
-struck with strided in-place views, ``residual[off::p] //= p`` and again on
-the multiples of p^2, p^3, ...; the exponents index per-prime tables
-[f(1), f(p), f(p^2), ...].  The larger base primes up to sqrt(x+y) are handed
-out in bulk, as in Oliveira e Silva's bucket sieve (Walisch's primesieve):
-vectors of first multiples, a slice of primes at a time, expanded with
-``np.repeat`` and applied with ``ufunc.at`` in ascending prime order.  What
-remains above 1 is a prime cofactor, so each integer meets its primes in
-ascending order, cofactor last.  Chunks are independent (safe to farm out to
-threads) and the final reduction is an ordered fold, so results are bitwise
-reproducible for any worker count.
+One engine factors (x, x+y] chunk by chunk (2^19 integers), and a chunk only
+multiplies, as in the segmented sieve of Oliveira e Silva, Herzog and Pardi
+(Math. Comp. 2014): no array as long as the chunk is divided.  Small primes
+are struck with strided in-place views, ``smooth[off::q] *= p`` on the
+multiples of q = p, p^2, p^3, ..., recording the offset of the first
+multiple of each p^k.  The larger base primes up to sqrt(x+y) are handed out
+in bulk, as in Walisch's primesieve: vectors of first multiples, a slice of
+primes at a time, expanded into hit arrays and applied with
+``np.multiply.at``; their higher powers come from the first multiples of p^2
+and a quotient test on those few hits.  smooth[i] is then the product of the
+struck prime powers of a + i, so a + i has a (single, prime) cofactor exactly
+where smooth[i] != a + i, found by comparison and, where needed, as
+(a + i) // smooth[i] at those positions only.
+
+For a sum, each small prime multiplies its scalar f(p) into one stride of the
+f-vector; the values at the multiples of p^2 are saved first, and f(p^e)
+times the saved value is written back at the multiples of p^e.  Then come
+the bucketed primes in ascending order and the cofactor last, so every value
+is the product of its f(p^e) in ascending order of p, each product rounded
+once.  Real-valued sums are therefore bit-identical to those of the earlier
+engine that divided a residual and looked each exponent up in a table (the
+pinned sums in tests/test_sieve.py).  numpy rounds a complex product
+differently for a scalar and an array operand, and for strided and
+contiguous views, so a complex-valued family may differ from it by a few
+ulps; every built-in family is real-valued.  Chunks are independent (safe to
+farm out to threads) and the final reduction is an ordered fold, so results
+are bitwise reproducible for any worker count.
 
 Memory traffic, not arithmetic, bounds the chunk work, so the working set is
 kept small.  A chunk's f-vector is float64 when every value multiplied into
-it is real, as for every built-in family, and complex128 otherwise; the
-choice rests on the values alone, so it too is the same for any worker
-count.  The chunk length is 2^19: each worker then holds a few MB, while the
-fixed cost of a chunk (the strided loop over the 564 small primes and the
-first multiple of every bucketed prime) stays small beside its array work.
-Sums are never accumulated in int64, which would wrap silently.  Doubles
-add integers exactly below 2^53, so an integer-valued sum whose |f(n)| add
-up to 2^53 or more is refused rather than rounded.
+it is real, and then takes over the smooth part's buffer; it is complex128
+otherwise.  The choice rests on the values alone, so it too is the same for
+any worker count.  The chunk length is 2^19: each worker then holds a few
+MB, while the fixed cost of a chunk (the strided loops over the 564 small
+primes and the first multiple of every bucketed prime) stays small beside
+its array work.  The cofactor test and the cofactor multiply go 2^14
+integers at a time, so the only arrays as long as the chunk are the smooth
+part and one boolean mask: freed chunk-length temporaries would be handed
+back to the system and page-faulted again in the next chunk.  Sums are never
+accumulated in int64, which would wrap silently.  Doubles add integers
+exactly below 2^53, so an integer-valued sum whose |f(n)| add up to 2^53 or
+more is refused rather than rounded.
 
 Factorizations are kept columnar, in CSR form: ``offsets`` (length y + 1)
 delimits each integer's run in ``primes`` and ``exponents``.  A chunk's
@@ -50,7 +70,8 @@ MAX_WINDOW = 100_000_000
 MAX_BASE_PRIME = 100_000_000  # sqrt of the largest sievable x + y, 1e16
 SMALL_PRIME_BOUND = 1 << 12
 PRIME_SEGMENT = 1 << 21  # integers per base-prime segment (even; an odd-only mask of 2^20 bytes)
-BUCKET_SLICE = 1 << 16  # bucketed primes per pass, so no temporary spans them all
+BUCKET_SLICE = 1 << 17  # bucketed primes per pass, so no temporary spans them all
+_BLOCK = 1 << 14  # integers per pass of the cofactor test and multiply
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -183,54 +204,90 @@ def _progressions(ps: np.ndarray, first: np.ndarray, n: int):
     ps, first = ps.take(hit), first.take(hit)
     cnt = (n - 1 - first) // ps + 1
     hp = np.repeat(ps, cnt)
-    return hp, np.repeat(first - (np.cumsum(cnt) - cnt) * ps, cnt) + np.arange(hp.size) * hp
+    idx = hp.copy()  # steps, turned into offsets by one running sum
+    if cnt.size:
+        starts = np.cumsum(cnt) - cnt
+        idx[starts] = first
+        idx[starts[1:]] -= first[:-1] + (cnt[:-1] - 1) * ps[:-1]  # from the last offset of the group before
+        np.cumsum(idx, out=idx)
+    return hp, idx
 
 
 def _strike(a: int, b: int, primes: np.ndarray):
     """Prime-power events over the chunk [a, b) for the base primes p*p < b:
-    (residual cofactors, small, large).  small lists (p, off, exps), exps[j]
-    the exponent of p in a + off + j*p; large holds (p, offset, exponent)
-    hit arrays in ascending order of p."""
+    (smooth, small, large).  smooth[i] is the product of the struck prime
+    powers dividing a + i, so a + i has a prime cofactor exactly where
+    smooth[i] != a + i.  small lists (p, offs), offs[k - 1] the offset of the
+    first multiple of p^k in the chunk, for every p^k that has one; large
+    holds (p, offset, exponent) hit arrays in ascending order of p."""
     n = b - a
     primes = primes[: np.searchsorted(primes, math.isqrt(b - 1), side="right")]
     split = int(np.searchsorted(primes, min(SMALL_PRIME_BOUND, n)))  # strided: p < chunk
-    residual = np.arange(a, b, dtype=np.int64)
+    smooth = np.ones(n, dtype=np.int64)
     small = []
     for p in primes[:split].tolist():
-        off = -a % p
-        exps = np.zeros(len(range(off, n, p)), dtype=np.int8)
-        q = p
-        while (off_q := -a % q) < n:  # one division on the multiples of each p^k
-            residual[off_q::q] //= p
-            exps[(off_q - off) // p :: q // p] += 1
+        offs, q = [], p
+        while (off := -a % q) < n:  # one multiply on the multiples of each p^k
+            smooth[off::q] *= p
+            offs.append(off)
             q *= p
-        small.append((p, off, exps))
-    big = primes[split:]
-    hits = [_progressions(q, -a % q, n) for q in np.split(big, range(BUCKET_SLICE, big.size, BUCKET_SLICE))]
-    hp, idx = (np.concatenate(c) for c in zip(*hits))
-    np.floor_divide.at(residual, idx, hp)
+        small.append((p, offs))
+    hits, squares = [], []
+    for ps in np.split(primes[split:], range(BUCKET_SLICE, primes.size - split, BUCKET_SLICE)):
+        first = -a % ps
+        hit = first < n  # only a prime that hits the chunk can have its square there
+        ps = ps[hit]
+        hits.append(_progressions(ps, first[hit], n))
+        sq = ps * ps  # below b, so no overflow
+        squares.append(_progressions(sq, -a % sq, n))
+    hp, idx = hits[0] if len(hits) == 1 else (np.concatenate(c) for c in zip(*hits))
+    np.multiply.at(smooth, idx, hp)
     he = np.ones(hp.size, dtype=np.int8)
-    rest = residual[idx]
-    live = np.flatnonzero(np.remainder(rest, hp, out=rest) == 0)
-    while live.size:  # one division per pass; the survivors hold a higher power
-        np.floor_divide.at(residual, idx[live], hp[live])
+    sq, at = (np.concatenate(c) for c in zip(*squares))  # the few multiples of some p^2
+    root = np.rint(np.sqrt(sq)).astype(np.int64)  # p: p^2 <= 1e16 is off by less than 1 as a double
+    run = np.searchsorted(hp, root)  # where the hits of each such p begin
+    live = run + (at - idx[run]) // root
+    quot = (at + a) // root
+    while live.size:  # a quotient test: the survivors of each pass hold one more power of p
+        np.multiply.at(smooth, idx[live], root)
         he[live] += 1
-        live = live[residual[idx[live]] % hp[live] == 0]
-    return residual, small, (hp, idx, he)
+        quot //= root
+        more = quot % root == 0
+        live, root, quot = live[more], root[more], quot[more]
+    return smooth, small, (hp, idx, he)
+
+
+def _has_cofactor(smooth: np.ndarray, a: int) -> np.ndarray:
+    """smooth[i] != a + i, compared a block at a time, so that no int64
+    temporary is as long as the chunk."""
+    out = np.empty(smooth.size, dtype=bool)
+    for i in range(0, smooth.size, _BLOCK):
+        part = smooth[i : i + _BLOCK]
+        np.not_equal(part, np.arange(a + i, a + i + part.size, dtype=np.int64), out=out[i : i + _BLOCK])
+    return out
 
 
 def _factor_columns(a: int, b: int, primes: np.ndarray):
     """CSR factorizations of the chunk [a, b): (offsets, primes, exponents),
     the pairs of a + i at offsets[i]:offsets[i+1], primes ascending."""
-    residual, small, (hp, idx, he) = _strike(a, b, primes)
-    co = np.flatnonzero(residual > 1)  # prime cofactors come last
-    sp, soff = _progressions(np.array([p for p, _, _ in small], dtype=np.int64),
-                             np.array([off for _, off, _ in small], dtype=np.int64), b - a)
+    smooth, small, (hp, idx, he) = _strike(a, b, primes)
+    co = np.flatnonzero(_has_cofactor(smooth, a))  # prime cofactors come last
+    sp, soff = _progressions(np.array([p for p, _ in small], dtype=np.int64),
+                             np.array([offs[0] for _, offs in small], dtype=np.int64), b - a)
+    se = np.ones(sp.size, dtype=np.int8)
+    start = 0
+    for p, offs in small:  # run of p in sp: one entry per multiple of p, from offs[0]
+        stop = start + (b - a - 1 - offs[0]) // p + 1
+        q = p
+        for off in offs[1:]:
+            se[start + (off - offs[0]) // p : stop : q] += 1
+            q *= p
+        start = stop
     offs = np.concatenate([soff, idx, co])
     key = offs.astype(np.uint16) if b - a <= 1 << 16 else offs  # numpy radix-sorts 16-bit keys
     order = np.argsort(key, kind="stable")  # keeps each integer's primes ascending
-    ps = np.concatenate([sp, hp, residual[co]])[order]
-    exps = np.concatenate([e for _, _, e in small] + [he, np.ones(co.size, dtype=np.int8)])[order]
+    ps = np.concatenate([sp, hp, (co + a) // smooth[co]])[order]
+    exps = np.concatenate([se, he, np.ones(co.size, dtype=np.int8)])[order]
     offsets = np.zeros(b - a + 1, dtype=np.int64)
     np.cumsum(np.bincount(offs, minlength=b - a), out=offsets[1:])
     return offsets, ps, exps
@@ -290,29 +347,45 @@ def _chunk_sum(a: int, b: int, primes: np.ndarray, tables: dict, kind: int,
     """(sum of f(n), sum of |f(n)|) over [a, b), with f multiplicative given by
     local_factor(p, e) and tables[p] = [f(1), f(p), f(p^2), ...] for every
     small prime; kind covers the tables and the scalar prime_value, f(p) for
-    every prime, when the family has one.  The second sum is nan unless every
+    every prime, when the family has one.  A small prime multiplies f(p) into
+    the stride of its multiples and writes f(p^e) times the saved earlier
+    value back at the multiples of p^e, e >= 2; the bucketed hits and the
+    cofactors follow, in that order.  The second sum is nan unless every
     value multiplied in is an integer."""
-    residual, small, (hp, idx, he) = _strike(a, b, primes)
-    cofactor = residual > 1  # at most one prime cofactor per integer, met last
+    smooth, small, (hp, idx, he) = _strike(a, b, primes)
+    cofactor = _has_cofactor(smooth, a)  # at most one prime cofactor, met last
     high = np.flatnonzero(he > 1)
     powers = _local_values(local_factor, zip(hp[high].tolist(), he[high].tolist()))
     if prime_value is None:
+        at = np.flatnonzero(cofactor)
         vals, vals_kind = _prime_values(hp, local_factor)
-        cofactors, co_kind = _prime_values(residual[cofactor], local_factor)
+        cofactors, co_kind = _prime_values((at + a) // smooth[at], local_factor)
         kind = max(kind, vals_kind, co_kind)
     else:
         vals = prime_value
     kind = max(kind, _kind(powers))
-    fv = np.ones(b - a, dtype=np.complex128 if kind == _COMPLEX else np.float64)
-    for p, off, exps in small:
-        fv[off::p] *= tables[p][exps]
+    # the f-vector takes over the smooth part's buffer when it is float64
+    fv = np.empty(b - a, dtype=np.complex128) if kind == _COMPLEX else smooth.view(np.float64)
+    fv.fill(1)
+    for p, offs in small:  # f(p) in one scalar stride, then f(p^e) where p^2 divides
+        table = tables[p]
+        if len(offs) > 1:
+            before = fv[offs[1] :: p * p].copy()  # the values that f(p^e), e >= 2, multiplies
+        fv[offs[0] :: p] *= table[1]
+        for e, off in enumerate(offs[1:], start=2):
+            np.multiply(before[(off - offs[1]) // p**2 :: p ** (e - 2)], table[e], out=fv[off :: p**e])
     vals = np.full(hp.size, vals, dtype=fv.dtype)
     vals[high] = _of_kind(powers, kind)
     np.multiply.at(fv, idx, vals)
     if prime_value is None:
-        fv[cofactor] *= cofactors
-    else:  # in place: a temporary as long as the chunk costs page faults in every chunk
-        np.multiply(fv, prime_value, out=fv, where=cofactor)
+        fv[at] *= cofactors
+    else:  # [1, f(p)][cofactor] a block at a time: no temporary as long as the chunk
+        lut = np.array([1, prime_value], dtype=fv.dtype)
+        buf = np.empty(min(b - a, _BLOCK), dtype=fv.dtype)
+        for i in range(0, b - a, _BLOCK):
+            part = fv[i : i + _BLOCK]
+            # mode "clip" writes straight into out; the default "raise" goes through a copy
+            part *= np.take(lut, cofactor[i : i + _BLOCK].view(np.uint8), out=buf[: part.size], mode="clip")
     total = complex(fv.sum())  # numpy pairwise summation, ascending order
     if kind == _NONNEG_INT:
         return total, total.real
@@ -334,7 +407,12 @@ def exact_sum(family, win: Window, workers: int = 1) -> complex:
     lf = family.local_factor
     pv = getattr(family, "prime_local_value", None)
     small = primes[primes < SMALL_PRIME_BOUND].tolist()
-    tops = [int(math.log(hi - 1, p)) + 2 for p in small]  # e to log_p(x+y) + 1: float logs round
+    tops = []  # table lengths: e from 0 to the largest e with a multiple of p^e in the window
+    for p in small:
+        top, q = 1, p
+        while -lo % q < hi - lo:
+            top, q = top + 1, q * p
+        tops.append(top)
     flat = _local_values(lf, [(p, e) for p, top in zip(small, tops) for e in range(top)])
     kind = _kind(flat if pv is None else np.append(flat, complex(pv)))
     values, starts = _of_kind(flat, kind), [0, *itertools.accumulate(tops)]

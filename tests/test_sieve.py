@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import subprocess
 import sys
@@ -412,6 +413,113 @@ class TestEngineOracle:
         want = sum(complex(f_value(fam, trial_division(n))) for n in range(x + 1, x + y + 1))
         with mock.patch.object(sieve, "CHUNK", 300):
             got = {exact_sum(fam, Window(x, y), workers=w) for w in (1, 2, 4)}
+        assert len(got) == 1
+        assert got.pop() == pytest.approx(want, rel=1e-13)
+
+
+# exact_sum and factor_window over four seeded windows, as computed by the
+# engine that divided a residual (before the smooth part was multiplied up):
+# real-valued sums kept bit for bit, as float.hex, and the SHA-256 of the
+# three CSR columns.  The second window spans four chunks on two workers and
+# the last lies near 1e12.
+PINNED_WINDOWS = [(1190069, 40125, 1), (288775705, 1631692, 2), (3359230745, 153923, 1), (1002121862795, 135002, 1)]
+PINNED_SPECS = ("divisor:2", "divisor:1.5", "omega:2", "sqfree")
+PINNED_SUMS = {
+    (1190069, 40125, 1, "divisor:2"): "0x1.290a600000000p+19",
+    (1190069, 40125, 1, "divisor:1.5"): "0x1.551407ba28cc0p+17",
+    (1190069, 40125, 1, "omega:2"): "0x1.8452000000000p+18",
+    (1190069, 40125, 1, "sqfree"): "0x1.7d20000000000p+14",
+    (288775705, 1631692, 2, "divisor:2"): "0x1.00ecfc0000000p+25",
+    (288775705, 1631692, 2, "divisor:1.5"): "0x1.fafb1f700a754p+22",
+    (288775705, 1631692, 2, "omega:2"): "0x1.49a3160000000p+24",
+    (288775705, 1631692, 2, "sqfree"): "0x1.e459c00000000p+19",
+    (3359230745, 153923, 1, "divisor:2"): "0x1.b1e1100000000p+21",
+    (3359230745, 153923, 1, "divisor:1.5"): "0x1.94fe665dc5a86p+19",
+    (3359230745, 153923, 1, "omega:2"): "0x1.14c9900000000p+21",
+    (3359230745, 153923, 1, "sqfree"): "0x1.6d76000000000p+16",
+    (1002121862795, 135002, 1, "divisor:2"): "0x1.da47600000000p+21",
+    (1002121862795, 135002, 1, "divisor:1.5"): "0x1.8cf9d1497c4f2p+19",
+    (1002121862795, 135002, 1, "omega:2"): "0x1.2bde300000000p+21",
+    (1002121862795, 135002, 1, "sqfree"): "0x1.409a000000000p+16",
+}
+PINNED_COLUMNS = {
+    (1190069, 40125): "d1942b48acb35c4d64afa389851f500a0178977bb94368073a7bb1721494c6fc",
+    (288775705, 1631692): "168024e1b6ae2e0fb31e764264cd3e7bee965c00437eeda549c42eea0702ae3e",
+    (3359230745, 153923): "80d433912884f4582f9706c52a7ba99e5cfaa0cb87a226d10389f465c798173d",
+    (1002121862795, 135002): "4206682f59b3f616070b1fb8c69c33179ebbd2a800da3191c18558b8ba333241",
+}
+
+
+def columns_digest(fw: FactoredWindow) -> str:
+    h = hashlib.sha256()
+    for col in (fw.factors.offsets, fw.factors.primes, fw.factors.exponents):
+        h.update(col.dtype.str.encode())
+        h.update(col.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize("x, y, workers", PINNED_WINDOWS)
+    def test_real_sums_are_bit_identical(self, x, y, workers):
+        for spec in PINNED_SPECS:
+            got = exact_sum(family_from_spec(spec), Window(x, y), workers=workers)
+            assert got == complex(float.fromhex(PINNED_SUMS[x, y, workers, spec])), spec
+
+    def test_multi_chunk_window_on_one_and_four_workers(self):
+        x, y, _ = PINNED_WINDOWS[1]
+        assert y > 3 * sieve.CHUNK
+        for spec in PINNED_SPECS:
+            want = complex(float.fromhex(PINNED_SUMS[x, y, 2, spec]))
+            assert {exact_sum(family_from_spec(spec), Window(x, y), workers=w) for w in (1, 4)} == {want}
+
+    @pytest.mark.parametrize("x, y, workers", PINNED_WINDOWS)
+    def test_factor_window_columns_are_unchanged(self, x, y, workers):
+        fw = factor_window(Window(x, y))
+        assert columns_digest(fw) == PINNED_COLUMNS[x, y]
+
+
+class TestPowerBookkeeping:
+    """Prime powers against trial division with chunks of 1, 7 and 64
+    integers, so that the multiples of each p^k fall on chunk edges, and at
+    the full chunk length.  A chunk of c integers strikes the primes below
+    min(c, SMALL_PRIME_BOUND) in strides and buckets the rest, so the short
+    chunks send even p = 2 through the bucketed quotient test."""
+
+    CHUNKS = [1, 7, 64, sieve.CHUNK]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_top_powers_of_small_primes(self, chunk):
+        # p^k with k = log_p(x + y): the last entry of each value table
+        for n in (2**33, 3**20, 5**14, 2**20 * 3**5):
+            assert_engine_matches_oracle(n - 9, 12, chunk)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_squares_and_cubes_of_bucketed_primes(self, chunk):
+        p, q = SPLIT_PRIMES
+        for n in (p * p, 3 * p * p, p**3, 2 * p**3, p * p * q, 10007**3):
+            assert_engine_matches_oracle(n - 9, 12, chunk)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_square_of_the_largest_base_prime(self, chunk):
+        # x + y = p^2, so p = isqrt(x + y) is the last base prime
+        for p in (4093, SPLIT_PRIMES[0], 1000003):
+            assert_engine_matches_oracle(p * p - 1, 1, chunk)
+            assert_engine_matches_oracle(p * p - 11, 11, chunk)
+
+
+class TestComplexValues:
+    """numpy rounds a complex product differently for a scalar and an array
+    operand, and for strided and contiguous views, so a complex-valued family
+    is held to trial division at rel 1e-13, not bit for bit.  It must still
+    give the same sum for every worker count."""
+
+    family = SimpleNamespace(local_factor=lambda p, a: complex(1 + 1 / p, a / math.sqrt(p)))
+
+    @pytest.mark.parametrize("x, y, chunk", [(10**9, 3000, 300), (10**12, 160, 64), (2 * 10**6, 10**4, sieve.CHUNK)])
+    def test_against_trial_division(self, x, y, chunk):
+        want = sum((f_value(self.family, trial_division(n)) for n in range(x + 1, x + y + 1)), 0j)
+        with mock.patch.object(sieve, "CHUNK", chunk):
+            got = {exact_sum(self.family, Window(x, y), workers=w) for w in (1, 2, 4)}
         assert len(got) == 1
         assert got.pop() == pytest.approx(want, rel=1e-13)
 
