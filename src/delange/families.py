@@ -17,11 +17,13 @@ cutoff (Ettahri, Ramare and Surel, Math. Comp. 2021, after Cohen 1998):
 
 For `sqfree` and `omega:2` only e_2 = -1 is nonzero, so B = 1/zeta(2s) and
 no prime enters.  Otherwise e_q ~ |a|^q / q magnifies the rounding of zeta(qs),
-and a large |a| is refused (see `_background`).  The Taylor data come from one
-DFT of B on 256 nodes of |s - 1| = r: r = 1.4 when B = zeta(2s)^-k, analytic
-out to s = -1, and r = 0.4 otherwise, inside the branch point at s = 1/2.  The
-reported error is the largest change in any coefficient when every other node
-is dropped.
+so a q may sum log zeta_{>=P0}(qs) over the primes instead, and a large |a| is
+refused (see `_background`).  Those prime sums are one Dirichlet polynomial over
+prime powers on zeta's own direct-sum engine, and every family's closed form is
+F(s) = zeta(s)^kappa B(s).  The Taylor data come from one DFT of B on 256 nodes
+of |s - 1| = r: r = 1.4 when B = zeta(2s)^-k, analytic out to s = -1, and
+r = 0.4 otherwise, inside the branch point at s = 1/2.  The reported error is
+the largest change in any coefficient when every other node is dropped.
 """
 
 from __future__ import annotations
@@ -178,17 +180,14 @@ def _background(model: LocalModel, s: np.ndarray) -> np.ndarray:
     for q in np.flatnonzero(~direct & (e != 0)):
         log_b += e[q] * np.log(special.zeta_batch(q * s) * np.prod(1.0 - u**q, axis=0))
 
-    # log zeta_{>=P0}(qs) = sum_k P(kqs)/k with P(w) = sum_{p >= P0} p^-w; a later
-    # sum never needs more primes than an earlier one is given
+    # log zeta_{>=P0}(qs) = sum_k P(kqs)/k with P(w) = sum_{p >= P0} p^-w, so the
+    # direct q together are one Dirichlet polynomial with a_n = weight[m] at
+    # each n = p^m, P0 <= p < stops[m]
     if ms.size:
-        rest = primes[primes >= p0]
-        counts = np.maximum.accumulate(np.searchsorted(rest, stops)[::-1])[::-1]
-        u = np.exp(-np.multiply.outer(s, np.log(rest[: counts[0]])))
-        power = u ** ms[0]
-        for mm, n in zip(ms, counts):
-            power, u = power[:, :n], u[:, :n]
-            log_b += weight[mm] * power.sum(axis=-1)
-            power *= u
+        ln_p = np.log(primes[primes >= p0])
+        counts = np.searchsorted(primes[primes >= p0], stops)
+        ln_n = np.concatenate([mm * ln_p[:n] for mm, n in zip(ms, counts)])
+        log_b += special.dirichlet_sum(s, ln_n, np.repeat(weight[ms], counts))
     return out * np.exp(log_b)
 
 
@@ -228,6 +227,18 @@ def g_series_by_euler_product(family: ArithmeticFamily, order: int) -> tuple[Pow
     if model.real:
         series, half = series.real, half.real  # B is real on the real axis
     return PowerSeries(tuple(series)), float(np.max(np.abs(series - half)))
+
+
+def _closed_form(kappa: float, model: LocalModel, s: np.ndarray) -> np.ndarray:
+    """F(s) = zeta(s)^kappa B(s) at an array of points; B = 1 for a trivial model.
+
+    The principal log of zeta is the real-anchored one on Re(s) >= 1.17, where
+    |arg zeta| < pi: every line abscissa 1 + 2/log x of the x <= 1e5 budget.
+    """
+    s = np.asarray(s, dtype=np.complex128)
+    zeta = special.zeta_batch(s)
+    f = zeta if kappa == 1 else np.exp(kappa * np.log(zeta))
+    return f if model.trivial else f * _background(model, s)
 
 
 def euler_product_value(family: ArithmeticFamily, s: complex) -> complex:
@@ -279,75 +290,43 @@ def builtin_family(name: str, parameter: complex | None = None) -> ArithmeticFam
 
     constant_one             f = 1            F = zeta
     divisor_kappa(kappa)     f(p^a) = C(kappa+a-1, a),  F = zeta^kappa
-    omega_power(z)           f(n) = z^omega(n), z real positive
+    omega_power(z)           f(n) = z^omega(n), z real positive,  F = zeta^z B
     squarefree_omega_power   f = mu^2         F = zeta(s)/zeta(2s)
     """
     if parameter is not None and not cmath.isfinite(complex(parameter)):
         raise ParameterOutOfRange(f"{name} parameter must be finite, got {parameter}")
+    symbol = {"divisor_kappa": "kappa", "omega_power": "z"}.get(name)
+    param = None
+    if symbol is not None:
+        if parameter is None:
+            raise ParameterOutOfRange(f"{name} needs a {symbol} parameter")
+        param = complex(parameter)
+        if param.imag != 0 or param.real <= 0:
+            raise ParameterOutOfRange(f"{name} requires real {symbol} > 0")
+        param = param.real
     if name == "constant_one":
-        return ArithmeticFamily(
-            name=name,
-            local_factor=lambda p, a: 1.0 + 0j,
-            prime_local_value=1.0 + 0j,
-            params=TypePParams(kappa=1.0, w=0j),
-            local_model=LocalModel(),
-            closed_form_F=lambda s: special.zeta_batch(np.asarray(s, dtype=np.complex128)),
-        )
-    if name == "divisor_kappa":
-        if parameter is None:
-            raise ParameterOutOfRange("divisor_kappa needs a kappa parameter")
-        kappa = complex(parameter)
-        if kappa.imag != 0 or kappa.real <= 0:
-            raise ParameterOutOfRange("divisor_kappa requires real kappa > 0")
-        kap = kappa.real
-
-        def closed(s):
-            # pointwise principal log is the real-anchored continuation here:
-            # |arg zeta| < pi on Re(s) >= 1.17, which covers every admissible
-            # line abscissa 1 + 2/log x down to the x <= 1e5 budget
-            s = np.asarray(s, dtype=np.complex128)
-            return np.exp(kap * np.log(special.zeta_batch(s)))
-
-        return ArithmeticFamily(
-            name=name,
-            parameter=kap,
-            local_factor=_divisor_local(kap),
-            prime_local_value=complex(kap),
-            params=TypePParams(kappa=kap, w=0j),
-            local_model=LocalModel(),
-            closed_form_F=closed,
-        )
-    if name == "omega_power":
-        if parameter is None:
-            raise ParameterOutOfRange("omega_power needs a z parameter")
-        z = complex(parameter)
-        if z.imag != 0 or z.real <= 0:
-            raise ParameterOutOfRange("omega_power requires real z > 0")
-        zr = z.real
-        return ArithmeticFamily(
-            name=name,
-            parameter=zr,
-            local_factor=lambda p, a, _z=zr: complex(_z),
-            prime_local_value=complex(zr),
-            params=TypePParams(kappa=zr, w=0j),
-            local_model=LocalModel(a=zr - 1.0, c=zr - 1.0, w2=0.0),
-            closed_form_F=None,
-        )
-    if name == "squarefree_omega_power":
-
-        def closed(s):
-            s = np.asarray(s, dtype=np.complex128)
-            return special.zeta_batch(s) / special.zeta_batch(2.0 * s)
-
-        return ArithmeticFamily(
-            name=name,
-            local_factor=lambda p, a: 1.0 + 0j if a == 1 else 0j,
-            prime_local_value=1.0 + 0j,
-            params=TypePParams(kappa=1.0, w=1.0 + 0j),
-            local_model=LocalModel(w2=1.0),
-            closed_form_F=closed,
-        )
-    raise UnknownFamily(f"no built-in family named {name!r}")
+        kappa, w, model = 1.0, 0j, LocalModel()
+        local_factor, prime_value = (lambda p, a: 1.0 + 0j), 1.0 + 0j
+    elif name == "divisor_kappa":
+        kappa, w, model = param, 0j, LocalModel()
+        local_factor, prime_value = _divisor_local(param), complex(param)
+    elif name == "omega_power":
+        kappa, w, model = param, 0j, LocalModel(a=param - 1.0, c=param - 1.0, w2=0.0)
+        local_factor, prime_value = (lambda p, a, _z=param: complex(_z)), complex(param)
+    elif name == "squarefree_omega_power":
+        kappa, w, model = 1.0, 1.0 + 0j, LocalModel(w2=1.0)
+        local_factor, prime_value = (lambda p, a: 1.0 + 0j if a == 1 else 0j), 1.0 + 0j
+    else:
+        raise UnknownFamily(f"no built-in family named {name!r}")
+    return ArithmeticFamily(
+        name=name,
+        parameter=param,
+        local_factor=local_factor,
+        prime_local_value=prime_value,
+        params=TypePParams(kappa=kappa, w=w),
+        local_model=model,
+        closed_form_F=functools.partial(_closed_form, kappa, model),
+    )
 
 
 _SHORT_NAMES = {

@@ -146,7 +146,8 @@ def _check_line_reach(family, b: float, T: float) -> None:
     """Evaluate F once at the top node b + iT.
 
     A closed form that reaches above zeta's validated height (sqfree's
-    zeta(2s) past T = TAU_MAX/2) then fails before any panel is built.
+    zeta(2s) past T = TAU_MAX/2, omega:z's zeta(3s) past T = TAU_MAX/3) then
+    fails before any panel is built.
     """
     try:
         family.closed_form_F(np.array([complex(b, T)]))

@@ -12,10 +12,12 @@ factors the direct sum into one matrix product, about 2 K sqrt(points) exps.
 Any other batch is routed point by point: a point with |t| >= RS_T_MIN and
 Re(s) < RS_SIGMA_MAX takes the Riemann-Siegel formula, two sums over
 n <= sqrt(|t|/2pi) plus fixed corrections, and every other point takes
-Euler-Maclaurin with its own cutoff, one exp per term.  The Riemann-Siegel
-sums take an exponential for n^-it only at the primes and build every
-composite as a product of two earlier phases; the corrections evaluate each
-derivative order of their kernel once.
+Euler-Maclaurin with its own cutoff, one exp per term.  Both direct sums are
+weighted sums of a_n n^-s over given (log n, a_n) with a_n = 1; `dirichlet_sum`
+puts the background's prime powers (families) on the same two kernels.  The
+Riemann-Siegel sums take an exponential for n^-it only at the primes and
+build every composite as a product of two earlier phases; the corrections
+evaluate each derivative order of their kernel once.
 
 The Stieltjes constants gamma_0..gamma_64 come from the bundled table
 data/stieltjes.txt, read once per process on the first lookup and written by
@@ -112,11 +114,13 @@ def _progression(s: np.ndarray):
     return float(sigma), t[:, 0], float(dt)
 
 
-def _progression_sum(sigma: float, t0: np.ndarray, dt: float, count: int, k: int) -> np.ndarray:
-    """sum_{n<k} n^-(sigma + i(t0[row] + j dt)) for j < count, as one matmul.
+def _progression_sum(sigma: float, t0: np.ndarray, dt: float, count: int,
+                     ln_n: np.ndarray, a_n: np.ndarray) -> np.ndarray:
+    """sum_n a_n n^-(sigma + i(t0[row] + j dt)) for j < count, as one matmul.
 
     With j = q*B + r, n^-s = n^-(sigma + i(t0 + qB dt)) * n^(-i r dt), so the
-    sum is a (rows*Q x k) @ (k x B) product needing k*(rows*Q + B) exps.
+    sum is a (rows*Q x N) @ (N x B) product needing N*(rows*Q + B) exps; the
+    weights scale the N rows of the right factor.
     """
     rows = t0.size
     width = min(count, math.isqrt(rows * count))
@@ -124,35 +128,48 @@ def _progression_sum(sigma: float, t0: np.ndarray, dt: float, count: int, k: int
     left_s = -(sigma + 1j * (t0[:, None] + (width * dt) * np.arange(blocks)).reshape(-1))
     right_s = (-1j * dt) * np.arange(width)
     acc = np.zeros((rows * blocks, width), dtype=np.complex128)
-    n_chunk = max(8, min(k, _WORKSPACE // (rows * blocks + width)))
-    for lo in range(1, k, n_chunk):
-        ln_n = np.log(np.arange(lo, min(k, lo + n_chunk), dtype=np.float64))
-        acc += np.exp(np.multiply.outer(left_s, ln_n)) @ np.exp(np.multiply.outer(ln_n, right_s))
+    n_chunk = max(8, min(ln_n.size, _WORKSPACE // (rows * blocks + width)))
+    for lo in range(0, ln_n.size, n_chunk):
+        ln, a = ln_n[lo : lo + n_chunk], a_n[lo : lo + n_chunk]
+        right = np.exp(np.multiply.outer(ln, right_s)) * a[:, None]
+        acc += np.exp(np.multiply.outer(left_s, ln)) @ right
     return acc.reshape(rows, blocks * width)[:, :count]
 
 
-def _scattered_sum(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum_{n<k[i]} n^-s[i] for 1-D s, one exp per (point, n).
+def _scattered_sum(s: np.ndarray, ln_n: np.ndarray, a_n: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """sum_{i<count[j]} a_n[i] n_i^-s[j] for 1-D s, one exp per (point, term).
 
-    Points are taken in decreasing k, so every chunk of n runs over a prefix
-    of them and a point stops paying once n reaches its own cutoff.
+    Points are taken in decreasing count, so every chunk of terms runs over a
+    prefix of them and a point stops paying once it has its own count.
     """
-    order = np.argsort(-k, kind="stable")
-    s_desc, k_desc = s[order], k[order]
+    order = np.argsort(-count, kind="stable")
+    s_desc, count_desc = s[order], count[order]
     acc = np.zeros_like(s_desc)
-    lo = 1
-    while lo < k_desc[0]:
-        live = int(np.count_nonzero(k_desc > lo))
-        hi = min(int(k_desc[0]), lo + max(8, _WORKSPACE // live))
-        n = np.arange(lo, hi, dtype=np.float64)
-        terms = np.exp(np.multiply.outer(-np.log(n), s_desc[:live]))
-        if k_desc[live - 1] < hi:
-            terms *= n[:, None] < k_desc[:live]
-        acc[:live] += terms.sum(axis=0)
+    lo = 0
+    while lo < count_desc[0]:
+        live = int(np.count_nonzero(count_desc > lo))
+        hi = min(int(count_desc[0]), lo + max(8, _WORKSPACE // live))
+        terms = np.exp(np.multiply.outer(-ln_n[lo:hi], s_desc[:live]))
+        if count_desc[live - 1] < hi:
+            terms *= np.arange(lo, hi)[:, None] < count_desc[:live]
+        acc[:live] += a_n[lo:hi] @ terms
         lo = hi
     out = np.empty_like(acc)
     out[order] = acc
     return out
+
+
+def dirichlet_sum(s: np.ndarray, ln_n: np.ndarray, a_n: np.ndarray) -> np.ndarray:
+    """sum_i a_n[i] n_i^-s at every point of s, given ln_n[i] = log n_i.
+
+    A 2-D s whose rows are vertical progressions takes the factored matmul;
+    any other s takes one exp per point and term.
+    """
+    grid = _progression(s)
+    if grid is not None:
+        return _progression_sum(*grid, s.shape[1], ln_n, a_n)
+    flat = s.reshape(-1)
+    return _scattered_sum(flat, ln_n, a_n, np.full(flat.size, ln_n.size)).reshape(s.shape)
 
 
 def _euler_maclaurin_tail(s: np.ndarray, k) -> np.ndarray:
@@ -441,7 +458,8 @@ def zeta_batch(s: np.ndarray) -> np.ndarray:
     grid = _progression(s)
     if grid is not None:
         k = int(_direct_sum_cutoff(sig_min, t_max))
-        total = _progression_sum(*grid, s.shape[1], k) + _euler_maclaurin_tail(s, k)
+        direct = _progression_sum(*grid, s.shape[1], np.log(np.arange(1.0, k)), np.ones(k - 1))
+        total = direct + _euler_maclaurin_tail(s, k)
     else:
         flat = s.reshape(-1)
         total = np.empty_like(flat)
@@ -451,7 +469,9 @@ def zeta_batch(s: np.ndarray) -> np.ndarray:
         em = flat[~rs]
         if em.size:
             k = _direct_sum_cutoff(em.real, np.abs(em.imag))
-            total[~rs] = _scattered_sum(em, k) + _euler_maclaurin_tail(em, k)
+            top = int(k.max())
+            direct = _scattered_sum(em, np.log(np.arange(1.0, top)), np.ones(top - 1), k - 1)
+            total[~rs] = direct + _euler_maclaurin_tail(em, k)
         total = total.reshape(s.shape)
     if not np.all(np.isfinite(total)):
         raise OutOfValidatedRange("zeta evaluation overflowed inside the batch")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from delange import special
 from delange.contour import ZeroSet, bundled_zero_table, zeroset_from_pairs
 from delange.families import builtin_family
 
@@ -30,6 +31,20 @@ def fam_sqfree():
 @pytest.fixture(scope="session")
 def fam_omega2():
     return builtin_family("omega_power", 2.0)
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Records every call of the factored direct sum in `special`."""
+    calls = []
+    real = special._progression_sum
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(special, "_progression_sum", spy)
+    return calls
 
 
 def synthetic_zero_set(seed: int, T: float = 2.0**16, alpha: float = 0.6) -> ZeroSet:

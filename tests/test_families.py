@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from delange import perron
 from delange.errors import (
     DuplicatePrime,
     NonconvergentProduct,
@@ -14,6 +15,7 @@ from delange.errors import (
 )
 from delange.families import (
     LocalModel,
+    _background,
     builtin_family,
     euler_product_value,
     f_value,
@@ -286,6 +288,31 @@ class TestBackgroundSeries:
                 point_val = euler_product_value(fam, s)
                 assert abs(series_val - point_val) < 1e-12 * abs(point_val), (fam.name, h)
 
+    @pytest.mark.parametrize("z", [0.5, 3.0])
+    def test_background_on_a_perron_panel(self, grid_calls, z):
+        # a (21, 300) block of the T = 1000 line's Gauss-Kronrod nodes, as
+        # perron_line_sum hands it to the closed form
+        b = 1.0 + perron.DEFAULT_B_OFFSET / math.log(1e5)
+        s = b + 1j * perron._line_nodes(1000.0, perron.DEFAULT_QUADRATURE)[0][:, 100:400]
+        model = builtin_family("omega_power", z).local_model
+        panel = _background(model, s)
+        # zeta(2s) and zeta(3s), then the prime powers, each on the factored matmul
+        assert sorted(round(args[0] / b, 12) for args in grid_calls) == [1.0, 2.0, 3.0]
+        flat = _background(model, s.reshape(-1)).reshape(s.shape)
+        assert len(grid_calls) == 3
+        assert np.max(np.abs(panel - flat) / np.abs(flat)) <= 1e-12
+
+    @pytest.mark.parametrize("z", [0.5, 1.5, 3.0])
+    def test_omega_closed_form_against_primezeta_oracle(self, z):
+        import mpmath
+
+        fam = builtin_family("omega_power", z)
+        with mpmath.workdps(30):
+            for s in (1.5, 2.0, 3.0):
+                want = complex(omega_background_oracle(z, s) * mpmath.zeta(s) ** z)
+                got = complex(fam.closed_form_F(np.array([complex(s)]))[0])
+                assert abs(got - want) <= 1e-12 * abs(want), s
+
 
 class TestTypePConditions:
     def test_pointwise_growth_condition(self, f_refs):
@@ -311,7 +338,8 @@ class TestTypePConditions:
 
     def test_factorization_decomposition_identity(self, fam_one, fam_div2, fam_sqfree):
         # closed_form_F(s) = G_euler(s) * zeta(s)^kappa * zeta(2s)^-w on [1.5, 3]
-        for fam in (fam_one, fam_div2, fam_sqfree):
+        omegas = [builtin_family("omega_power", z) for z in (0.5, 1.5, 3.0)]
+        for fam in (fam_one, fam_div2, fam_sqfree, *omegas):
             for s in (1.5, 2.0, 3.0):
                 kappa, w = fam.params.kappa, complex(fam.params.w)
                 lhs = complex(fam.closed_form_F(np.array([complex(s)]))[0])

@@ -17,6 +17,7 @@ from delange.errors import (
     ParameterOutOfRange,
     QuadratureNotConverged,
 )
+from delange.families import builtin_family
 from delange.perron import (
     _KRONROD_NODES,
     _PAIR_WEIGHTS,
@@ -169,8 +170,9 @@ class TestPerronLine:
         assert abs(v - exact) / abs(exact) <= 0.05
 
     def test_no_closed_form(self, fam_omega2):
+        fam = dataclasses.replace(fam_omega2, closed_form_F=None)
         with pytest.raises(NoClosedForm):
-            perron_line_sum(fam_omega2, Window(10**3, 10**2), 500.0)
+            perron_line_sum(fam, Window(10**3, 10**2), 500.0)
 
     def test_trapezoid_low_density_fails_selfcheck(self, fam_div2):
         spec = QuadratureSpec(nodes_per_unit=8, scheme="trapezoid", abs_tol=1e-3)
@@ -192,6 +194,13 @@ class TestPerronLine:
         t0 = time.perf_counter()
         with pytest.raises(OutOfValidatedRange, match=r"squarefree_omega_power.*T=60000"):
             perron_line_sum(fam_sqfree, Window(1000, 100), 6.0e4)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_omega_reach_ends_at_a_third_of_the_box(self):
+        # omega:z takes zeta(2s) and zeta(3s), and 3 T = 1.2e5 leaves zeta's box
+        t0 = time.perf_counter()
+        with pytest.raises(OutOfValidatedRange, match=r"omega_power.*T=40000"):
+            perron_line_sum(builtin_family("omega_power", 0.5), Window(1000, 100), 4.0e4)
         assert time.perf_counter() - t0 < 0.5
 
     def test_reach_probe_accepts_zeta_powers_at_the_same_height(self, fam_one, fam_div2):
@@ -264,6 +273,19 @@ class TestRandomInputs:
             win = Window(x, x // 10)
             v = perron_line_sum(fam, win, T)
             assert abs(v - exact_sum(fam, win)) * T / x**1.01 <= 20.0, (fam.name, x, T)
+
+    def test_omega_perron_line_on_seeded_windows(self):
+        # the same envelope as above, on its own generator.  omega:3 is left
+        # out: at the default density its fine-coarse move passes abs_tol
+        # near x = 1e5 (1.5e-3 at x = 1e5, against 4.6e-6 for omega:1.5)
+        rng = random.Random(20261019)
+        for _ in range(8):
+            fam = builtin_family("omega_power", rng.choice((0.5, 1.5, 2.0)))
+            x = int(10 ** rng.uniform(3.0, 5.0))
+            T = rng.choice((250.0, 500.0, 1000.0))
+            win = Window(x, x // 10)
+            v = perron_line_sum(fam, win, T)
+            assert abs(v - exact_sum(fam, win)) * T / x**1.01 <= 20.0, (fam.parameter, x, T)
 
     def test_hankel_at_seeded_heights(self):
         # what the legs leave out left of 1/2 + eta bounds the deviation:

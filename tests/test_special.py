@@ -131,20 +131,6 @@ def _rows(sigma, t0, dt, count):
     return sigma + 1j * (np.asarray(t0, dtype=np.float64)[:, None] + dt * np.arange(count))
 
 
-@pytest.fixture
-def grid_calls(monkeypatch):
-    """Records every call of the factored direct sum."""
-    calls = []
-    real = special._progression_sum
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(special, "_progression_sum", spy)
-    return calls
-
-
 def _mpmath_zeta(s: complex) -> complex:
     import mpmath
 
@@ -214,6 +200,53 @@ class TestZetaProgression:
             zeta_batch(_rows(-1.0, [10.0], 1.0, 4))
         with pytest.raises(PoleAtOne):
             zeta_batch(_rows(1.0, [-2.0], 1.0, 4))
+
+
+def _weighted_reference(s: complex, ln_n, a_n) -> complex:
+    """sum_i a_n[i] exp(-s ln_n[i]), one cmath term at a time."""
+    return sum(a * cmath.exp(-s * ln) for ln, a in zip(ln_n, a_n))
+
+
+def _random_terms(rng, size: int):
+    """Unsorted log n for integers n < 1e4 with complex weights."""
+    ln_n = np.log(rng.integers(1, 10**4, size).astype(np.float64))
+    return ln_n, rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+class TestDirichletSum:
+    """The weighted engine behind zeta's direct sum and the background's prime powers."""
+
+    def test_progression_against_direct_sum(self, grid_calls, monkeypatch):
+        # a small workspace splits the terms into chunks of 8
+        monkeypatch.setattr(special, "_WORKSPACE", 64)
+        rng = np.random.default_rng(19)
+        ln_n, a_n = _random_terms(rng, 203)
+        s = _rows(1.1, [3.0, 250.0, 990.0], 0.37, 23)
+        vals = special.dirichlet_sum(s, ln_n, a_n)
+        assert len(grid_calls) == 1 and vals.shape == s.shape
+        # each phase t log n rounds to about eps * t log n in either form
+        scale = np.sum(np.abs(a_n) * np.exp(-1.1 * ln_n))
+        for row in range(s.shape[0]):
+            for k in range(s.shape[1]):
+                ref = _weighted_reference(complex(s[row, k]), ln_n, a_n)
+                assert abs(vals[row, k] - ref) <= 1e-13 * scale * max(1.0, s[row, k].imag), (row, k)
+
+    def test_scattered_with_a_count_per_point(self, grid_calls, monkeypatch):
+        monkeypatch.setattr(special, "_WORKSPACE", 64)
+        rng = np.random.default_rng(20)
+        ln_n, a_n = _random_terms(rng, 157)
+        s = rng.uniform(-0.5, 3.0, 40) + 1j * rng.uniform(-900.0, 900.0, 40)
+        count = rng.integers(0, ln_n.size + 1, s.size)
+        count[:3] = (0, 1, ln_n.size)
+        vals = special._scattered_sum(s, ln_n, a_n, count)
+        for point, c, v in zip(s, count, vals):
+            ref = _weighted_reference(complex(point), ln_n[:c], a_n[:c])
+            scale = np.sum(np.abs(a_n[:c]) * np.exp(-point.real * ln_n[:c]))
+            assert abs(v - ref) <= 1e-13 * scale * max(1.0, abs(point.imag)), (point, c)
+        # a 1-D batch takes every term at every point, never the matmul
+        flat = special.dirichlet_sum(s, ln_n, a_n)
+        assert not grid_calls
+        assert np.array_equal(flat, special._scattered_sum(s, ln_n, a_n, np.full(s.size, ln_n.size)))
 
 
 def _mpmath_rs_kernel():
