@@ -30,7 +30,7 @@ from typing import Optional
 
 from .errors import LindelofRequiresDeltaAboveOne, OrderExceedsCoefficients, require_finite
 from .series import ExpansionCoefficients
-from .sieve import Window, exact_sum
+from .sieve import Window, _window_sums
 
 REGIME_TAGS = ("unconditional_huxley", "zero_density_hypothesis", "lindelof_halasz_turan")
 
@@ -196,14 +196,16 @@ def run_experiment(
     order: Optional[int] = None,
     workers: int = 1,
 ) -> list[ExperimentRecord]:
-    """Exact-vs-predicted records over an x grid with y = ceil(x^theta_exponent)."""
+    """Exact-vs-predicted records over an x grid with y = ceil(x^theta_exponent).
+
+    The base primes are sieved once, for the largest window, after every
+    window's budget and the worker count are checked."""
     from .series import g_lambda_coeffs
 
     windows = short_windows(x_grid, theta_exponent)
     coeffs = g_lambda_coeffs(family, order if order is not None else default_order(N))
     records = []
-    for win in windows:
-        exact = exact_sum(family, win, workers=workers)
+    for win, exact in zip(windows, _window_sums(family, windows, workers)):
         pred = predict(coeffs, win, N)
         rb = remainder_bound(coeffs, win, N, rp)
         rel = abs(exact - pred) / abs(pred) if pred != 0 else math.inf

@@ -2,10 +2,11 @@ import json
 import math
 import shutil
 import time
+from unittest import mock
 
 import pytest
 
-from delange import cli, perron
+from delange import cli, perron, sieve
 from delange.cli import OPTIONS, _build_parser, _resolve, main, parse_csv
 from delange.families import family_from_spec, g_series_by_euler_product
 
@@ -81,6 +82,16 @@ class TestSum:
     def test_bad_window(self, capsys):
         code, _, err = run(capsys, "sum", "--family", "one", "--x", "4", "--y", "10")
         assert code == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_exits_1(self, capsys, monkeypatch, workers):
+        # once printed 812 and exited 0, running serially
+        monkeypatch.setattr(sieve, "primes_up_to", mock.Mock(side_effect=AssertionError("sieved")))
+        code, out, err = run(capsys, "sum", "--family", "divisor:2", "--x", "1000", "--y", "100",
+                             "--workers", workers)
+        assert code == 1
+        assert out == ""
+        assert "workers must be at least 1" in err
 
     @pytest.mark.parametrize("x, y", [("nan", "3"), ("inf", "3"), ("10", "nan"), ("10", "inf")])
     def test_non_finite_window_exits_1(self, capsys, x, y):
@@ -259,6 +270,15 @@ class TestPredictCmd:
 
 
 class TestExperimentCmd:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_exits_1(self, capsys, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(sieve, "primes_up_to", mock.Mock(side_effect=AssertionError("sieved")))
+        code, out, err = run(capsys, "experiment", "--family", "divisor:2", "--x-grid", "1e4,1e5",
+                             "--workers", workers, "--out", str(tmp_path / "e.csv"))
+        assert code == 1
+        assert out == ""
+        assert "workers must be at least 1" in err
+
     @pytest.mark.parametrize(
         "grid, message", [("inf", "must be finite"), ("1e4,nan", "must be finite"),
                           ("1e400", "64-bit")],

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import pytest
 
+from delange import sieve
 from delange.errors import (
     InvalidWindow,
     LindelofRequiresDeltaAboveOne,
@@ -20,6 +22,7 @@ from delange.meanvalue import (
     theta,
     theta_prior_bound,
 )
+from delange.families import family_from_spec
 from delange.series import g_lambda_coeffs
 from delange.sieve import Window
 from delange.special import stieltjes
@@ -116,6 +119,23 @@ class TestRunExperiment:
         # x^theta of this x overflows a double, so x is checked first
         with pytest.raises(InvalidWindow, match="64-bit"):
             run_experiment(fam_one, [10**400], 0.8, 0)
+
+    def test_records_match_one_exact_sum_per_window(self):
+        # the base primes are sieved once, for the largest x + y of the grid
+        fam = family_from_spec("divisor:1.5")
+        grid = [10**7, 4 * 10**6, 9 * 10**8, 10**5]
+        with mock.patch.object(sieve, "primes_up_to", wraps=sieve.primes_up_to) as spy:
+            records = run_experiment(fam, grid, 0.6, 1, workers=2)
+        assert spy.call_count == 1
+        for rec, win in zip(records, short_windows(grid, 0.6)):
+            assert (rec.x, rec.y) == (win.x, win.y)
+            assert rec.exact == sieve.exact_sum(fam, win)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused_before_sieving(self, fam_one, workers):
+        with mock.patch.object(sieve, "primes_up_to", side_effect=AssertionError("sieved")):
+            with pytest.raises(ParameterOutOfRange, match="workers"):
+                run_experiment(fam_one, [10**4], 0.8, 0, workers=workers)
 
 
 class TestShortWindows:

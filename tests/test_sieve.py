@@ -581,3 +581,138 @@ class TestExactAccumulation:
     def test_non_integer_values_are_not_bounded(self):
         # f(3) = 0.5 is no integer, so the sum is a rounded one anyway
         assert exact_sum(self.family(0.5, 2**53), Window(2, 2)) == 2.0**53
+
+
+def reference_strike(a: int, b: int, primes: np.ndarray):
+    """The strike of [a, b) one prime at a time and without the wheel: every
+    p^k of a strided prime struck on its multiples, and every multiple of a
+    bucketed prime divided by it until it no longer divides."""
+    n = b - a
+    smooth = np.ones(n, dtype=np.int64)
+    small, hits = [], []
+    for p in primes.tolist():
+        if p * p >= b:
+            break
+        if p < min(sieve.SMALL_PRIME_BOUND, n):
+            offs, q = [], p
+            while (off := -a % q) < n:
+                smooth[off::q] *= p
+                offs.append(off)
+                q *= p
+            small.append((p, offs))
+            continue
+        for off in range(-a % p, n, p):
+            e, m = 0, a + off
+            while m % p == 0:
+                e, m = e + 1, m // p
+            smooth[off] *= p**e
+            hits.append((p, off, e))
+    return smooth, small, hits
+
+
+def trial_smooth_part(a: int, b: int) -> list[int]:
+    """prod p^e over the primes p with p*p < b that divide a + i, by trial division."""
+    return [math.prod(p**e for p, e in trial_division(m) if p * p < b) for m in range(a, b)]
+
+
+W = sieve.WHEEL
+STRIKE_CHUNKS = (
+    [(1000 * W, 64), (1000 * W + 1, 64), (1000 * W - 1, 64), (2777 * W - 17, 64)]  # ≡ 0, 1, -1; a wrap
+    + [(10**9 + 7, n) for n in range(1, 21)]  # 13 is struck in strides from 14 integers on
+    + [(2, 60), (50, 100), (100, 68)]  # sqrt(x + y) < 13: no wheel
+    + [(509**2 - 300, 1024), (521**2 - 300, 1024), (509 * 521 - 500, 1024), (509**3 - 500, 1024)]
+    + [(2**40 - 30, 64), (3**25 - 30, 64), (2**40 - 30, 8)]  # powers past the pattern's 2^3 and 3^2
+)
+
+
+class TestSmallPrimeStage:
+    """The wheel, the strided primes below SMALL_PRIME_BOUND and the hit
+    buffers against the strike one prime at a time and trial division."""
+
+    def test_wheel_is_the_gcd_with_its_period(self):
+        pattern = sieve._wheel()
+        assert pattern.size == W == 2**3 * 3**2 * 5 * 7 * 11 * 13
+        assert np.array_equal(pattern, np.gcd(np.arange(W), W))
+        with pytest.raises(ValueError):
+            pattern[0] = 1
+
+    def test_split_primes_are_either_side_of_the_bound(self):
+        assert sieve.SMALL_PRIME_BOUND == 512
+        below = int(primes_up_to(sieve.SMALL_PRIME_BOUND)[-1])
+        assert (below, SPLIT_PRIMES[0]) == (509, 521)
+
+    @pytest.mark.parametrize("a, n", STRIKE_CHUNKS)
+    def test_strike_against_one_prime_at_a_time(self, a, n):
+        b = a + n
+        primes = primes_up_to(math.isqrt(b - 1))
+        smooth, small, (hp, idx, he) = sieve._strike(a, b, primes, sieve._scratch(a, b, primes))
+        want_smooth, want_small, want_hits = reference_strike(a, b, primes)
+        assert np.array_equal(smooth, want_smooth)
+        assert smooth.tolist() == trial_smooth_part(a, b)
+        assert small == want_small
+        assert list(zip(hp.tolist(), idx.tolist(), he.tolist())) == want_hits
+
+    def test_reused_hit_buffers_hold_no_stale_hits(self):
+        # the chunks of one call share a scratch sized for the longest chunk;
+        # a later chunk with fewer hits must not see the earlier chunk's
+        a, n = 10**9 + 7, 4096
+        primes = primes_up_to(math.isqrt(a + n + 99))
+        scratch = sieve._scratch(a, a + n + 100, primes)
+        for lo, hi in ((a, a + n), (a + n, a + n + 100)):
+            smooth, small, (hp, idx, he) = sieve._strike(lo, hi, primes, scratch)
+            want_smooth, want_small, want_hits = reference_strike(lo, hi, primes)
+            assert np.array_equal(smooth, want_smooth) and small == want_small
+            assert list(zip(hp.tolist(), idx.tolist(), he.tolist())) == want_hits
+
+    @pytest.mark.parametrize("spec", ["divisor:1.5", "omega:2"])
+    def test_five_and_a_half_chunks_on_one_two_and_three_workers(self, spec):
+        # the short last chunk reuses hit buffers filled by longer chunks
+        fam = family_from_spec(spec)
+        x, y = 10**9, 11 * sieve.CHUNK // 2
+        per_chunk = 0j
+        for a in range(x + 1, x + y + 1, sieve.CHUNK):
+            per_chunk += exact_sum(fam, Window(a - 1, min(sieve.CHUNK, x + y + 1 - a)))
+        assert {exact_sum(fam, Window(x, y), workers=w) for w in (1, 2, 3)} == {per_chunk}
+
+    def test_diagnostics_count_the_call(self, fam_div2):
+        x, y = 10**9, 3 * sieve.CHUNK // 2
+        diagnostics = {}
+        total = exact_sum(fam_div2, Window(x, y), diagnostics=diagnostics)
+        assert total == exact_sum(fam_div2, Window(x, y))
+        primes = primes_up_to(math.isqrt(x + y)).tolist()
+        hits = 0  # multiples of each bucketed prime p <= sqrt(b - 1) in each chunk [a, b)
+        for a in range(x + 1, x + y + 1, sieve.CHUNK):
+            b = min(a + sieve.CHUNK, x + y + 1)
+            hits += sum((b - 1) // p - (a - 1) // p for p in primes if 512 <= p and p * p < b)
+        assert diagnostics == {"chunks": 2, "base_primes": len(primes),
+                               "strided_primes": sum(p < 512 for p in primes), "bucket_hits": hits}
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_fewer_than_one_worker_is_refused_before_sieving(self, fam_div2, workers):
+        # once ran serially and returned the sum
+        with mock.patch.object(sieve, "primes_up_to", side_effect=AssertionError("sieved")):
+            with pytest.raises(ParameterOutOfRange, match="workers"):
+                exact_sum(fam_div2, Window(1000, 100), workers=workers)
+            with pytest.raises(ParameterOutOfRange, match="workers"):
+                sieve._window_sums(fam_div2, [Window(1000, 100)], workers)
+
+
+class TestWindowSums:
+    """run_experiment's grid: every budget checked, then one base-prime
+    sieve for the largest x + y, and each window summed over its prefix."""
+
+    def test_bit_identical_to_one_call_per_window(self):
+        fam = family_from_spec("divisor:1.5")
+        wins = [Window(10**7, 5000), Window(4 * 10**6, 2 * 10**6), Window(9 * 10**8, 70000), Window(10, 4)]
+        with mock.patch.object(sieve, "primes_up_to", wraps=sieve.primes_up_to) as spy:
+            got = sieve._window_sums(fam, wins, 2)
+        assert [c.args for c in spy.call_args_list] == [(math.isqrt(9 * 10**8 + 70000),)]
+        assert got == [exact_sum(fam, win, workers=2) for win in wins]
+
+    def test_every_budget_is_checked_first(self, fam_one):
+        wins = [Window(10**6, 100), Window(3 * 10**8, sieve.MAX_WINDOW + 1)]
+        with mock.patch.object(sieve, "primes_up_to", side_effect=AssertionError("sieved")):
+            with pytest.raises(WindowTooLarge):
+                sieve._window_sums(fam_one, wins, 1)
