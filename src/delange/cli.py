@@ -55,6 +55,7 @@ _INT, _FLOAT, _BOUND, _STR = dict(type=int), dict(type=float), dict(type=_window
 _OUT = ("--out", _STR, None)
 _FAMILY = ("--family", dict(help="family spec, e.g. divisor:2, sqfree, omega:3, one"), REQUIRED)
 _REMAINDER = (("--a1", _FLOAT, 1.0), ("--a2", _FLOAT, 0.5), ("--M", _FLOAT, 1.0))
+_NODES_PER_UNIT = ("--nodes-per-unit", _INT, perron_mod.DEFAULT_QUADRATURE.nodes_per_unit)
 
 # (flag, argparse keywords, default or REQUIRED), in the parser's order.  A
 # default of None for --J in predict and experiment stands for
@@ -77,16 +78,17 @@ OPTIONS = {
                 ("--eta", _FLOAT, None), ("--corner-eps", _FLOAT, None),
                 ("--logx", _FLOAT, math.log(1e6)), ("--emit-csv", _STR, None)),
     "perron-check": (_OUT, _FAMILY, ("--x", _BOUND, REQUIRED), ("--y", _BOUND, REQUIRED),
-                     ("--T", _FLOAT, 1000.0), ("--nodes-per-unit", _INT, 60),
+                     ("--T", _FLOAT, 1000.0), _NODES_PER_UNIT,
                      ("--scheme", dict(choices=("trapezoid", "gauss_segment"), help=(
                          "quadrature rule on the line; trapezoid converges only near"
-                         " --nodes-per-unit 600, ten times the default")), "gauss_segment"),
+                         " --nodes-per-unit 600, about twenty times the default")),
+                      "gauss_segment"),
                      ("--abs-tol", _FLOAT, 1e-3),
                      ("--b-offset", _FLOAT, perron_mod.DEFAULT_B_OFFSET), ("--zeros", _STR, None)),
     "hankel-check": (_OUT, ("--u", _FLOAT, None), ("--kappa", _FLOAT, REQUIRED),
                      ("--l", _INT, 0), ("--r", _FLOAT, None),
                      ("--x", _BOUND, None), ("--y", _BOUND, None),
-                     ("--nodes-per-unit", _INT, 60), ("--abs-tol", _FLOAT, 1e-3)),
+                     _NODES_PER_UNIT, ("--abs-tol", _FLOAT, 1e-3)),
 }
 
 

@@ -560,25 +560,3 @@ def _sum(family, lo: int, hi: int, primes: np.ndarray, workers: int, diagnostics
         raise WindowTooLarge(f"the sum of |f(n)| over ({lo - 1}, {hi - 1}] reaches 2^53, "
                              "past which doubles do not add integers exactly")
     return total
-
-
-def factor_range(lo_exclusive: int, hi_inclusive: int):
-    """Factorizations for n in (lo, hi] without the Window x >= y constraint.
-
-    Yields (n, ((p, e), ...)) in ascending order, primes ascending; intended
-    for scans such as growth checks over [1, 10^6].  The bounds are checked at
-    the call, not at the first item.
-    """
-    if lo_exclusive < 0:
-        raise InvalidWindow(f"range needs lo >= 0, got {lo_exclusive}")
-    if hi_inclusive < lo_exclusive:
-        raise InvalidWindow(f"range needs hi >= lo, got ({lo_exclusive}, {hi_inclusive}]")
-    return _factor_range(lo_exclusive + 1, hi_inclusive + 1)
-
-
-def _factor_range(lo: int, hi: int):
-    primes = _base_primes(lo, hi)
-    scratch = _scratch(lo, hi, primes)
-    for a in range(lo, hi, CHUNK):
-        b = min(a + CHUNK, hi)
-        yield from zip(range(a, b), Factorizations(*_factor_columns(a, b, primes, scratch)))

@@ -499,7 +499,9 @@ CLI_CASES = {
          "--emit-csv": "{o}/k.csv"},
     ),
     "perron-check": (
-        {"--family": "one", "--x": "100", "--y": "10", "--T": "50", "--out": "{o}/pc.json"},
+        # T = 200: the trapezoid row converges there at the default density
+        # (a move of 1.0e-4; 2.8e-3 at T = 50)
+        {"--family": "one", "--x": "100", "--y": "10", "--T": "200", "--out": "{o}/pc.json"},
         {"--nodes-per-unit": "40", "--scheme": "trapezoid", "--abs-tol": "5e-4",
          "--b-offset": "1.5", "--zeros": "{z}"},
     ),
@@ -730,7 +732,7 @@ class TestQuadratureCmds:
          (("hankel-check", "--u", "1e6", "--kappa", "0.5", "--nodes-per-unit", "1001"),
           "nodes_per_unit=1001 exceeds 1000"),
          (("perron-check", "--family", "one", "--x", "1000", "--y", "100", "--T", "1e5",
-           "--nodes-per-unit", "62"), "needs 6510000 nodes"),
+           "--nodes-per-unit", "62"), "needs 6510147 nodes"),
          (("perron-check", "--family", "one", "--x", "1000", "--y", "100", "--T", "100",
            "--nodes-per-unit", "61"), "nodes_per_unit=61 must be even")],
     )
@@ -742,6 +744,19 @@ class TestQuadratureCmds:
         assert out == ""
         assert message in err and len(err.strip().splitlines()) == 1
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("family", ["omega:3", "divisor:3"])
+    def test_large_kappa_line_converges_at_the_default_tolerance(self, capsys, tmp_path, family):
+        # the coarse rule moved these lines by 1.5e-3 and 5.4e-3 before the
+        # first panel was split; the exit was 1 against abs_tol = 1e-3
+        out = tmp_path / "p.json"
+        code, text, err = run(capsys, "perron-check", "--family", family, "--x", "100000",
+                              "--y", "10000", "--T", "1000", "--out", str(out))
+        assert code == 0, err
+        doc = json.loads(out.read_text())
+        assert doc["config"]["abs_tol"] == 1e-3
+        assert doc["quadrature_delta"] <= 1e-8
+        assert doc["rel_dev"] <= 1e-3
 
     def test_hankel_check_has_no_scheme_option(self, capsys, tmp_path):
         # the Hankel loop always uses composite Gauss panels

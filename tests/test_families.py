@@ -290,10 +290,10 @@ class TestBackgroundSeries:
 
     @pytest.mark.parametrize("z", [0.5, 3.0])
     def test_background_on_a_perron_panel(self, grid_calls, z):
-        # a (21, 300) block of the T = 1000 line's Gauss-Kronrod nodes, as
+        # a (21, 300) block of the T = 1000 line's uniform Gauss-Kronrod panels, as
         # perron_line_sum hands it to the closed form
         b = 1.0 + perron.DEFAULT_B_OFFSET / math.log(1e5)
-        s = b + 1j * perron._line_nodes(1000.0, perron.DEFAULT_QUADRATURE)[0][:, 100:400]
+        s = b + 1j * perron._line_nodes(1000.0, perron.DEFAULT_QUADRATURE)[1][0][:, 100:400]
         model = builtin_family("omega_power", z).local_model
         panel = _background(model, s)
         # zeta(2s) and zeta(3s), then the prime powers, each on the factored matmul

@@ -108,18 +108,27 @@ class TestKronrodRule:
         b = 1.0 + DEFAULT_B_OFFSET / math.log(x)
         fine, coarse = perron._line_pair(fam_div2, x, y, b, T, QuadratureSpec(nodes_per_unit=npu))
         panels = max(4, math.ceil(T * (npu // 2) / 10))
-        glx, glw = leggauss(10)
+        # the first panel in FIRST_PANEL_SPLIT equal sub-panels, then the rest
         edges = np.linspace(0.0, T, panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
+        edges = np.concatenate([np.linspace(0.0, edges[1], perron.FIRST_PANEL_SPLIT + 1),
+                                edges[2:]])
+        glx, glw = leggauss(10)
+        half = 0.5 * np.diff(edges)[:, None]
         s = b + 1j * (0.5 * (edges[:-1] + edges[1:])[:, None] + half * glx[None, :])
         vals = fam_div2.closed_form_F(s) * perron._kernel(s, x, y)
-        want = np.sum(vals * (half * glw)).real / math.pi
-        assert abs(coarse - want) <= 1e-14 * abs(want)
+        terms = vals * (half * glw) / math.pi
+        want = np.sum(terms).real
+        assert s.size == line_node_count(T, QuadratureSpec(nodes_per_unit=npu)) * 10 // 21
+        # the split panel adds 904 and the rest -96: rounding scales with the
+        # terms' absolute sum (about 1.7e4), not with their sum 808
+        assert abs(coarse - want) <= 1e-14 * np.sum(np.abs(terms))
         assert coarse.imag == fine.imag == 0.0 and fine != coarse
 
-    @pytest.mark.parametrize("npu, converges", [(24, False), (30, True)])
-    def test_density_threshold_is_unchanged(self, fam_one, npu, converges):
-        # the verdicts of the two 10-point Gauss passes this rule replaced
+    @pytest.mark.parametrize("npu, converges", [(12, False), (14, True)])
+    def test_graded_density_threshold(self, fam_one, npu, converges):
+        # measured on this line: the fine-coarse move is 1.5e-3 at 12 a unit,
+        # 2.0e-4 at 14, 1.1e-6 at 16 and 3.2e-9 at 24; 14 is the lowest
+        # density that passes
         spec = QuadratureSpec(nodes_per_unit=npu)
         win = Window(20000, 2000)
         if converges:
@@ -128,6 +137,16 @@ class TestKronrodRule:
         else:
             with pytest.raises(QuadratureNotConverged):
                 perron_line_sum(fam_one, win, 100.0, spec)
+
+    def test_first_panel_block_takes_the_factored_sum(self, fam_one, grid_calls):
+        # the sub-panels next to the pole are a (21, 8) progression of their
+        # own, ahead of the uniform panels, and every node is on a progression
+        spec = QuadratureSpec()
+        b = 1.0 + DEFAULT_B_OFFSET / math.log(1e4)
+        perron._line_pair(fam_one, 1e4, 1e3, b, 100.0, spec)
+        blocks = [(args[1].size, args[3]) for args in grid_calls]
+        assert blocks[0] == (21, perron.FIRST_PANEL_SPLIT)
+        assert sum(rows * count for rows, count in blocks) == line_node_count(100.0, spec)
 
     @pytest.mark.parametrize("scheme, npu", [("gauss_segment", 60), ("trapezoid", 600)])
     def test_closed_form_evaluated_once_per_node(self, fam_one, scheme, npu):
@@ -216,21 +235,23 @@ class TestPerronLine:
             perron_line_sum(fam_one, Window(10**4, 10**3), 100.0, b_offset=b_offset)
 
     def test_node_count(self):
-        spec = QuadratureSpec(nodes_per_unit=60)
-        assert line_node_count(100.0, spec) == 6300
-        assert line_node_count(100.0, QuadratureSpec(scheme="trapezoid")) == 6001
+        # 300 panels at 60 a unit, the first split in 8: 21 (300 - 1 + 8)
+        assert line_node_count(100.0, QuadratureSpec(nodes_per_unit=60)) == 6447
+        assert line_node_count(100.0) == 21 * (160 + 7)
+        assert line_node_count(100.0, QuadratureSpec(scheme="trapezoid")) == 3201
 
     @pytest.mark.parametrize("scheme", ["gauss_segment", "trapezoid"])
     @pytest.mark.parametrize("T", [0.5, 123.4, 1000.0])
     def test_node_count_matches_the_nodes_built(self, T, scheme):
         spec = QuadratureSpec(nodes_per_unit=60, scheme=scheme)
-        assert line_node_count(T, spec) == perron._line_nodes(T, spec)[0].size
+        assert line_node_count(T, spec) == sum(t.size for t, _ in perron._line_nodes(T, spec))
 
     @pytest.mark.parametrize(
         "T, npu, scheme, refused",
-        [(1.0e5, 60, "gauss_segment", False),   # 6.3e6 nodes, the default density at TAU_MAX
+        [(1.0e5, 32, "gauss_segment", False),   # 3,360,147 nodes, the default density at TAU_MAX
+         (1.0e5, 60, "gauss_segment", True),    # 6.3e6 + 147, the split first panel
          (1.0e5, 60, "trapezoid", False),       # 6e6 + 1
-         (60000.1, 100, "gauss_segment", True),  # 6.3e6 + 21, one panel more
+         (60000.1, 100, "gauss_segment", True),  # 6.3e6 + 168
          (63000.0, 100, "trapezoid", True)],     # 6.3e6 + 1
     )
     def test_line_node_budget(self, fam_one, monkeypatch, T, npu, scheme, refused):
@@ -275,12 +296,10 @@ class TestRandomInputs:
             assert abs(v - exact_sum(fam, win)) * T / x**1.01 <= 20.0, (fam.name, x, T)
 
     def test_omega_perron_line_on_seeded_windows(self):
-        # the same envelope as above, on its own generator.  omega:3 is left
-        # out: at the default density its fine-coarse move passes abs_tol
-        # near x = 1e5 (1.5e-3 at x = 1e5, against 4.6e-6 for omega:1.5)
+        # the same envelope as above, on its own generator, twice for each z
         rng = random.Random(20261019)
-        for _ in range(8):
-            fam = builtin_family("omega_power", rng.choice((0.5, 1.5, 2.0)))
+        for z in (0.5, 1.5, 2.0, 3.0) * 2:
+            fam = builtin_family("omega_power", z)
             x = int(10 ** rng.uniform(3.0, 5.0))
             T = rng.choice((250.0, 500.0, 1000.0))
             win = Window(x, x // 10)

@@ -19,7 +19,6 @@ from delange.sieve import (
     FactoredWindow,
     Window,
     exact_sum,
-    factor_range,
     factor_window,
     primes_up_to,
 )
@@ -230,26 +229,6 @@ class TestIdentityOracles:
             assert got == complex(want)
 
 
-class TestFactorRange:
-    def test_covers_small_integers(self, fam_div2):
-        got = dict(factor_range(0, 12))
-        assert got[1] == ()
-        assert got[12] == ((2, 2), (3, 1))
-        assert len(got) == 12
-
-    def test_budget(self):
-        with pytest.raises(WindowTooLarge):
-            list(factor_range(0, 2 * 10**8))
-
-    def test_reversed_bounds_are_refused(self):
-        # refused at the call, before anything is iterated
-        with pytest.raises(InvalidWindow, match="hi >= lo"):
-            factor_range(5, 3)
-        with pytest.raises(InvalidWindow, match="lo >= 0"):
-            factor_range(-1, 5)
-        assert list(factor_range(5, 5)) == []
-
-
 def test_primes_up_to():
     ps = primes_up_to(30)
     assert ps.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -360,7 +339,6 @@ def assert_engine_matches_oracle(x: int, y: int, chunk: int) -> None:
         fw = factor_window(Window(x, y))
         assert list(fw.factors) == want
         assert_csr_invariants(fw)
-        assert list(factor_range(x, x + y)) == list(enumerate(want, start=x + 1))
         for fam in ORACLE_FAMILIES:
             # integer-valued families: every partial sum is exact in any order
             total = sum((f_value(fam, fs) for fs in want), 0j)
@@ -541,18 +519,12 @@ class TestInputChecks:
                 exact_sum(fam_one, Window(x, 1))
             with pytest.raises(WindowTooLarge):
                 factor_window(Window(x, 1))
-            with pytest.raises(WindowTooLarge):
-                list(factor_range(x, x + 1))
 
     @pytest.mark.parametrize("spec", ["omega:1e300", "divisor:1e200"])
     def test_values_past_the_double_range_are_typed(self, spec):
         # omega:1e300 overflows in the products, divisor:1e200 in f(p^2) itself
         with pytest.raises(ParameterOutOfRange):
             exact_sum(family_from_spec(spec), Window(10**6, 1000))
-
-    def test_factor_range_rejects_negative_start(self):
-        with pytest.raises(InvalidWindow):
-            list(factor_range(-1, 5))
 
 
 class TestExactAccumulation:
