@@ -78,12 +78,7 @@ OPTIONS = {
                 ("--eta", _FLOAT, None), ("--corner-eps", _FLOAT, None),
                 ("--logx", _FLOAT, math.log(1e6)), ("--emit-csv", _STR, None)),
     "perron-check": (_OUT, _FAMILY, ("--x", _BOUND, REQUIRED), ("--y", _BOUND, REQUIRED),
-                     ("--T", _FLOAT, 1000.0), _NODES_PER_UNIT,
-                     ("--scheme", dict(choices=("trapezoid", "gauss_segment"), help=(
-                         "quadrature rule on the line; trapezoid converges only near"
-                         " --nodes-per-unit 600, about twenty times the default")),
-                      "gauss_segment"),
-                     ("--abs-tol", _FLOAT, 1e-3),
+                     ("--T", _FLOAT, 1000.0), _NODES_PER_UNIT, ("--abs-tol", _FLOAT, 1e-3),
                      ("--b-offset", _FLOAT, perron_mod.DEFAULT_B_OFFSET), ("--zeros", _STR, None)),
     "hankel-check": (_OUT, ("--u", _FLOAT, None), ("--kappa", _FLOAT, REQUIRED),
                      ("--l", _INT, 0), ("--r", _FLOAT, None),
@@ -374,9 +369,7 @@ def _cmd_contour(cfg: dict) -> int:
 def _cmd_perron_check(cfg: dict) -> int:
     t_height = cfg["T"]
     fam = family_from_spec(cfg["family"])
-    q = perron_mod.QuadratureSpec(
-        nodes_per_unit=cfg["nodes_per_unit"], scheme=cfg["scheme"], abs_tol=cfg["abs_tol"]
-    )
+    q = perron_mod.QuadratureSpec(nodes_per_unit=cfg["nodes_per_unit"], abs_tol=cfg["abs_tol"])
     t_used = t_height
     if cfg["zeros"]:
         zs = contour_mod.load_zeros(cfg["zeros"], 2.0 * t_height)

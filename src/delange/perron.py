@@ -14,10 +14,10 @@ rule's spectral shortcut there.
 
 Every quadrature yields a fine and a coarse estimate from one evaluation per
 node, and abs_tol bounds their distance (QuadratureNotConverged past it).
-The Gauss scheme puts the 21-point Gauss-Kronrod rule on each panel: the
-fine estimate is the Kronrod sum, the coarse one the 10-point Gauss sum on
-the odd-indexed nodes.  The requested density must be even, and the panels
-are those of a 10-point Gauss rule at half of it:
+Each puts the 21-point Gauss-Kronrod rule on its panels: the fine estimate
+is the Kronrod sum, the coarse one the 10-point Gauss sum on the
+odd-indexed nodes.  The requested density must be even, and the panels are
+those of a 10-point Gauss rule at half of it:
 ceil(T (nodes_per_unit // 2) / 10) on the line
 (at least 4), nodes_per_unit // 2 on the legs (graded toward s = 1, at
 least 8) and on the circle (at least 12).  The line's first panel lies only
@@ -25,9 +25,7 @@ b - 1 = b_offset/log x from the pole, where the integrand peaks, so it is
 split into FIRST_PANEL_SPLIT equal sub-panels (QUADPACK's remedy for a
 nearly singular interval).  Unsplit, that panel sets the fine-coarse
 distance: 5.4e-3 for divisor:3 at x = 1e5 and 60 nodes a unit, against
-about 1e-9 with the split at the default 32.  The trapezoid rule on the line
-nests: it runs on twice its half-density count of intervals and takes every
-other node as the coarse rule.
+about 1e-9 with the split at the default 32.
 """
 
 from __future__ import annotations
@@ -89,6 +87,9 @@ _PAIR_WEIGHTS = np.array([
 @dataclass(frozen=True)
 class QuadratureSpec:
     nodes_per_unit: int = 32
+    # Gauss-Kronrod is the only rule.  The field stays because
+    # perfbench/spans.py reads spec.scheme and perfbench/run.py passes
+    # scheme= in traced runs; it goes with the benchmark refresh (ROADMAP item 8).
     scheme: str = "gauss_segment"
     abs_tol: float = 1e-3
 
@@ -102,8 +103,8 @@ class QuadratureSpec:
         if self.nodes_per_unit % 2:
             # the rules are laid out at half the density, which must be whole
             raise ParameterOutOfRange(f"nodes_per_unit={self.nodes_per_unit} must be even")
-        if self.scheme not in ("trapezoid", "gauss_segment"):
-            raise ValueError("scheme must be 'trapezoid' or 'gauss_segment'")
+        if self.scheme != "gauss_segment":
+            raise ValueError("scheme must be 'gauss_segment'")
         if not (0.0 < self.abs_tol <= 1e-3):
             raise ValueError("abs_tol must lie in (0, 1e-3]")
 
@@ -166,54 +167,31 @@ def _check_line_reach(family, b: float, T: float) -> None:
 
 
 def _panels(T: float, spec: QuadratureSpec) -> int:
-    """Gauss-Kronrod panels, or coarse trapezoid intervals, on [0, T]."""
-    npu = spec.nodes_per_unit // 2
-    if spec.scheme == "trapezoid":
-        return max(32, int(math.ceil(T * npu)))
-    return max(4, int(math.ceil(T * npu / 10.0)))
+    """Gauss-Kronrod panels on [0, T]."""
+    return max(4, int(math.ceil(T * (spec.nodes_per_unit // 2) / 10.0)))
 
 
-def _line_nodes(T: float, spec: QuadratureSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of nodes t on [0, T], each with the weights of the fine and the
-    coarse rule.
-
-    A block's nodes come as a (rows, count) array whose rows are arithmetic
-    progressions in t (one row per Kronrod node, a single row for the
-    trapezoid rule), the layout zeta_batch evaluates with its factored direct
-    sum.  Its weights come as a (2, rows, count) array, fine rule first; for
-    the Gauss panels it is a broadcast view.  The Gauss scheme splits its
-    first panel, next to the pole, into FIRST_PANEL_SPLIT equal sub-panels,
-    which form a block of their own ahead of the uniform panels.
-    """
+def _line_edges(T: float, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges on [0, T]: the first panel's FIRST_PANEL_SPLIT equal
+    sub-panels, next to the pole, then the uniform panels after it."""
     n = _panels(T, spec)
-    if spec.scheme == "trapezoid":
-        t = np.linspace(0.0, T, 2 * n + 1)
-        w = np.full((2, 1, 2 * n + 1), T / n)
-        w[0] *= 0.5
-        w[1, :, 1::2] = 0.0
-        w[:, :, [0, -1]] *= 0.5
-        return [(t[None, :], w)]
-    edges = np.linspace(0.0, T, n + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    sub = half / FIRST_PANEL_SPLIT
-    # sub-panel j has its midpoint at (2j + 1) sub
-    first = sub * (2.0 * np.arange(FIRST_PANEL_SPLIT)[None, :] + 1.0 + _KRONROD_NODES[:, None])
-    mid = 0.5 * (edges[1:-1] + edges[2:])
-    rest = mid[None, :] + half * _KRONROD_NODES[:, None]
-    return [(t, np.broadcast_to((h * _PAIR_WEIGHTS)[:, :, None], (2, *t.shape)))
-            for t, h in ((first, sub), (rest, half))]
+    return np.linspace(0.0, T / n, FIRST_PANEL_SPLIT + 1), np.linspace(0.0, T, n + 1)[1:]
 
 
 def _line_pair(family, x: float, y: float, b: float, T: float, spec: QuadratureSpec):
     """Fine and coarse estimates of the line integral over Re(s) = b, |t| <= T."""
-    pair = np.zeros(2, dtype=np.complex128)
-    for t, w in _line_nodes(T, spec):
-        step = 65536 // t.shape[0]
-        for lo in range(0, t.shape[1], step):
-            cols = slice(lo, lo + step)
-            s = b + 1j * t[:, cols]
-            vals = family.closed_form_F(s) * _kernel(s, x, y)
-            pair += (w[:, :, cols] * vals).sum(axis=(1, 2))
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        s = b + 1j * t
+        return family.closed_form_F(s) * _kernel(s, x, y)
+
+    first, rest = _line_edges(T, spec)
+    pair = _panel_pair(integrand, first)
+    # at most 3120 uniform panels at a time: 21 rows, each a vertical
+    # progression, the layout zeta_batch sums by its factored matmul
+    step = 65536 // 21
+    for lo in range(0, rest.size - 1, step):
+        pair += _panel_pair(integrand, rest[lo : lo + step + 1])
     # f(-t) = conj(f(t)):  (1/2pi) * (I + conj I) = Re(I)/pi
     fine, coarse = pair.real / math.pi
     return complex(fine, 0.0), complex(coarse, 0.0)
@@ -263,8 +241,7 @@ def perron_line_sum(
 
 def line_node_count(T: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> int:
     """Nodes at which the line integral evaluates F."""
-    n = _panels(T, spec)
-    return 2 * n + 1 if spec.scheme == "trapezoid" else 21 * (n - 1 + FIRST_PANEL_SPLIT)
+    return 21 * (_panels(T, spec) - 1 + FIRST_PANEL_SPLIT)
 
 
 # Nodes of a line that perron_line_sum accepts.  At T = TAU_MAX the default

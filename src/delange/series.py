@@ -146,21 +146,6 @@ class ExpansionCoefficients:
         return len(self.g_l) - 1
 
 
-def g_decay_diagnostic(coeffs: ExpansionCoefficients, skip: int = 2) -> float:
-    """Fitted geometric decay radius of the g_l array.
-
-    Returns an estimate of a with |g_l| ~ M a^(-l): the reciprocal of the
-    largest |g_l|^(1/l) over l >= skip.  Purely a diagnostic of the
-    background factor's singularity distance; not an input anywhere.
-    """
-    best = 0.0
-    for l in range(skip, coeffs.order + 1):
-        mag = abs(coeffs.g_l[l])
-        if mag > 0:
-            best = max(best, mag ** (1.0 / l))
-    return math.inf if best == 0.0 else 1.0 / best
-
-
 def g_lambda_coeffs(family, order: int) -> ExpansionCoefficients:
     """Expansion coefficients for a family: g from the series product, lambda
     from division by Gamma(kappa - l) via the entire reciprocal.

@@ -455,8 +455,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "cmd, line",
-        [(("theta", "--kappa", "1", "--delta", "0"), "regime=bogus"),
-         (("perron-check", "--family", "one", "--x", "1000", "--y", "100"), "scheme=bogus")],
+        [(("theta", "--kappa", "1", "--delta", "0"), "regime=bogus")],
     )
     def test_value_outside_the_choices_is_usage_error(self, capsys, tmp_path, cmd, line):
         # the same check as the flag's argparse choices, and the same exit code
@@ -499,11 +498,9 @@ CLI_CASES = {
          "--emit-csv": "{o}/k.csv"},
     ),
     "perron-check": (
-        # T = 200: the trapezoid row converges there at the default density
-        # (a move of 1.0e-4; 2.8e-3 at T = 50)
-        {"--family": "one", "--x": "100", "--y": "10", "--T": "200", "--out": "{o}/pc.json"},
-        {"--nodes-per-unit": "40", "--scheme": "trapezoid", "--abs-tol": "5e-4",
-         "--b-offset": "1.5", "--zeros": "{z}"},
+        # the coarse rule moves this line by at most 3.1e-13 with any one sample
+        {"--family": "one", "--x": "100", "--y": "10", "--T": "50", "--out": "{o}/pc.json"},
+        {"--nodes-per-unit": "40", "--abs-tol": "5e-4", "--b-offset": "1.5", "--zeros": "{z}"},
     ),
     "hankel-check": (
         {"--u": "1e6", "--kappa": "0.5", "--out": "{o}/h.json"},
@@ -758,13 +755,23 @@ class TestQuadratureCmds:
         assert doc["quadrature_delta"] <= 1e-8
         assert doc["rel_dev"] <= 1e-3
 
-    def test_hankel_check_has_no_scheme_option(self, capsys, tmp_path):
-        # the Hankel loop always uses composite Gauss panels
+    @pytest.mark.parametrize(
+        "cmd",
+        [("perron-check", "--family", "one", "--x", "100", "--y", "10", "--T", "50"),
+         ("hankel-check", "--u", "1e6", "--kappa", "0.5")],
+        ids=["perron-check", "hankel-check"],
+    )
+    def test_checks_have_no_scheme_option(self, capsys, tmp_path, cmd):
+        # both quadratures always use composite Gauss-Kronrod panels
         with pytest.raises(SystemExit) as exc:
-            main(["hankel-check", "--u", "1e6", "--kappa", "0.5", "--scheme", "trapezoid"])
+            main([*cmd, "--scheme", "gauss_segment"])
         assert exc.value.code == 2
-        out = tmp_path / "h.json"
-        assert main(["hankel-check", "--u", "1e6", "--kappa", "0.5", "--out", str(out)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme=gauss_segment\n")
+        code, _, err = run(capsys, *cmd, "--config", str(cfg))
+        assert code == 2 and "'scheme'" in err
+        out = tmp_path / "q.json"
+        assert main([*cmd, "--out", str(out)]) == 0
         assert "scheme" not in json.loads(out.read_text())["config"]
 
     def test_hankel_check_window_mode_records_every_option(self, capsys, tmp_path):

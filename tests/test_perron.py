@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from delange import perron
+from delange import perron, special
 from delange.contour import load_zeros, zeroset_from_pairs
 from delange.errors import (
     NoClosedForm,
@@ -138,17 +138,32 @@ class TestKronrodRule:
             with pytest.raises(QuadratureNotConverged):
                 perron_line_sum(fam_one, win, 100.0, spec)
 
-    def test_first_panel_block_takes_the_factored_sum(self, fam_one, grid_calls):
+    def test_first_panel_block_takes_the_factored_sum(self, fam_one, grid_calls, monkeypatch):
         # the sub-panels next to the pole are a (21, 8) progression of their
-        # own, ahead of the uniform panels, and every node is on a progression
+        # own, ahead of the uniform panels, and every node is on a progression;
+        # T = 2500 has 3,999 uniform panels, which take two slices, so the
+        # seam between them is covered too
+        grids = []
+        real = special._progression
+
+        def spy(s):
+            grids.append(real(s))
+            return grids[-1]
+
+        monkeypatch.setattr(special, "_progression", spy)
         spec = QuadratureSpec()
         b = 1.0 + DEFAULT_B_OFFSET / math.log(1e4)
-        perron._line_pair(fam_one, 1e4, 1e3, b, 100.0, spec)
-        blocks = [(args[1].size, args[3]) for args in grid_calls]
-        assert blocks[0] == (21, perron.FIRST_PANEL_SPLIT)
-        assert sum(rows * count for rows, count in blocks) == line_node_count(100.0, spec)
+        for T, calls in ((100.0, 2), (2500.0, 3)):
+            grids.clear()
+            grid_calls.clear()
+            perron._line_pair(fam_one, 1e4, 1e3, b, T, spec)
+            assert len(grids) == calls and None not in grids
+            blocks = [(args[1].size, args[3]) for args in grid_calls]
+            assert blocks[0] == (21, perron.FIRST_PANEL_SPLIT)
+            assert sum(rows * count for rows, count in blocks) == line_node_count(T, spec)
 
-    @pytest.mark.parametrize("scheme, npu", [("gauss_segment", 60), ("trapezoid", 600)])
+    # scheme= spelled out, as perfbench's traced runs pass it
+    @pytest.mark.parametrize("scheme, npu", [("gauss_segment", 60)])
     def test_closed_form_evaluated_once_per_node(self, fam_one, scheme, npu):
         seen = []
 
@@ -193,11 +208,6 @@ class TestPerronLine:
         with pytest.raises(NoClosedForm):
             perron_line_sum(fam, Window(10**3, 10**2), 500.0)
 
-    def test_trapezoid_low_density_fails_selfcheck(self, fam_div2):
-        spec = QuadratureSpec(nodes_per_unit=8, scheme="trapezoid", abs_tol=1e-3)
-        with pytest.raises(QuadratureNotConverged):
-            perron_line_sum(fam_div2, Window(10**3, 10**2), 500.0, spec)
-
     def test_budget_guard(self, fam_one):
         with pytest.raises(ValueError):
             perron_line_sum(fam_one, Window(10**6, 10**3), 500.0)
@@ -238,21 +248,21 @@ class TestPerronLine:
         # 300 panels at 60 a unit, the first split in 8: 21 (300 - 1 + 8)
         assert line_node_count(100.0, QuadratureSpec(nodes_per_unit=60)) == 6447
         assert line_node_count(100.0) == 21 * (160 + 7)
-        assert line_node_count(100.0, QuadratureSpec(scheme="trapezoid")) == 3201
 
-    @pytest.mark.parametrize("scheme", ["gauss_segment", "trapezoid"])
+    # scheme= spelled out, as perfbench's traced runs pass it
+    @pytest.mark.parametrize("scheme", ["gauss_segment"])
     @pytest.mark.parametrize("T", [0.5, 123.4, 1000.0])
     def test_node_count_matches_the_nodes_built(self, T, scheme):
         spec = QuadratureSpec(nodes_per_unit=60, scheme=scheme)
-        assert line_node_count(T, spec) == sum(t.size for t, _ in perron._line_nodes(T, spec))
+        panels = sum(edges.size - 1 for edges in perron._line_edges(T, spec))
+        assert line_node_count(T, spec) == 21 * panels
 
+    # scheme= spelled out, as perfbench's traced runs pass it
     @pytest.mark.parametrize(
         "T, npu, scheme, refused",
         [(1.0e5, 32, "gauss_segment", False),   # 3,360,147 nodes, the default density at TAU_MAX
          (1.0e5, 60, "gauss_segment", True),    # 6.3e6 + 147, the split first panel
-         (1.0e5, 60, "trapezoid", False),       # 6e6 + 1
-         (60000.1, 100, "gauss_segment", True),  # 6.3e6 + 168
-         (63000.0, 100, "trapezoid", True)],     # 6.3e6 + 1
+         (60000.1, 100, "gauss_segment", True)],  # 6.3e6 + 168
     )
     def test_line_node_budget(self, fam_one, monkeypatch, T, npu, scheme, refused):
         # the count is checked before any node is built, so an accepted line
@@ -263,7 +273,7 @@ class TestPerronLine:
         def build(*args):
             raise Built
 
-        monkeypatch.setattr(perron, "_line_nodes", build)
+        monkeypatch.setattr(perron, "_line_edges", build)
         spec = QuadratureSpec(nodes_per_unit=npu, scheme=scheme)
         assert (line_node_count(T, spec) > 6_300_000) == refused
         with pytest.raises(ParameterOutOfRange if refused else Built):
@@ -273,6 +283,12 @@ class TestPerronLine:
         assert QuadratureSpec(nodes_per_unit=1000).nodes_per_unit == 1000
         with pytest.raises(ParameterOutOfRange, match="nodes_per_unit"):
             QuadratureSpec(nodes_per_unit=1001)
+
+    def test_scheme_other_than_gauss_kronrod_is_refused(self):
+        assert QuadratureSpec(scheme="gauss_segment") == QuadratureSpec()
+        for scheme in ("trapezoid", "bogus"):
+            with pytest.raises(ValueError, match="scheme"):
+                QuadratureSpec(scheme=scheme)
 
     def test_odd_density_is_refused(self):
         # the rules run at half the density: 61 would run as 60 and be recorded as 61

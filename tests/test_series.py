@@ -183,15 +183,3 @@ class TestExpansionCoefficients:
 
 def test_ps_scale():
     assert ps_scale(PowerSeries((1, 2, 3)), 2.0).coeffs == (2, 4, 6)
-
-
-def test_g_decay_diagnostic(fam_sqfree, fam_one):
-    from delange.series import g_decay_diagnostic
-
-    co = g_lambda_coeffs(fam_sqfree, 20)
-    fitted = g_decay_diagnostic(co)
-    assert 0.0 < fitted < 4.0  # finite singularity distance
-    co1 = g_lambda_coeffs(fam_one, 10)
-    # g_l for the trivial background decays superexponentially; the fitted
-    # radius is large but finite at this order
-    assert g_decay_diagnostic(co1) > 1.0
