@@ -458,8 +458,8 @@ def zero_density_count(
 
 # --- |zeta| diagnostic along the contour -------------------------------------------
 
-def log_zeta_diagnostic(path: ContourPath, a5: float = 1.0, samples: int = 128) -> dict:
-    """Empirical max of |log zeta| at sampled contour points vs a5 log T/log log T.
+def log_zeta_diagnostic(path: ContourPath, samples: int = 128) -> dict:
+    """Empirical max of |log zeta| at sampled contour points vs log T/log log T.
 
     Meaningful for table-sourced sets (the real zeta); heights are capped at
     the validated box.
@@ -475,6 +475,6 @@ def log_zeta_diagnostic(path: ContourPath, a5: float = 1.0, samples: int = 128) 
     vals = zeta_batch(pts)
     logs = np.abs(np.log(vals))
     T = path.covered_top
-    cap = a5 * math.log(T) / math.log(math.log(T))
+    cap = math.log(T) / math.log(math.log(T))
     mx = float(np.max(logs))
     return {"max_abs_log_zeta": mx, "cap": cap, "ratio": mx / cap, "samples": int(pts.size)}

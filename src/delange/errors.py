@@ -109,10 +109,6 @@ class DegenerateBlock(DelangeError):
 
 # --- quadrature lab ---------------------------------------------------------------
 
-class NoClosedForm(DelangeError):
-    """Family has no closed-form Dirichlet series for line evaluation."""
-
-
 class QuadratureNotConverged(DelangeError):
     """Halving the quadrature step moved the result by more than abs_tol."""
 

@@ -1,9 +1,10 @@
 """Built-in arithmetic-function families and their analytic background data.
 
-Each family is a multiplicative f given by local factors f(p^a) together
-with its constants (kappa, w) and the Taylor
-data at s = 1 of the holomorphic background B(s) = G(s) zeta(2s)^(-w).  For
-all built-ins B is an Euler product whose local factor fits one shape,
+Each family is a real-valued multiplicative f given by local factors f(p^a),
+with one value f(p) at every prime, together with its constants (kappa, w)
+and the Taylor data at s = 1 of the holomorphic background
+B(s) = G(s) zeta(2s)^(-w).  B is an Euler product whose local factor fits
+one shape, with real coefficients a, c and w2,
 
     L_p(s) = (1 + a u) (1 - u)^c (1 - u^2)^w2 = exp(sum_m d_m u^m),   u = p^(-s),
 
@@ -57,19 +58,20 @@ class TypePParams:
 
 @dataclass(frozen=True)
 class LocalModel:
-    """Local factor (1 + a u)(1 - u)^c (1 - u^2)^w2 of the background product."""
+    """Local factor (1 + a u)(1 - u)^c (1 - u^2)^w2 of the background product;
+    its coefficients are real, so B(conj s) = conj B(s)."""
 
-    a: complex = 0j
-    c: complex = 0j
-    w2: complex = 0j
+    a: float = 0.0
+    c: float = 0.0
+    w2: float = 0.0
+
+    def __post_init__(self):
+        if any(complex(v).imag for v in (self.a, self.c, self.w2)):
+            raise ParameterOutOfRange(f"the local model's coefficients must be real, got {self}")
 
     @property
     def trivial(self) -> bool:
         return self.a == 0 and self.c == 0 and self.w2 == 0
-
-    @property
-    def real(self) -> bool:
-        return all(complex(v).imag == 0 for v in (self.a, self.c, self.w2))
 
     def log_u_coeffs(self, m_max: int) -> np.ndarray:
         """d_m with log(local factor) = sum_m d_m u^m; d_0 = d_1 = 0 required."""
@@ -89,14 +91,15 @@ class LocalModel:
 
 @dataclass(frozen=True, eq=False)
 class ArithmeticFamily:
-    """A multiplicative function with its type parameters and background data."""
+    """A real-valued multiplicative function with its type parameters and
+    background data; f(p) = prime_local_value at every prime p."""
 
     name: str
     local_factor: Callable[[int, int], complex]
     params: TypePParams
-    local_model: Optional[LocalModel] = None
-    closed_form_F: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    prime_local_value: Optional[complex] = None
+    local_model: LocalModel
+    closed_form_F: Callable[[np.ndarray], np.ndarray]
+    prime_local_value: complex
     parameter: Optional[complex] = None
 
 
@@ -202,9 +205,9 @@ def _background_taylor(model: LocalModel) -> tuple[float, np.ndarray, np.ndarray
     # Re 2s > -1; any other background has a branch point or pole at s = 1/2
     # or s = 1/q, and the split at P0 needs Re s > 1/2
     r, n = (1.4 if _zeta2_power(model) else 0.4), 256
-    vals = _background(model, 1.0 + r * np.exp(2j * np.pi * np.arange(n // 2 + 1 if model.real else n) / n))
-    if model.real:  # B(conj s) = conj B(s): the lower half of the circle mirrors the upper
-        vals = np.concatenate([vals, np.conj(vals[-2:0:-1])])
+    vals = _background(model, 1.0 + r * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n))
+    # B(conj s) = conj B(s): the lower half of the circle mirrors the upper
+    vals = np.concatenate([vals, np.conj(vals[-2:0:-1])])
     return r, np.fft.fft(vals) / n, np.fft.fft(vals[::2]) / (n // 2)
 
 
@@ -217,15 +220,14 @@ def g_series_by_euler_product(family: ArithmeticFamily, order: int) -> tuple[Pow
     if order < 0:
         raise ParameterOutOfRange(f"series order J must be >= 0, got J={order}")
     model = family.local_model
-    if model is None or model.trivial:
+    if model.trivial:
         return PowerSeries.constant(1.0, order), 0.0
     r, fine, coarse = _background_taylor(model)
     if order >= coarse.size:
         raise OrderTooHigh(f"order {order} needs more than the {coarse.size} coarse circle nodes")
     scale = r ** -np.arange(order + 1.0)
-    series, half = fine[: order + 1] * scale, coarse[: order + 1] * scale
-    if model.real:
-        series, half = series.real, half.real  # B is real on the real axis
+    # B is real on the real axis
+    series, half = (fine[: order + 1] * scale).real, (coarse[: order + 1] * scale).real
     return PowerSeries(tuple(series)), float(np.max(np.abs(series - half)))
 
 
@@ -244,7 +246,7 @@ def _closed_form(kappa: float, model: LocalModel, s: np.ndarray) -> np.ndarray:
 def euler_product_value(family: ArithmeticFamily, s: complex) -> complex:
     """Pointwise value of G(s) zeta(2s)^(-w), exact up to rounding."""
     model = family.local_model
-    if model is None or model.trivial:
+    if model.trivial:
         return 1.0 + 0j
     return complex(_background(model, np.array([complex(s)]))[0])
 

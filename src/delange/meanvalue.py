@@ -67,9 +67,6 @@ class ThetaResult:
     value: float
     branch: str
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -151,17 +148,13 @@ def theta(kappa: float, delta: float, regime: ThetaRegime = ThetaRegime()) -> Th
         val = (delta - 1.0 + 2.0 * kappa * eps + 13.0 * eps) / (delta + 2.0 * kappa * eps + 3.0 * eps)
         return ThetaResult(val, "lindelof")
     if regime.tag == "unconditional_huxley":
-        boundary = 12.0 / (5.0 * eta1)
-        if kappa <= boundary:  # ties go to case 1
+        if kappa <= 12.0 / (5.0 * eta1):  # ties go to case 1
             val = (5.0 * delta + 55.0 * eps + 7.0) / (5.0 * delta + 5.0 * eps + 12.0)
             return ThetaResult(val, "case1")
-        val = (eta1 * kappa + delta - 1.0 + 11.0 * eps) / (eta1 * kappa + delta + eps)
-        return ThetaResult(val, "case2")
-    # zero_density_hypothesis
-    boundary = 2.0 / eta1
-    if kappa <= boundary:
+    elif kappa <= 2.0 / eta1:  # zero_density_hypothesis
         val = (1.0 + delta + 11.0 * eps) / (2.0 + delta + eps)
         return ThetaResult(val, "case1")
+    # case 2, one exponent for both density regimes
     val = (eta1 * kappa + delta - 1.0 + 11.0 * eps) / (eta1 * kappa + delta + eps)
     return ThetaResult(val, "case2")
 

@@ -39,7 +39,6 @@ import numpy as np
 
 from .contour import ZeroSet
 from .errors import (
-    NoClosedForm,
     OutOfValidatedRange,
     ParameterOutOfRange,
     QuadratureNotConverged,
@@ -217,8 +216,6 @@ def perron_line_sum(
     ParameterOutOfRange.  A given diagnostics dict receives the fine-coarse
     distance as "quadrature_delta".
     """
-    if family.closed_form_F is None:
-        raise NoClosedForm(f"family {family.name!r} has no closed-form Dirichlet series")
     x, y = float(win.x), float(win.y)
     if x > 1e5:
         raise ValueError("line evaluation budget is limited to x <= 1e5")
@@ -280,17 +277,17 @@ def nudge_to_zero_gap(zeroset: ZeroSet, T: float) -> float:
 # --- Hankel loop ----------------------------------------------------------------
 
 def _hankel_value(
-    u_weight, kappa: float, l: int, r: float, eta: float, spec: QuadratureSpec
+    u_weight, kappa: float, l: int, r: float, spec: QuadratureSpec
 ) -> tuple[complex, complex]:
-    """Loop integral (1/2 pi i) int (s-1)^(l-kappa) W(s) ds, legs to 1/2+eta:
-    its fine and coarse estimates.
+    """Loop integral (1/2 pi i) int (s-1)^(l-kappa) W(s) ds, legs to 1/2+eta
+    with eta = HANKEL_LEG_LEFT_ETA: its fine and coarse estimates.
 
     u_weight(s) must be analytic near the cut and real on it (both kernels
     used here are); the branch phases of (s-1)^(l-kappa) on the two legs then
     combine to -sin(pi(l-kappa))/pi times a real integral.  The circle must
     stay right of the legs' end, 0 < r < 1/2 - eta, or ParameterOutOfRange.
     """
-    a = 0.5 + eta
+    a = 0.5 + HANKEL_LEG_LEFT_ETA
     if not (0.0 < r < 1.0 - a):
         raise ParameterOutOfRange(f"loop radius r={r:g} must lie in (0, 1/2 - eta = {1 - a:g})")
     nu = l - kappa
@@ -321,15 +318,15 @@ def hankel_main_term(
     l: int,
     r: Optional[float] = None,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    eta: float = HANKEL_LEG_LEFT_ETA,
     diagnostics: Optional[dict] = None,
 ) -> complex:
     """(1/2 pi i) int_loop (s-1)^(l-kappa) u^(s-1) ds, loop radius r = 1/log u.
 
     Approaches (log u)^(kappa-1-l)/Gamma(kappa-l) as u grows; the truncation
-    of the legs at 1/2 + eta costs O(u^(eta-1/2)).  A non-finite u, kappa or r,
-    and an r outside (0, 1/2 - eta), raise ParameterOutOfRange.  A given
-    diagnostics dict receives the fine-coarse distance as "quadrature_delta".
+    of the legs at 1/2 + eta, eta = HANKEL_LEG_LEFT_ETA, costs
+    O(u^(eta-1/2)).  A non-finite u, kappa or r, and an r outside
+    (0, 1/2 - eta), raise ParameterOutOfRange.  A given diagnostics dict
+    receives the fine-coarse distance as "quadrature_delta".
     """
     require_finite(u=u, kappa=kappa)
     if u < 100.0:
@@ -342,7 +339,7 @@ def hankel_main_term(
     def weight(s: np.ndarray) -> np.ndarray:
         return np.exp((np.asarray(s) - 1.0) * lu)
 
-    return _converged(*_hankel_value(weight, kappa, l, r, eta, spec), spec, diagnostics)
+    return _converged(*_hankel_value(weight, kappa, l, r, spec), spec, diagnostics)
 
 
 def hankel_closed_form(u: float, kappa: float, l: int) -> complex:
@@ -364,12 +361,11 @@ def ml_integral_check(
     l: int,
     win: Window,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    eta: float = HANKEL_LEG_LEFT_ETA,
 ) -> LoopCheckReport:
     """Loop integral of (s-1)^(l-kappa) ((x+y)^s - x^s)/s against its main term
     y (log x)^(kappa-1-l)/Gamma(kappa-l), on the loop of radius 1/log x.  A
-    non-finite kappa, and a radius outside (0, 1/2 - eta) (x < 10 at the
-    default eta), raise ParameterOutOfRange."""
+    non-finite kappa, and a radius outside (0, 1/2 - HANKEL_LEG_LEFT_ETA)
+    (x < 10), raise ParameterOutOfRange."""
     require_finite(kappa=kappa)
     x, y = float(win.x), float(win.y)
     lx = math.log(x)
@@ -379,7 +375,7 @@ def ml_integral_check(
         return _kernel(np.asarray(s, dtype=np.complex128), x, y)
 
     diagnostics: dict = {}
-    value = _converged(*_hankel_value(weight, kappa, l, r, eta, spec), spec, diagnostics)
+    value = _converged(*_hankel_value(weight, kappa, l, r, spec), spec, diagnostics)
     reference = y * lx ** (kappa - 1.0 - l) * recip_gamma(kappa - l)
     scale = abs(reference) if reference != 0 else y * lx ** (kappa - 1.0 - l)
     rel = abs(value - reference) / scale

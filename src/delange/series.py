@@ -114,17 +114,18 @@ def shifted_zeta_series(order: int) -> PowerSeries:
     return PowerSeries(tuple(coeffs))
 
 
-_Z_BOUND_DEFAULT = 20.0
+Z_BOUND = 20.0
 
 
-def z_coeffs(z: complex, order: int, z_bound: float = _Z_BOUND_DEFAULT) -> PowerSeries:
+def z_coeffs(z: complex, order: int) -> PowerSeries:
     """Taylor coefficients of {(s-1) zeta(s)}^z about s = 1.
 
-    Entry j is gamma_j(z)/j!; entry 0 is exactly 1.
+    Entry j is gamma_j(z)/j!; entry 0 is exactly 1.  |z| past Z_BOUND raises
+    ValueError.
     """
     z = complex(z)
-    if abs(z) > z_bound:
-        raise ValueError(f"|z| = {abs(z):.3g} exceeds the configured bound {z_bound}")
+    if abs(z) > Z_BOUND:
+        raise ValueError(f"|z| = {abs(z):.3g} exceeds the configured bound {Z_BOUND}")
     base = shifted_zeta_series(order)
     out = ps_exp(ps_scale(ps_log(base), z))
     # constant term is exp(z * log 1) = 1 by construction; pin it against roundoff

@@ -20,30 +20,27 @@ those positions only.  The split at 2^9 keeps the strided loops, which cost
 Python time per prime and chunk, to the 97 primes below it; the primes above
 it cost only array work per hit.
 
-For a sum, each small prime multiplies its scalar f(p) into one stride of the
-f-vector; the values at the multiples of p^2 are saved first, and f(p^e)
-times the saved value is written back at the multiples of p^e.  Then come
-the bucketed primes in ascending order and the cofactor last, so every value
-is the product of its f(p^e) in ascending order of p, each product rounded
-once.  Real-valued sums are therefore bit-identical to those of the earlier
-engine that divided a residual and looked each exponent up in a table (the
-pinned sums in tests/test_sieve.py).  numpy rounds a complex product
-differently for a scalar and an array operand, and for strided and
-contiguous views, so a complex-valued family may differ from it by a few
-ulps; every built-in family is real-valued.  Chunks are independent (safe to
-farm out to threads) and the final reduction is an ordered fold, so results
-are bitwise reproducible for any worker count.
+A sum is of a real-valued family with one value f(p) at every prime, the
+family's prime_local_value; a local value f(p^e) or an f(p) with a nonzero
+imaginary part raises ParameterOutOfRange.  Each small prime multiplies its
+scalar f(p) into one stride of the f-vector; the values at the multiples of
+p^2 are saved first, and f(p^e) times the saved value is written back at the
+multiples of p^e.  Then come the bucketed primes in ascending order and the
+cofactor last, so every value is the product of its f(p^e) in ascending
+order of p, each product rounded once.  Sums are therefore bit-identical to
+those of the earlier engine that divided a residual and looked each exponent
+up in a table (the pinned sums in tests/test_sieve.py).  Chunks are
+independent (safe to farm out to threads) and the final reduction is an
+ordered fold, so results are bitwise reproducible for any worker count.
 
 Memory traffic, not arithmetic, bounds the chunk work, so the working set is
-kept small.  A chunk's f-vector is float64 when every value multiplied into
-it is real, and then takes over the smooth part's buffer; it is complex128
-otherwise.  The choice rests on the values alone, so it too is the same for
-any worker count.  The chunk length is 2^19: each worker then holds a few
-MB, while the fixed cost of a chunk (the strided loops over the small primes
-and the first multiple of every bucketed prime) stays small beside its array
-work.  The hit arrays (primes, offsets and exponents) are sized once per call
-for the most hits a chunk can take and reused from chunk to chunk, each
-worker thread holding its own; the hits' float64 values take over the primes'
+kept small.  A chunk's float64 f-vector takes over the smooth part's buffer.
+The chunk length is 2^19: each worker then holds a few MB, while the fixed
+cost of a chunk (the strided loops over the small primes and the first
+multiple of every bucketed prime) stays small beside its array work.  The
+hit arrays (primes, offsets and exponents) are sized once per call for the
+most hits a chunk can take and reused from chunk to chunk, each worker
+thread holding its own; the hits' float64 values take over the primes'
 array.  The cofactor test and the cofactor multiply go 2^14 integers at a
 time, so the only other arrays as long as the chunk are the smooth part and
 one boolean mask: freed temporaries would be handed back to the system and
@@ -64,7 +61,6 @@ segment at a time into a preallocated array, so at the top of the reach
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -394,67 +390,52 @@ def factor_window(win: Window) -> FactoredWindow:
 
 # Kinds of values, ordered so that a chunk takes the largest kind among the
 # values multiplied into it
-_NONNEG_INT, _INT, _REAL, _COMPLEX = range(4)
+_NONNEG_INT, _INT, _REAL = range(3)
 EXACT_LIMIT = 2**53  # doubles hold every integer below this, and not 2^53 + 1
 
 
+def _real(values, what: str) -> np.ndarray:
+    """values as float64, or ParameterOutOfRange when one is not real."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.imag.any():
+        raise ParameterOutOfRange(f"the sieve sums real-valued families only, and {what} is not real")
+    return values.real
+
+
 def _local_values(local_factor, pairs) -> np.ndarray:
-    """f(p^e) for every (p, e) in pairs as complex128, f(p^0) being f(1) = 1."""
+    """f(p^e) for every (p, e) in pairs as float64, f(p^0) being f(1) = 1."""
     try:
-        return np.array([complex(local_factor(p, e)) if e else 1.0 for p, e in pairs], dtype=np.complex128)
+        values = [complex(local_factor(p, e)) if e else 1.0 for p, e in pairs]
     except OverflowError as exc:
         raise ParameterOutOfRange("a local value f(p^e) overflows a double") from exc
+    return _real(values, "a local value f(p^e)")
 
 
 def _kind(values: np.ndarray) -> int:
     """The least kind that holds every one of the values."""
-    if values.imag.any():
-        return _COMPLEX
-    re = values.real
-    if (np.floor(re) != re).any():
+    if (np.floor(values) != values).any():
         return _REAL
-    return _INT if (re < 0).any() else _NONNEG_INT
-
-
-def _of_kind(values: np.ndarray, kind: int) -> np.ndarray:
-    """values as they are when some value is not real, else their float64 real parts."""
-    return values if kind == _COMPLEX else values.real
-
-
-def _prime_values(ps: np.ndarray, local_factor) -> tuple[np.ndarray, int]:
-    """(f(p) for every prime in ps, their kind)."""
-    uniq, inv = np.unique(ps, return_inverse=True)
-    values = _local_values(local_factor, [(q, 1) for q in uniq.tolist()])
-    kind = _kind(values)
-    return _of_kind(values, kind)[inv], kind
+    return _INT if (values < 0).any() else _NONNEG_INT
 
 
 @np.errstate(over="ignore", invalid="ignore")  # exact_sum refuses a total that is not finite
 def _chunk_sum(a: int, b: int, primes: np.ndarray, tables: dict, kind: int,
-               local_factor, prime_value, scratch: _Scratch) -> tuple[complex, float, int, int]:
+               local_factor, prime_value: float, scratch: _Scratch) -> tuple[float, float, int, int]:
     """(sum of f(n), sum of |f(n)|) over [a, b), with f multiplicative given by
-    local_factor(p, e) and tables[p] = [f(1), f(p), f(p^2), ...] for every
-    small prime; kind covers the tables and the scalar prime_value, f(p) for
-    every prime, when the family has one.  A small prime multiplies f(p) into
-    the stride of its multiples and writes f(p^e) times the saved earlier
-    value back at the multiples of p^e, e >= 2; the bucketed hits and the
-    cofactors follow, in that order.  The second sum is nan unless every
-    value multiplied in is an integer.  The last two entries count the
-    strided primes and the bucketed hits."""
+    local_factor(p, e), tables[p] = [f(1), f(p), f(p^2), ...] for every
+    small prime and prime_value = f(p) for every prime; kind covers the
+    tables and prime_value.  A small prime multiplies f(p) into the stride
+    of its multiples and writes f(p^e) times the saved earlier value back at
+    the multiples of p^e, e >= 2; the bucketed hits and the cofactors
+    follow, in that order.  The second sum is nan unless every value
+    multiplied in is an integer.  The last two entries count the strided
+    primes and the bucketed hits."""
     smooth, small, (hp, idx, he) = _strike(a, b, primes, scratch)
     cofactor = _has_cofactor(smooth, a)  # at most one prime cofactor, met last
     high = np.flatnonzero(he > 1)
     powers = _local_values(local_factor, zip(hp[high].tolist(), he[high].tolist()))
-    if prime_value is None:
-        at = np.flatnonzero(cofactor)
-        vals, vals_kind = _prime_values(hp, local_factor)
-        cofactors, co_kind = _prime_values((at + a) // smooth[at], local_factor)
-        kind = max(kind, vals_kind, co_kind)
-    else:
-        vals = prime_value
     kind = max(kind, _kind(powers))
-    # the f-vector takes over the smooth part's buffer when it is float64
-    fv = np.empty(b - a, dtype=np.complex128) if kind == _COMPLEX else smooth.view(np.float64)
+    fv = smooth.view(np.float64)  # the f-vector takes over the smooth part's buffer
     fv.fill(1)
     for p, offs in small:  # f(p) in one scalar stride, then f(p^e) where p^2 divides
         table = tables[p]
@@ -463,23 +444,20 @@ def _chunk_sum(a: int, b: int, primes: np.ndarray, tables: dict, kind: int,
         fv[offs[0] :: p] *= table[1]
         for e, off in enumerate(offs[1:], start=2):
             np.multiply(before[(off - offs[1]) // p**2 :: p ** (e - 2)], table[e], out=fv[off :: p**e])
-    # the hits' values take over the primes' buffer when they are float64, as fv does smooth's
-    hit_vals = np.empty(hp.size, dtype=fv.dtype) if kind == _COMPLEX else hp.view(np.float64)
-    hit_vals[...] = vals
-    hit_vals[high] = _of_kind(powers, kind)
+    hit_vals = hp.view(np.float64)  # the hits' values take over the primes' buffer, as fv does smooth's
+    hit_vals.fill(prime_value)
+    hit_vals[high] = powers
     np.multiply.at(fv, idx, hit_vals)
-    if prime_value is None:
-        fv[at] *= cofactors
-    else:  # [1, f(p)][cofactor] a block at a time: no temporary as long as the chunk
-        lut = np.array([1, prime_value], dtype=fv.dtype)
-        buf = np.empty(min(b - a, _BLOCK), dtype=fv.dtype)
-        for i in range(0, b - a, _BLOCK):
-            part = fv[i : i + _BLOCK]
-            # mode "clip" writes straight into out; the default "raise" goes through a copy
-            part *= np.take(lut, cofactor[i : i + _BLOCK].view(np.uint8), out=buf[: part.size], mode="clip")
-    total = complex(fv.sum())  # numpy pairwise summation, ascending order
+    # [1, f(p)][cofactor] a block at a time: no temporary as long as the chunk
+    lut = np.array([1, prime_value])
+    buf = np.empty(min(b - a, _BLOCK))
+    for i in range(0, b - a, _BLOCK):
+        part = fv[i : i + _BLOCK]
+        # mode "clip" writes straight into out; the default "raise" goes through a copy
+        part *= np.take(lut, cofactor[i : i + _BLOCK].view(np.uint8), out=buf[: part.size], mode="clip")
+    total = float(fv.sum())  # numpy pairwise summation, ascending order
     if kind == _NONNEG_INT:
-        magnitude = total.real
+        magnitude = total
     else:
         magnitude = float(np.abs(fv).sum()) if kind == _INT else math.nan
     return total, magnitude, len(small), hp.size
@@ -491,15 +469,20 @@ def _check_workers(workers: int) -> None:
 
 
 def exact_sum(family, win: Window, workers: int = 1, diagnostics: dict | None = None) -> complex:
-    """Exact sum of family.local_factor-built f(n) over (x, x+y].
+    """Exact sum of f(n) over (x, x+y], f the real-valued multiplicative
+    function with local values family.local_factor(p, e) and the one value
+    f(p) = family.prime_local_value at every prime.
 
     Chunk results are reduced in ascending order whatever the worker count,
-    so the output is bitwise deterministic.  An integer-valued f is summed
-    exactly or refused: WindowTooLarge once the sum of |f(n)| reaches
-    EXACT_LIMIT.  A local value or a total past the double range, and fewer
-    than one worker, raise ParameterOutOfRange.  A given diagnostics dict
-    receives the call's "chunks", "base_primes", "strided_primes" (the most
-    any chunk struck in strides) and "bucket_hits" (over all chunks).
+    so the output is bitwise deterministic; it is a complex with imaginary
+    part 0.0.  An integer-valued f is summed exactly or refused:
+    WindowTooLarge once the sum of |f(n)| reaches EXACT_LIMIT.  An f(p) or a
+    local value with a nonzero imaginary part, a local value or a total past
+    the double range, and fewer than one worker raise ParameterOutOfRange;
+    f(p) and the small primes' local values are checked before any chunk is
+    summed.  A given diagnostics dict receives the call's "chunks",
+    "base_primes", "strided_primes" (the most any chunk struck in strides)
+    and "bucket_hits" (over all chunks).
     """
     _check_workers(workers)
     lo, hi = win.x + 1, win.x + win.y + 1
@@ -523,7 +506,7 @@ def _sum(family, lo: int, hi: int, primes: np.ndarray, workers: int, diagnostics
     """exact_sum over [lo, hi), given the base primes up to sqrt(hi - 1)."""
     bounds = [(a, min(a + CHUNK, hi)) for a in range(lo, hi, CHUNK)]
     lf = family.local_factor
-    pv = getattr(family, "prime_local_value", None)
+    pv = float(_real(family.prime_local_value, "f(p)"))
     small = primes[primes < SMALL_PRIME_BOUND].tolist()
     tops = []  # table lengths: e from 0 to the largest e with a multiple of p^e in the window
     for p in small:
@@ -531,12 +514,9 @@ def _sum(family, lo: int, hi: int, primes: np.ndarray, workers: int, diagnostics
         while -lo % q < hi - lo:
             top, q = top + 1, q * p
         tops.append(top)
-    flat = _local_values(lf, [(p, e) for p, top in zip(small, tops) for e in range(top)])
-    kind = _kind(flat if pv is None else np.append(flat, complex(pv)))
-    values, starts = _of_kind(flat, kind), [0, *itertools.accumulate(tops)]
+    values = _local_values(lf, [(p, e) for p, top in zip(small, tops) for e in range(top)])
+    kind, starts = _kind(np.append(values, pv)), [0, *itertools.accumulate(tops)]
     tables = {p: values[s:t] for p, s, t in zip(small, starts, starts[1:])}
-    if pv is not None:
-        pv = complex(pv) if kind == _COMPLEX else complex(pv).real
     scratch = _scratch(lo, hi, primes)
 
     def run(ab):
@@ -547,16 +527,16 @@ def _sum(family, lo: int, hi: int, primes: np.ndarray, workers: int, diagnostics
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, bounds))
-    total, magnitude = 0j, 0.0
+    total, magnitude = 0.0, 0.0
     for part, part_magnitude, _, _ in parts:  # ordered fold
         total += part
         magnitude += part_magnitude
     if diagnostics is not None:
         diagnostics.update(chunks=len(bounds), base_primes=int(primes.size),
                            strided_primes=max(p[2] for p in parts), bucket_hits=sum(p[3] for p in parts))
-    if not cmath.isfinite(total):
-        raise ParameterOutOfRange(f"the sum over ({lo - 1}, {hi - 1}] is not finite: {total}")
+    if not math.isfinite(total):
+        raise ParameterOutOfRange(f"the sum over ({lo - 1}, {hi - 1}] is not finite: {complex(total)}")
     if magnitude >= EXACT_LIMIT:
         raise WindowTooLarge(f"the sum of |f(n)| over ({lo - 1}, {hi - 1}] reaches 2^53, "
                              "past which doubles do not add integers exactly")
-    return total
+    return complex(total)

@@ -396,7 +396,7 @@ class TestZeroDensity:
 def test_log_zeta_diagnostic(zero_table_path):
     zs = load_zeros(zero_table_path, 2.0**12)
     path = build_path(zs)
-    rep = log_zeta_diagnostic(path, a5=1.0, samples=64)
+    rep = log_zeta_diagnostic(path, samples=64)
     assert rep["samples"] > 0
     assert math.isfinite(rep["max_abs_log_zeta"])
     assert rep["cap"] > 0

@@ -274,6 +274,12 @@ class TestBackgroundSeries:
         with pytest.raises(NonconvergentProduct):
             LocalModel(a=1.0, c=0.0, w2=0.0).log_u_coeffs(10)
 
+    @pytest.mark.parametrize("coeffs", [dict(a=0.5j), dict(c=1 + 1e-9j), dict(w2=-1j)])
+    def test_complex_local_model_rejected(self, coeffs):
+        # the Taylor data mirror the upper half of the circle, B(conj s) = conj B(s)
+        with pytest.raises(ParameterOutOfRange, match="real"):
+            LocalModel(**coeffs)
+
     def test_series_matches_pointwise_product_off_center(self, fam_sqfree, fam_omega2):
         # evaluate the Taylor data away from s = 1 and compare against the
         # pointwise zeta product (no DFT on that side); the order-24 remainder

@@ -12,7 +12,6 @@ from numpy.polynomial.legendre import leggauss
 from delange import perron, special
 from delange.contour import load_zeros, zeroset_from_pairs
 from delange.errors import (
-    NoClosedForm,
     OutOfValidatedRange,
     ParameterOutOfRange,
     QuadratureNotConverged,
@@ -202,11 +201,6 @@ class TestPerronLine:
         v = perron_line_sum(fam_sqfree, win, 1500.0)
         exact = exact_sum(fam_sqfree, win)
         assert abs(v - exact) / abs(exact) <= 0.05
-
-    def test_no_closed_form(self, fam_omega2):
-        fam = dataclasses.replace(fam_omega2, closed_form_F=None)
-        with pytest.raises(NoClosedForm):
-            perron_line_sum(fam, Window(10**3, 10**2), 500.0)
 
     def test_budget_guard(self, fam_one):
         with pytest.raises(ValueError):

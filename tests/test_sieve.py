@@ -4,7 +4,6 @@ import math
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -287,7 +286,7 @@ def test_top_of_reach_peaks_below_100_mb():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_low_band_window_on_two_workers_peaks_below_85_mb():
     # two 2^19-integer chunks in flight with float64 f-vectors; with 2^20
-    # complex128 chunks the same call peaked at 117 MB
+    # complex128 chunks (an earlier engine) the same call peaked at 117 MB
     code = (
         "from delange.families import family_from_spec\n"
         "from delange.sieve import Window, exact_sum\n"
@@ -308,12 +307,15 @@ def test_primes_up_to_refuses_past_the_reach():
         primes_up_to(10**12)
 
 
+def synthetic_family(local_factor, prime_value):
+    """A family whose local values are local_factor(p, e) and f(p) = prime_value."""
+    return dataclasses.replace(family_from_spec("one"), name="synthetic", local_factor=local_factor,
+                               prime_local_value=prime_value)
+
+
 ORACLE_FAMILIES = [family_from_spec(s) for s in ("one", "divisor:2", "omega:2", "sqfree")] + [
-    # p-dependent values and no prime_local_value: exercises the per-prime lookups
-    SimpleNamespace(local_factor=lambda p, a: complex(p % 5 + a)),
-    # real at every small prime, complex at the bucketed ones and the cofactors:
-    # real tables, and chunks of either dtype in one call
-    SimpleNamespace(local_factor=lambda p, a: complex(p % 5 + a, 0 if p < sieve.SMALL_PRIME_BOUND else a)),
+    # f(p) = 3 and f(p^e) = 2e + 1: a distinct value for each exponent
+    synthetic_family(lambda p, e: complex(2 * e + 1), 3.0),
 ]
 # the two smallest bucketed primes
 SPLIT_PRIMES = [n for n in range(sieve.SMALL_PRIME_BOUND, 2 * sieve.SMALL_PRIME_BOUND)
@@ -369,6 +371,16 @@ class TestEngineOracle:
         for p in [below] + SPLIT_PRIMES:
             for n in (p * p, 2 * p * p, p**3):
                 assert_engine_matches_oracle(n - 5, 10, chunk)
+
+    @pytest.mark.parametrize("bucket_slice", [3, 40])
+    def test_several_bucket_slices(self, bucket_slice):
+        # the bucketed primes go BUCKET_SLICE at a time: many slices in every
+        # chunk, and squares and cubes of primes from late slices
+        with mock.patch.object(sieve, "BUCKET_SLICE", bucket_slice):
+            for x, y, chunk in [(10**7, 400, 64), (10007**2 - 150, 300, 251), (1009**3 - 100, 200, 1 << 20)]:
+                bucketed = np.count_nonzero(primes_up_to(math.isqrt(x + y)) >= min(chunk, sieve.SMALL_PRIME_BOUND))
+                assert bucketed > 10 * bucket_slice
+                assert_engine_matches_oracle(x, y, chunk)
 
     def test_product_of_two_bucketed_primes(self, fam_div2):
         p, q = SPLIT_PRIMES
@@ -485,21 +497,25 @@ class TestPowerBookkeeping:
             assert_engine_matches_oracle(p * p - 11, 11, chunk)
 
 
-class TestComplexValues:
-    """numpy rounds a complex product differently for a scalar and an array
-    operand, and for strided and contiguous views, so a complex-valued family
-    is held to trial division at rel 1e-13, not bit for bit.  It must still
-    give the same sum for every worker count."""
+class TestNonRealValues:
+    """The sieve sums real-valued families only: an f(p) or a local value
+    f(p^e) with a nonzero imaginary part is refused, not summed."""
 
-    family = SimpleNamespace(local_factor=lambda p, a: complex(1 + 1 / p, a / math.sqrt(p)))
+    @pytest.mark.parametrize("family", [
+        synthetic_family(lambda p, e: 1.0, 1j),  # f(p)
+        synthetic_family(lambda p, e: complex(1, e == 3), 1.0),  # f(p^3) of the small primes
+    ], ids=["prime_value", "small_prime_power"])
+    def test_refused_before_any_chunk(self, family):
+        with mock.patch.object(sieve, "_chunk_sum", side_effect=AssertionError("summed")):
+            with pytest.raises(ParameterOutOfRange, match="not real"):
+                exact_sum(family, Window(10**6, 1000))
 
-    @pytest.mark.parametrize("x, y, chunk", [(10**9, 3000, 300), (10**12, 160, 64), (2 * 10**6, 10**4, sieve.CHUNK)])
-    def test_against_trial_division(self, x, y, chunk):
-        want = sum((f_value(self.family, trial_division(n)) for n in range(x + 1, x + y + 1)), 0j)
-        with mock.patch.object(sieve, "CHUNK", chunk):
-            got = {exact_sum(self.family, Window(x, y), workers=w) for w in (1, 2, 4)}
-        assert len(got) == 1
-        assert got.pop() == pytest.approx(want, rel=1e-13)
+    def test_bucketed_prime_power_is_refused(self):
+        # f(p^2) is complex only for the bucketed primes; 521^2 lies in the window
+        family = synthetic_family(lambda p, e: complex(1, e > 1 and p > sieve.SMALL_PRIME_BOUND), 1.0)
+        assert exact_sum(family, Window(10**6, 1000)) == 1000
+        with pytest.raises(ParameterOutOfRange, match="not real"):
+            exact_sum(family, Window(521**2 - 10, 20))
 
 
 class TestInputChecks:
@@ -533,9 +549,8 @@ class TestExactAccumulation:
 
     @staticmethod
     def family(f3: int, f4: int):
-        # f(3) = f3 and f(4) = f(2^2) = f4; the window (2, 4] holds just 3 and 4
-        vals = {(3, 1): f3, (2, 2): f4}
-        return SimpleNamespace(local_factor=lambda p, a: complex(vals.get((p, a), 1)))
+        # f(3) = f(p) = f3 and f(4) = f(2^2) = f4; the window (2, 4] holds just 3 and 4
+        return synthetic_family(lambda p, a: complex(f3 if a == 1 else f4), f3)
 
     @pytest.mark.parametrize("chunk", [1, sieve.CHUNK])
     @pytest.mark.parametrize("f3, f4", [(2**52, 2**52 - 1), (-(2**52), 2**52 - 1)])
