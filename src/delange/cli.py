@@ -25,7 +25,7 @@ from . import contour as contour_mod
 from . import meanvalue as mv
 from . import perron as perron_mod
 from .errors import DelangeError, UsageError
-from .families import family_from_spec, g_series_by_euler_product
+from .families import family_from_spec
 from .series import g_lambda_coeffs
 from .sieve import Window, exact_sum
 
@@ -252,8 +252,7 @@ def _cmd_coeffs(cfg: dict) -> int:
         "gamma_j": [[c.real, c.imag] for c in co.gamma_j],
         "g_l": [[c.real, c.imag] for c in co.g_l],
         "lambda_l": [[c.real, c.imag] for c in co.lambda_l],
-        # the error figure of the series g_lambda_coeffs just built (cached DFT)
-        "background_error": g_series_by_euler_product(fam, cfg["J"])[1],
+        "background_error": co.background_error,
     }
     if cfg["out"]:
         emit_json(report, cfg["out"])
@@ -307,15 +306,17 @@ def _cmd_theta(cfg: dict) -> int:
 
 
 def _cmd_experiment(cfg: dict) -> int:
-    if cfg["J"] is None:
-        cfg["J"] = mv.default_order(cfg["N"])
-    rp = _remainder_params(cfg)
-    fam = family_from_spec(cfg["family"])
     grid_raw = cfg["x_grid"]
     try:
         x_grid = [_window_bound(tok) for tok in grid_raw.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"--x-grid: cannot parse {grid_raw!r}") from None
+    if not x_grid:
+        raise UsageError(f"--x-grid: no height in {grid_raw!r}")
+    if cfg["J"] is None:
+        cfg["J"] = mv.default_order(cfg["N"])
+    rp = _remainder_params(cfg)
+    fam = family_from_spec(cfg["family"])
     records = mv.run_experiment(
         fam, x_grid, cfg["theta_exp"], cfg["N"], rp=rp, order=cfg["J"], workers=cfg["workers"]
     )

@@ -1,8 +1,9 @@
 """Built-in arithmetic-function families and their analytic background data.
 
-Each family is a real-valued multiplicative f given by local factors f(p^a),
-with one value f(p) at every prime, together with its constants (kappa, w)
-and the Taylor data at s = 1 of the holomorphic background
+Each family is a real-valued multiplicative f whose Euler factor is the same
+series in u = p^(-s) at every prime, so one function of the exponent gives it:
+f(p^e) = local_value(e) at every prime p.  With it come the constants (kappa,
+w) and the Taylor data at s = 1 of the holomorphic background
 B(s) = G(s) zeta(2s)^(-w).  B is an Euler product whose local factor fits
 one shape, with real coefficients a, c and w2,
 
@@ -33,7 +34,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -92,15 +93,14 @@ class LocalModel:
 @dataclass(frozen=True, eq=False)
 class ArithmeticFamily:
     """A real-valued multiplicative function with its type parameters and
-    background data; f(p) = prime_local_value at every prime p."""
+    background data; f(p^e) = local_value(e) at every prime p, and
+    local_value(0) = f(1) = 1."""
 
     name: str
-    local_factor: Callable[[int, int], complex]
+    local_value: Callable[[int], float]
     params: TypePParams
     local_model: LocalModel
     closed_form_F: Callable[[np.ndarray], np.ndarray]
-    prime_local_value: complex
-    parameter: Optional[complex] = None
 
 
 # --- background engine ------------------------------------------------------------
@@ -263,42 +263,40 @@ def f_value(family: ArithmeticFamily, factorization) -> complex:
         if a < 1:
             raise ValueError("exponents must be >= 1")
         seen.add(p)
-        out *= complex(family.local_factor(int(p), int(a)))
+        out *= family.local_value(int(a))
     return out
 
 
-def _divisor_local(kappa: float) -> Callable[[int, int], complex]:
+def _divisor_local(kappa: float) -> Callable[[int], float]:
     if float(kappa).is_integer():
         k = int(kappa)
 
-        def lf(p: int, a: int) -> complex:
-            return complex(math.comb(k + a - 1, a))
+        def local_value(e: int) -> float:
+            return float(math.comb(k + e - 1, e))
 
     else:
 
-        def lf(p: int, a: int) -> complex:
-            # C(kappa+a-1, a) = prod_{i<a} (kappa+i)/(i+1): exactly kappa at
-            # a = 1, so f(p) agrees with prime_local_value bit for bit
+        def local_value(e: int) -> float:
+            # C(kappa+e-1, e) = prod_{i<e} (kappa+i)/(i+1): exactly kappa at e = 1
             val = 1.0
-            for i in range(a):
+            for i in range(e):
                 val *= (kappa + i) / (i + 1)
-            return complex(val)
+            return val
 
-    return lf
+    return local_value
 
 
 def builtin_family(name: str, parameter: complex | None = None) -> ArithmeticFamily:
     """Construct one of the built-in families.
 
     constant_one             f = 1            F = zeta
-    divisor_kappa(kappa)     f(p^a) = C(kappa+a-1, a),  F = zeta^kappa
+    divisor_kappa(kappa)     f(p^e) = C(kappa+e-1, e),  F = zeta^kappa
     omega_power(z)           f(n) = z^omega(n), z real positive,  F = zeta^z B
     squarefree_omega_power   f = mu^2         F = zeta(s)/zeta(2s)
     """
     if parameter is not None and not cmath.isfinite(complex(parameter)):
         raise ParameterOutOfRange(f"{name} parameter must be finite, got {parameter}")
     symbol = {"divisor_kappa": "kappa", "omega_power": "z"}.get(name)
-    param = None
     if symbol is not None:
         if parameter is None:
             raise ParameterOutOfRange(f"{name} needs a {symbol} parameter")
@@ -307,24 +305,19 @@ def builtin_family(name: str, parameter: complex | None = None) -> ArithmeticFam
             raise ParameterOutOfRange(f"{name} requires real {symbol} > 0")
         param = param.real
     if name == "constant_one":
-        kappa, w, model = 1.0, 0j, LocalModel()
-        local_factor, prime_value = (lambda p, a: 1.0 + 0j), 1.0 + 0j
+        kappa, w, model, local_value = 1.0, 0j, LocalModel(), lambda e: 1.0
     elif name == "divisor_kappa":
-        kappa, w, model = param, 0j, LocalModel()
-        local_factor, prime_value = _divisor_local(param), complex(param)
+        kappa, w, model, local_value = param, 0j, LocalModel(), _divisor_local(param)
     elif name == "omega_power":
         kappa, w, model = param, 0j, LocalModel(a=param - 1.0, c=param - 1.0, w2=0.0)
-        local_factor, prime_value = (lambda p, a, _z=param: complex(_z)), complex(param)
+        local_value = lambda e: param if e else 1.0
     elif name == "squarefree_omega_power":
-        kappa, w, model = 1.0, 1.0 + 0j, LocalModel(w2=1.0)
-        local_factor, prime_value = (lambda p, a: 1.0 + 0j if a == 1 else 0j), 1.0 + 0j
+        kappa, w, model, local_value = 1.0, 1.0 + 0j, LocalModel(w2=1.0), lambda e: 1.0 if e < 2 else 0.0
     else:
         raise UnknownFamily(f"no built-in family named {name!r}")
     return ArithmeticFamily(
         name=name,
-        parameter=param,
-        local_factor=local_factor,
-        prime_local_value=prime_value,
+        local_value=local_value,
         params=TypePParams(kappa=kappa, w=w),
         local_model=model,
         closed_form_F=functools.partial(_closed_form, kappa, model),

@@ -121,11 +121,11 @@ def z_coeffs(z: complex, order: int) -> PowerSeries:
     """Taylor coefficients of {(s-1) zeta(s)}^z about s = 1.
 
     Entry j is gamma_j(z)/j!; entry 0 is exactly 1.  |z| past Z_BOUND raises
-    ValueError.
+    ParameterOutOfRange.
     """
     z = complex(z)
     if abs(z) > Z_BOUND:
-        raise ValueError(f"|z| = {abs(z):.3g} exceeds the configured bound {Z_BOUND}")
+        raise ParameterOutOfRange(f"|z| = {abs(z):.3g} exceeds the bound {Z_BOUND}")
     base = shifted_zeta_series(order)
     out = ps_exp(ps_scale(ps_log(base), z))
     # constant term is exp(z * log 1) = 1 by construction; pin it against roundoff
@@ -134,13 +134,15 @@ def z_coeffs(z: complex, order: int) -> PowerSeries:
 
 @dataclass(frozen=True)
 class ExpansionCoefficients:
-    """gamma_j(kappa)/j!, g_l, and lambda_l arrays for one family, order J."""
+    """gamma_j(kappa)/j!, g_l, and lambda_l arrays for one family, order J,
+    with the a-posteriori error of the background series behind g_l."""
 
     kappa: float
     w: complex
     gamma_j: tuple[complex, ...]
     g_l: tuple[complex, ...]
     lambda_l: tuple[complex, ...]
+    background_error: float
 
     @property
     def order(self) -> int:
@@ -152,8 +154,7 @@ def g_lambda_coeffs(family, order: int) -> ExpansionCoefficients:
     from division by Gamma(kappa - l) via the entire reciprocal.
 
     `family` provides params.kappa and params.w, and its background series
-    comes from families.g_series_by_euler_product (its error figure is not
-    used here).
+    and that series' error figure come from families.g_series_by_euler_product.
     """
     from . import families  # families imports this module
 
@@ -162,7 +163,7 @@ def g_lambda_coeffs(family, order: int) -> ExpansionCoefficients:
     kappa = float(family.params.kappa)
     w = complex(family.params.w)
     zc = z_coeffs(kappa, order)
-    background, _ = families.g_series_by_euler_product(family, order)
+    background, background_error = families.g_series_by_euler_product(family, order)
     g = ps_mul(background, zc)
     lam = tuple(g[l] * recip_gamma(kappa - l) for l in range(order + 1))
     return ExpansionCoefficients(
@@ -171,4 +172,5 @@ def g_lambda_coeffs(family, order: int) -> ExpansionCoefficients:
         gamma_j=zc.coeffs,
         g_l=g.coeffs,
         lambda_l=lam,
+        background_error=background_error,
     )

@@ -20,14 +20,16 @@ those positions only.  The split at 2^9 keeps the strided loops, which cost
 Python time per prime and chunk, to the 97 primes below it; the primes above
 it cost only array work per hit.
 
-A sum is of a real-valued family with one value f(p) at every prime, the
-family's prime_local_value; a local value f(p^e) or an f(p) with a nonzero
-imaginary part raises ParameterOutOfRange.  Each small prime multiplies its
-scalar f(p) into one stride of the f-vector; the values at the multiples of
-p^2 are saved first, and f(p^e) times the saved value is written back at the
-multiples of p^e.  Then come the bucketed primes in ascending order and the
-cofactor last, so every value is the product of its f(p^e) in ascending
-order of p, each product rounded once.  Sums are therefore bit-identical to
+A sum is of a real-valued family whose local values are one function of
+the exponent, f(p^e) = family.local_value(e) at every prime p.  A call reads
+them once, before any chunk, as one vector v_0..v_E over every exponent the
+window can hold; a value with a nonzero imaginary part raises
+ParameterOutOfRange.  Each small prime multiplies its scalar v_1 into one
+stride of the f-vector; the values at the multiples of p^2 are saved first,
+and v_e times the saved value is written back at the multiples of p^e.  Then
+come the bucketed primes in ascending order, whose hits take v_1 but for the
+few that hold a higher power, and the cofactor last, so every value is the
+product of its f(p^e) in ascending order of p, each product rounded once.  Sums are therefore bit-identical to
 those of the earlier engine that divided a residual and looked each exponent
 up in a table (the pinned sums in tests/test_sieve.py).  Chunks are
 independent (safe to farm out to threads) and the final reduction is an
@@ -62,8 +64,8 @@ segment at a time into a preallocated array, so at the top of the reach
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -128,7 +130,8 @@ class Window:
     The asymptotic machinery wants x >= y >= 2; the sieve itself is happy
     with any y >= 1, and degenerate windows like (1, 2] are useful in tests,
     so only y <= x is enforced here (expansion-range checks live with
-    predict).
+    predict).  The bounds are integers, anything operator.index takes: a
+    float, even 10.0, raises InvalidWindow, and a non-finite one says so.
     """
 
     x: int
@@ -137,6 +140,10 @@ class Window:
     def __post_init__(self):
         if any(isinstance(v, float) and not math.isfinite(v) for v in (self.x, self.y)):
             raise InvalidWindow(f"window bounds must be finite, got x={self.x}, y={self.y}")
+        try:
+            operator.index(self.x), operator.index(self.y)
+        except TypeError:
+            raise InvalidWindow(f"window bounds must be integers, got x={self.x!r}, y={self.y!r}") from None
         if not (1 <= self.y <= self.x):
             raise InvalidWindow(f"window needs 1 <= y <= x, got x={self.x}, y={self.y}")
         if self.x + self.y > 2**63 - 1:
@@ -402,15 +409,6 @@ def _real(values, what: str) -> np.ndarray:
     return values.real
 
 
-def _local_values(local_factor, pairs) -> np.ndarray:
-    """f(p^e) for every (p, e) in pairs as float64, f(p^0) being f(1) = 1."""
-    try:
-        values = [complex(local_factor(p, e)) if e else 1.0 for p, e in pairs]
-    except OverflowError as exc:
-        raise ParameterOutOfRange("a local value f(p^e) overflows a double") from exc
-    return _real(values, "a local value f(p^e)")
-
-
 def _kind(values: np.ndarray) -> int:
     """The least kind that holds every one of the values."""
     if (np.floor(values) != values).any():
@@ -419,37 +417,32 @@ def _kind(values: np.ndarray) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # exact_sum refuses a total that is not finite
-def _chunk_sum(a: int, b: int, primes: np.ndarray, tables: dict, kind: int,
-               local_factor, prime_value: float, scratch: _Scratch) -> tuple[float, float, int, int]:
-    """(sum of f(n), sum of |f(n)|) over [a, b), with f multiplicative given by
-    local_factor(p, e), tables[p] = [f(1), f(p), f(p^2), ...] for every
-    small prime and prime_value = f(p) for every prime; kind covers the
-    tables and prime_value.  A small prime multiplies f(p) into the stride
-    of its multiples and writes f(p^e) times the saved earlier value back at
-    the multiples of p^e, e >= 2; the bucketed hits and the cofactors
-    follow, in that order.  The second sum is nan unless every value
-    multiplied in is an integer.  The last two entries count the strided
-    primes and the bucketed hits."""
+def _chunk_sum(a: int, b: int, primes: np.ndarray, values: np.ndarray, kind: int,
+               scratch: _Scratch) -> tuple[float, float, int, int]:
+    """(sum of f(n), sum of |f(n)|) over [a, b), with f multiplicative and
+    f(p^e) = values[e] at every prime p; kind covers the values.  A small
+    prime multiplies f(p) into the stride of its multiples and writes f(p^e)
+    times the saved earlier value back at the multiples of p^e, e >= 2; the
+    bucketed hits and the cofactors follow, in that order.  The second sum
+    is nan unless every value is an integer.  The last two entries count the
+    strided primes and the bucketed hits."""
     smooth, small, (hp, idx, he) = _strike(a, b, primes, scratch)
     cofactor = _has_cofactor(smooth, a)  # at most one prime cofactor, met last
-    high = np.flatnonzero(he > 1)
-    powers = _local_values(local_factor, zip(hp[high].tolist(), he[high].tolist()))
-    kind = max(kind, _kind(powers))
     fv = smooth.view(np.float64)  # the f-vector takes over the smooth part's buffer
     fv.fill(1)
     for p, offs in small:  # f(p) in one scalar stride, then f(p^e) where p^2 divides
-        table = tables[p]
         if len(offs) > 1:
             before = fv[offs[1] :: p * p].copy()  # the values that f(p^e), e >= 2, multiplies
-        fv[offs[0] :: p] *= table[1]
+        fv[offs[0] :: p] *= values[1]
         for e, off in enumerate(offs[1:], start=2):
-            np.multiply(before[(off - offs[1]) // p**2 :: p ** (e - 2)], table[e], out=fv[off :: p**e])
+            np.multiply(before[(off - offs[1]) // p**2 :: p ** (e - 2)], values[e], out=fv[off :: p**e])
     hit_vals = hp.view(np.float64)  # the hits' values take over the primes' buffer, as fv does smooth's
-    hit_vals.fill(prime_value)
-    hit_vals[high] = powers
+    hit_vals.fill(values[1])
+    high = np.flatnonzero(he > 1)  # a gather over the few higher powers only
+    hit_vals[high] = values[he[high]]
     np.multiply.at(fv, idx, hit_vals)
     # [1, f(p)][cofactor] a block at a time: no temporary as long as the chunk
-    lut = np.array([1, prime_value])
+    lut = values[:2]
     buf = np.empty(min(b - a, _BLOCK))
     for i in range(0, b - a, _BLOCK):
         part = fv[i : i + _BLOCK]
@@ -470,17 +463,16 @@ def _check_workers(workers: int) -> None:
 
 def exact_sum(family, win: Window, workers: int = 1, diagnostics: dict | None = None) -> complex:
     """Exact sum of f(n) over (x, x+y], f the real-valued multiplicative
-    function with local values family.local_factor(p, e) and the one value
-    f(p) = family.prime_local_value at every prime.
+    function with f(p^e) = family.local_value(e) at every prime p.
 
     Chunk results are reduced in ascending order whatever the worker count,
     so the output is bitwise deterministic; it is a complex with imaginary
     part 0.0.  An integer-valued f is summed exactly or refused:
-    WindowTooLarge once the sum of |f(n)| reaches EXACT_LIMIT.  An f(p) or a
-    local value with a nonzero imaginary part, a local value or a total past
-    the double range, and fewer than one worker raise ParameterOutOfRange;
-    f(p) and the small primes' local values are checked before any chunk is
-    summed.  A given diagnostics dict receives the call's "chunks",
+    WindowTooLarge once the sum of |f(n)| reaches EXACT_LIMIT.  A local value
+    with a nonzero imaginary part, a local value or a total past the double
+    range, and fewer than one worker raise ParameterOutOfRange; the local
+    values of every exponent the window can hold are checked before any
+    chunk is summed.  A given diagnostics dict receives the call's "chunks",
     "base_primes", "strided_primes" (the most any chunk struck in strides)
     and "bucket_hits" (over all chunks).
     """
@@ -505,22 +497,25 @@ def _window_sums(family, windows: Sequence[Window], workers: int) -> list[comple
 def _sum(family, lo: int, hi: int, primes: np.ndarray, workers: int, diagnostics: dict | None = None) -> complex:
     """exact_sum over [lo, hi), given the base primes up to sqrt(hi - 1)."""
     bounds = [(a, min(a + CHUNK, hi)) for a in range(lo, hi, CHUNK)]
-    lf = family.local_factor
-    pv = float(_real(family.prime_local_value, "f(p)"))
-    small = primes[primes < SMALL_PRIME_BOUND].tolist()
-    tops = []  # table lengths: e from 0 to the largest e with a multiple of p^e in the window
-    for p in small:
-        top, q = 1, p
+    # the top exponent is the largest of 1, for the cofactors; the largest e
+    # with 512^e <= hi - 1, which bounds a bucketed p^e; and, for each p below
+    # 2^9, the largest e with a multiple of p^e in the window
+    top, q = 1, SMALL_PRIME_BOUND**2
+    while q < hi:
+        top, q = top + 1, q * SMALL_PRIME_BOUND
+    for p in primes[primes < SMALL_PRIME_BOUND].tolist():
+        e, q = 0, p
         while -lo % q < hi - lo:
-            top, q = top + 1, q * p
-        tops.append(top)
-    values = _local_values(lf, [(p, e) for p, top in zip(small, tops) for e in range(top)])
-    kind, starts = _kind(np.append(values, pv)), [0, *itertools.accumulate(tops)]
-    tables = {p: values[s:t] for p, s, t in zip(small, starts, starts[1:])}
-    scratch = _scratch(lo, hi, primes)
+            e, q = e + 1, q * p
+        top = max(top, e)
+    try:  # v_0 = f(1) = 1
+        values = _real([1.0] + [family.local_value(e) for e in range(1, top + 1)], "a local value f(p^e)")
+    except OverflowError as exc:
+        raise ParameterOutOfRange("a local value f(p^e) overflows a double") from exc
+    kind, scratch = _kind(values), _scratch(lo, hi, primes)
 
     def run(ab):
-        return _chunk_sum(*ab, primes, tables, kind, lf, pv, scratch)
+        return _chunk_sum(*ab, primes, values, kind, scratch)
 
     if workers == 1 or len(bounds) == 1:
         parts = [run(ab) for ab in bounds]

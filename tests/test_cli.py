@@ -349,15 +349,23 @@ class TestExperimentCmd:
         assert back == records  # exact, down to float bits via repr round-trip
         assert config == {"family": "divisor:2"}
 
-    def test_header_only_for_empty_grid(self, capsys, tmp_path):
+    @pytest.mark.parametrize("grid", ["", ",", " , ", "config"], ids=["blank", "comma", "spaced", "config"])
+    def test_empty_grid_is_usage_error(self, capsys, monkeypatch, tmp_path, grid):
+        # refused before the coefficients are built or any window is summed
+        monkeypatch.setattr(cli, "g_lambda_coeffs", mock.Mock(side_effect=AssertionError("built")))
+        monkeypatch.setattr(cli.mv, "run_experiment", mock.Mock(side_effect=AssertionError("ran")))
         p = tmp_path / "empty.csv"
-        code, _, _ = run(
-            capsys, "experiment", "--family", "one", "--x-grid", "",
-            "--out", str(p),
-        )
-        assert code == 0
-        body = [ln for ln in p.read_text().splitlines() if not ln.startswith("#")]
-        assert body == ["family,x,y,N,exact_re,exact_im,predicted_re,predicted_im,remainder_bound,rel_error"]
+        if grid == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("x_grid=,\n")
+            argv = ("--config", str(cfg))
+        else:
+            argv = ("--x-grid", grid)
+        code, out, err = run(capsys, "experiment", "--family", "one", *argv, "--out", str(p))
+        assert code == 2
+        assert out == ""
+        assert "--x-grid" in err
+        assert not p.exists()
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,49 @@ def omega_background_oracle(z: float, s):
         return val * mpmath.exp(tail)
 
 
+def local_series(kappa: float, model: LocalModel, order: int) -> list:
+    """The u^0..u^order coefficients of the Euler factor
+    (1 - u)^-kappa (1 + a u) (1 - u)^c (1 - u^2)^w2 in mpmath at 40 digits,
+    each binomial series by its exact term ratio."""
+    import mpmath
+
+    def binomial_series(t, step):
+        # (1 - u^step)^-t = sum_m C(t + m - 1, m) u^(step m)
+        out, term = [mpmath.mpf(0)] * (order + 1), mpmath.mpf(1)
+        for m in range(order // step + 1):
+            out[step * m] = term
+            term *= (t + m) / (m + 1)
+        return out
+
+    def times(f, g):
+        return [mpmath.fsum(f[i] * g[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+    with mpmath.workdps(40):
+        linear = [mpmath.mpf(1), mpmath.mpf(model.a)] + [mpmath.mpf(0)] * (order - 1)
+        return times(times(binomial_series(mpmath.mpf(kappa) - model.c, 1), linear),
+                     binomial_series(-mpmath.mpf(model.w2), 2))
+
+
+class TestLocalValues:
+    """A family's f(p^e) = local_value(e) against the u^e coefficient of the
+    Euler factor its params.kappa and local_model state: the sieve's values
+    and the analytic side's F = zeta^kappa B describe one function."""
+
+    @pytest.mark.parametrize("spec", ["one", "divisor:1", "divisor:1.5", "divisor:2", "divisor:3",
+                                      "omega:0.5", "omega:1.5", "omega:2", "omega:3", "sqfree"])
+    def test_local_values_are_the_euler_factor(self, spec):
+        import mpmath
+
+        fam = family_from_spec(spec)
+        want = local_series(fam.params.kappa, fam.local_model, 16)
+        for e, w in enumerate(want):
+            got = fam.local_value(e)
+            if abs(w - mpmath.nint(w)) < 1e-30:  # an integer: exact
+                assert got == int(mpmath.nint(w)), (spec, e)
+            else:
+                assert got == pytest.approx(float(w), rel=1e-13), (spec, e)
+
+
 class TestBuiltins:
     def test_divisor_local_values(self, fam_div2):
         assert [f_value(fam_div2, [(2, a)]).real for a in (1, 2, 3)] == [2.0, 3.0, 4.0]
@@ -103,24 +146,14 @@ class TestBuiltins:
     def test_omega_power_value(self, fam_omega2):
         assert f_value(fam_omega2, [(2, 2), (3, 1)]) == 4.0  # 12 = 2^2*3, omega = 2
 
-    @pytest.mark.parametrize("param", [0.5, 1.5, 2.5, 3.7])
-    def test_local_factor_at_a_prime_is_prime_local_value(self, param):
-        # the sieve multiplies struck primes by local_factor(p, 1) and prime
-        # cofactors by prime_local_value; f(p) must not depend on which
-        fams = [builtin_family("divisor_kappa", param), builtin_family("omega_power", param),
-                builtin_family("constant_one"), builtin_family("squarefree_omega_power")]
-        for fam in fams:
-            for p in (2, 3, 4099, 999_983):
-                assert fam.local_factor(p, 1) == fam.prime_local_value, (fam.name, param, p)
-
     @pytest.mark.parametrize("kappa", [0.5, 1.5, 2.5, 3.7])
     def test_divisor_local_factor_is_the_binomial(self, kappa):
         import mpmath
 
-        lf = builtin_family("divisor_kappa", kappa).local_factor
-        for a in range(1, 40):
-            want = float(mpmath.binomial(mpmath.mpf(kappa) + a - 1, a))
-            assert lf(7, a).real == pytest.approx(want, rel=1e-14)
+        local_value = builtin_family("divisor_kappa", kappa).local_value
+        for e in range(1, 40):
+            want = float(mpmath.binomial(mpmath.mpf(kappa) + e - 1, e))
+            assert local_value(e) == pytest.approx(want, rel=1e-14)
 
     def test_f_at_one_is_empty_product(self, fam_div2):
         assert f_value(fam_div2, []) == 1.0
@@ -159,9 +192,9 @@ class TestBuiltins:
             family_from_spec(spec)
 
     def test_spec_parsing(self):
-        assert family_from_spec("divisor:2").parameter == 2.0
+        assert family_from_spec("divisor:2").params.kappa == 2.0
         assert family_from_spec("sqfree").name == "squarefree_omega_power"
-        assert family_from_spec("omega:3").parameter == 3.0
+        assert family_from_spec("omega:3").params.kappa == 3.0
         assert family_from_spec("one").name == "constant_one"
         with pytest.raises(UnknownFamily):
             family_from_spec("nope:1")

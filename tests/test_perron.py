@@ -314,7 +314,7 @@ class TestRandomInputs:
             T = rng.choice((250.0, 500.0, 1000.0))
             win = Window(x, x // 10)
             v = perron_line_sum(fam, win, T)
-            assert abs(v - exact_sum(fam, win)) * T / x**1.01 <= 20.0, (fam.parameter, x, T)
+            assert abs(v - exact_sum(fam, win)) * T / x**1.01 <= 20.0, (z, x, T)
 
     def test_hankel_at_seeded_heights(self):
         # what the legs leave out left of 1/2 + eta bounds the deviation:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from delange.errors import LogOfZeroConstantTerm, OrderTooHigh, TruncationMismatch
+from delange.errors import LogOfZeroConstantTerm, OrderTooHigh, ParameterOutOfRange, TruncationMismatch
 from delange.series import (
     PowerSeries,
     g_lambda_coeffs,
@@ -104,7 +104,7 @@ class TestZCoeffs:
         assert zc[1].real == pytest.approx(2.0 * stieltjes(0), abs=1e-12)
 
     def test_bound_on_z(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange, match="exceeds the bound 20"):
             z_coeffs(25.0, 8)
 
     def test_additive_homomorphism(self):

@@ -307,15 +307,14 @@ def test_primes_up_to_refuses_past_the_reach():
         primes_up_to(10**12)
 
 
-def synthetic_family(local_factor, prime_value):
-    """A family whose local values are local_factor(p, e) and f(p) = prime_value."""
-    return dataclasses.replace(family_from_spec("one"), name="synthetic", local_factor=local_factor,
-                               prime_local_value=prime_value)
+def synthetic_family(local_value):
+    """A family with f(p^e) = local_value(e) at every prime p."""
+    return dataclasses.replace(family_from_spec("one"), name="synthetic", local_value=local_value)
 
 
 ORACLE_FAMILIES = [family_from_spec(s) for s in ("one", "divisor:2", "omega:2", "sqfree")] + [
-    # f(p) = 3 and f(p^e) = 2e + 1: a distinct value for each exponent
-    synthetic_family(lambda p, e: complex(2 * e + 1), 3.0),
+    # f(p^e) = 2e + 1: a distinct value for each exponent
+    synthetic_family(lambda e: 2 * e + 1.0),
 ]
 # the two smallest bucketed primes
 SPLIT_PRIMES = [n for n in range(sieve.SMALL_PRIME_BOUND, 2 * sieve.SMALL_PRIME_BOUND)
@@ -501,21 +500,18 @@ class TestNonRealValues:
     """The sieve sums real-valued families only: an f(p) or a local value
     f(p^e) with a nonzero imaginary part is refused, not summed."""
 
-    @pytest.mark.parametrize("family", [
-        synthetic_family(lambda p, e: 1.0, 1j),  # f(p)
-        synthetic_family(lambda p, e: complex(1, e == 3), 1.0),  # f(p^3) of the small primes
-    ], ids=["prime_value", "small_prime_power"])
-    def test_refused_before_any_chunk(self, family):
+    @pytest.mark.parametrize("family, win", [
+        (synthetic_family(lambda e: 1j if e else 1.0), Window(10**6, 1000)),  # f(p)
+        (synthetic_family(lambda e: complex(1, e == 3)), Window(10**6, 1000)),  # f(p^3)
+        # the window's top exponent: 1000448 = 2^10 * 977 is its one multiple of 2^10
+        (synthetic_family(lambda e: complex(1, e == 10)), Window(10**6, 1000)),
+        # the top exponent from the bucketed primes alone: the window is {521^2}
+        (synthetic_family(lambda e: complex(1, e == 2)), Window(521**2 - 1, 1)),
+    ], ids=["prime_value", "small_prime_power", "top_of_the_small_primes", "top_of_the_bucketed_primes"])
+    def test_refused_before_any_chunk(self, family, win):
         with mock.patch.object(sieve, "_chunk_sum", side_effect=AssertionError("summed")):
             with pytest.raises(ParameterOutOfRange, match="not real"):
-                exact_sum(family, Window(10**6, 1000))
-
-    def test_bucketed_prime_power_is_refused(self):
-        # f(p^2) is complex only for the bucketed primes; 521^2 lies in the window
-        family = synthetic_family(lambda p, e: complex(1, e > 1 and p > sieve.SMALL_PRIME_BOUND), 1.0)
-        assert exact_sum(family, Window(10**6, 1000)) == 1000
-        with pytest.raises(ParameterOutOfRange, match="not real"):
-            exact_sum(family, Window(521**2 - 10, 20))
+                exact_sum(family, win)
 
 
 class TestInputChecks:
@@ -526,6 +522,12 @@ class TestInputChecks:
         with pytest.raises(InvalidWindow, match="finite") as exc:
             Window(x, y)
         assert isinstance(exc.value, DelangeError) and isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("x, y", [(10.5, 3), (10, 2.5), (10.0, 3.0), ("10", 3)])
+    def test_non_integer_window_is_typed(self, x, y):
+        # exact_sum and factor_window would fail on such a bound with a bare TypeError
+        with pytest.raises(InvalidWindow, match="integers"):
+            Window(x, y)
 
     def test_height_past_the_sieve_reach(self, fam_one):
         # first height whose base primes pass the bound; nothing is allocated
@@ -550,7 +552,7 @@ class TestExactAccumulation:
     @staticmethod
     def family(f3: int, f4: int):
         # f(3) = f(p) = f3 and f(4) = f(2^2) = f4; the window (2, 4] holds just 3 and 4
-        return synthetic_family(lambda p, a: complex(f3 if a == 1 else f4), f3)
+        return synthetic_family(lambda e: f3 if e == 1 else f4)
 
     @pytest.mark.parametrize("chunk", [1, sieve.CHUNK])
     @pytest.mark.parametrize("f3, f4", [(2**52, 2**52 - 1), (-(2**52), 2**52 - 1)])
