@@ -289,8 +289,10 @@ def _cmd_predict(cfg: dict) -> int:
     rb = mv.remainder_bound(co, win, n_order, _remainder_params(cfg))
     print(f"predicted = {_fmt_value(val)}")
     print(f"remainder_bound = {_fmt_float(rb)}")
+    print(f"background_error = {_fmt_float(co.background_error)}")
     _emit(cfg, family=fam.name, x=win.x, y=win.y, N=n_order,
-          predicted_re=val.real, predicted_im=val.imag, remainder_bound=rb)
+          predicted_re=val.real, predicted_im=val.imag, remainder_bound=rb,
+          background_error=co.background_error)
     return 0
 
 

@@ -7,10 +7,11 @@ for each dyadic range [U, 2U], a staircase of vertical pieces at the
 elevated levels beta_j* with corner-displaced horizontal connectors.  The
 full path is the upper half concatenated with its mirror image.
 
-Assembly works on one array of levels (the slab, then every interval of
-every block, bottom to top) and the matching array of interval lower ends:
-a vertex pair is emitted only where the level changes, and the junction
-shapes are counted on the same array.
+Assembly works on one array of levels: the slab, then every interval of
+every block, bottom to top, as build_blocks joins them.  Only the junctions,
+the spans where the level changes, are looked at further: each gets its
+height and its two vertices, and the junction shapes are counted from the
+junctions alone.
 
 Desk-scale adaptations (T around 2^16 instead of "sufficiently large"):
 the slab owns |t| <= 2^5 and blocks start at U = 2^5; non-power-of-two T is
@@ -154,7 +155,16 @@ def _choose_block_split(U: int) -> tuple[int, float, float]:
     raise NoAdmissibleCl(f"no admissible interval count at U={U}")
 
 
-def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> list[DyadicBlock]:
+class Blocks(list):
+    """The dyadic blocks, bottom to top, with the joined level array they view:
+    block i's beta_j_star is levels[starts[i] : starts[i + 1]]."""
+
+    def __init__(self, blocks, levels: np.ndarray, starts: np.ndarray):
+        super().__init__(blocks)
+        self.levels, self.starts = levels, starts
+
+
+def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blocks:
     """Dyadic blocks covering [2^BLOCK_MIN_L, 2^floor(log2 T)] with levels beta_j*.
 
     Interval j of block l is elevated to the largest beta >= alpha among the
@@ -212,14 +222,14 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> lis
             f"block l={ls[i]}: beta*_{j_bad} = {level[j_bad - 1]:.4f} >= 1"
             " (reduce C* or the zero heights)"
         )
-    blocks = [
+    blocks = (
         DyadicBlock(
             l=l, U=2**l, m=m_l, H=h_l, c_l=c_l, margin=margin,
             beta_j_star=star[lo_i:hi_i], has_zero=has_zero[lo_i:hi_i],
         )
         for l, (m_l, h_l, c_l), margin, lo_i, hi_i in zip(ls, splits, margins, start, start[1:])
-    ]
-    return blocks
+    )
+    return Blocks(blocks, star, start)
 
 
 # --- contour assembly ---------------------------------------------------------
@@ -251,25 +261,24 @@ class ContourPath:
     covered_top: float  # 2^floor(log2 T): height actually covered by blocks
 
 
-def _tally_cases(levels: np.ndarray) -> dict:
-    """Count the four vertical / horizontal junction shapes over all j."""
-    cur, prev = levels[1:], levels[:-1]
-    nxt = np.append(levels[2:], levels[-1])  # top terminates flat
-    shapes = (
-        (cur < prev) & (cur < nxt),  # 1: strict local minimum
-        (cur > prev) & (cur > nxt),  # 2: strict local maximum
-        (prev < cur) & (cur < nxt),  # 3: strict ascent
-        (nxt < cur) & (cur < prev),  # 4: strict descent
-    )
-    counts = [int(mask.sum()) for mask in shapes]
-    tally = {f"v_case{k}": n for k, n in enumerate(counts, start=1)}
-    tally.update({f"h_case{k}": n for k, n in enumerate(counts, start=1)})
-    tally["ties"] = int(((cur == prev) | (cur == nxt)).sum())
+def _tally_cases(k: np.ndarray, up: np.ndarray, size: int) -> dict:
+    """Junction shapes over the spans of a level array of the given size.
+
+    A span has a strict shape only where junction k[n] starts it and k[n + 1]
+    the next span (the top span ends flat); that pair is coded
+    2 up[n] + up[n + 1].  Every other span is a tie.
+    """
+    pair = np.flatnonzero(np.diff(k) == 1)
+    code = np.bincount(2 * up[pair] + up[pair + 1], minlength=4)
+    # case 1: strict local minimum, 2: maximum, 3: ascent, 4: descent
+    counts = [int(code[c]) for c in (1, 2, 3, 0)]
+    tally = {f"{kind}_case{n}": c for kind in "vh" for n, c in enumerate(counts, start=1)}
+    tally["ties"] = size - 1 - pair.size
     return tally
 
 
 def assemble_contour(
-    blocks: list[DyadicBlock],
+    blocks: Blocks,
     zeroset: ZeroSet,
     alpha: float,
     eta: Optional[float] = None,
@@ -303,13 +312,16 @@ def assemble_contour(
     r = 1.0 / logx
     T_eff = float(2 ** (blocks[-1].l + 1))
 
-    # one level per vertical span, bottom to top, with the span's lower end
-    levels = np.concatenate([[slab_level], *(b.beta_j_star for b in blocks)])
-    lows = np.concatenate([[r / 2.0], *(b.U + 2 * np.arange(b.m) * b.H for b in blocks)])
-    k = np.flatnonzero(np.diff(levels)) + 1  # spans that start a new level
-    t_k = lows[k]
+    # one level per vertical span, bottom to top
+    levels = np.concatenate([[slab_level], blocks.levels])
+    k = np.flatnonzero(levels[1:] != levels[:-1]) + 1  # spans that start a new level
+    up = levels[k] > levels[k - 1]
+    # span k is interval j = k - 1 - starts[i] of block i, with lower end U + 2jH
+    i = np.searchsorted(blocks.starts, k - 1, side="right") - 1
+    U, H = np.array([(b.U, b.H) for b in blocks]).T[:, i]
+    t_k = U + 2 * (k - 1 - blocks.starts[i]) * H
     # each junction sits at height t_k, displaced into the lower-level side
-    t_h = np.where(levels[k] > levels[k - 1], t_k - corner_eps, t_k + corner_eps)
+    t_h = np.where(up, t_k - corner_eps, t_k + corner_eps)
 
     # loop legs, then the two vertices of every junction, then the top
     upper = np.empty(2 * k.size + 4, dtype=complex)
@@ -335,7 +347,7 @@ def assemble_contour(
     )
     return ContourPath(
         vertices=tuple(vertices.tolist()), piece_labels=labels, params=params,
-        case_tally=_tally_cases(levels), covered_top=T_eff,
+        case_tally=_tally_cases(k, up, levels.size), covered_top=T_eff,
     )
 
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .errors import LindelofRequiresDeltaAboveOne, OrderExceedsCoefficients, require_finite
 from .series import ExpansionCoefficients
-from .sieve import Window, _window_sums
+from .sieve import Window, _window_ranges, _window_sums
 
 REGIME_TAGS = ("unconditional_huxley", "zero_density_hypothesis", "lindelof_halasz_turan")
 
@@ -191,11 +191,13 @@ def run_experiment(
 ) -> list[ExperimentRecord]:
     """Exact-vs-predicted records over an x grid with y = ceil(x^theta_exponent).
 
-    The base primes are sieved once, for the largest window, after every
-    window's budget and the worker count are checked."""
+    Every window's budget and the worker count are checked before the
+    coefficients are built, and these before the base primes are sieved,
+    once, for the largest window."""
     from .series import g_lambda_coeffs
 
     windows = short_windows(x_grid, theta_exponent)
+    _window_ranges(windows, workers)
     coeffs = g_lambda_coeffs(family, order if order is not None else default_order(N))
     records = []
     for win, exact in zip(windows, _window_sums(family, windows, workers)):

@@ -112,10 +112,13 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def _kernel(s: np.ndarray, x: float, y: float) -> np.ndarray:
-    """((x+y)^s - x^s)/s, stable for y << x via the expm1 route."""
+    """((x+y)^s - x^s)/s, stable for y << x via the expm1 route: exp(w) - 1,
+    w = s log(1 + y/x), is replaced by its series where |w| < 1e-4."""
     w = s * math.log1p(y / x)
+    ew = np.exp(w) - 1.0
     small = np.abs(w) < 1e-4
-    ew = np.where(small, w * (1.0 + w / 2.0 + w * w / 6.0), np.exp(w) - 1.0)
+    ws = w[small]
+    ew[small] = ws * (1.0 + ws / 2.0 + ws * ws / 6.0)
     return np.exp(s * math.log(x)) * ew / s
 
 

@@ -481,14 +481,21 @@ def exact_sum(family, win: Window, workers: int = 1, diagnostics: dict | None = 
     return _sum(family, lo, hi, _base_primes(lo, hi), workers, diagnostics)
 
 
-def _window_sums(family, windows: Sequence[Window], workers: int) -> list[complex]:
-    """exact_sum over each window, with every budget checked first and the
-    base primes sieved once, for the largest x + y; each window sums over
-    its own prefix of them."""
+def _window_ranges(windows: Sequence[Window], workers: int) -> list[tuple[int, int]]:
+    """The range [lo, hi) of each window, once the worker count and every
+    window's budget are checked."""
     _check_workers(workers)
     ranges = [(win.x + 1, win.x + win.y + 1) for win in windows]
     for lo, hi in ranges:
         _check_budget(lo, hi)
+    return ranges
+
+
+def _window_sums(family, windows: Sequence[Window], workers: int) -> list[complex]:
+    """exact_sum over each window, with every budget checked first and the
+    base primes sieved once, for the largest x + y; each window sums over
+    its own prefix of them."""
+    ranges = _window_ranges(windows, workers)
     primes = primes_up_to(max((math.isqrt(hi - 1) for _, hi in ranges), default=0))
     return [_sum(family, lo, hi, primes[: np.searchsorted(primes, math.isqrt(hi - 1), side="right")], workers)
             for lo, hi in ranges]

@@ -9,6 +9,7 @@ import pytest
 from delange import cli, perron, sieve
 from delange.cli import OPTIONS, _build_parser, _resolve, main, parse_csv
 from delange.families import family_from_spec, g_series_by_euler_product
+from delange.series import g_lambda_coeffs
 
 
 def run(capsys, *argv):
@@ -236,6 +237,18 @@ class TestPredictCmd:
         val = float(out.splitlines()[0].split("=")[1])
         assert val == pytest.approx(1.72725e6, rel=1e-4)
         assert "remainder_bound" in out
+
+    @pytest.mark.parametrize("spec", ["sqfree", "one"])
+    def test_reports_the_background_error(self, capsys, tmp_path, spec):
+        # the coefficients' error, as coeffs reports it, on stdout and in --out
+        p = tmp_path / "p.json"
+        code, out, _ = run(capsys, "predict", "--family", spec, "--x", "100000", "--y", "1000",
+                           "--out", str(p))
+        assert code == 0
+        want = g_lambda_coeffs(family_from_spec(spec), 8).background_error
+        assert out.splitlines()[2] == f"background_error = {want!r}"
+        assert json.loads(p.read_text())["background_error"] == want
+        assert (want > 0) == (spec == "sqfree")
 
     @pytest.mark.parametrize("flag, value", [("--a1", "nan"), ("--a2", "inf"), ("--M", "inf")])
     def test_non_finite_remainder_constant_exits_1(self, capsys, flag, value):

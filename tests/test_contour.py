@@ -7,6 +7,12 @@ import pytest
 
 from delange.contour import (
     BLOCK_MIN_L,
+    PIECE_GAMMA,
+    PIECE_H0L,
+    PIECE_HJ,
+    PIECE_MIRROR,
+    PIECE_V_STAR,
+    PIECE_VJ,
     assemble_contour,
     build_blocks,
     bundled_zero_table,
@@ -234,6 +240,107 @@ class TestBlocksAgainstPerZeroLoop:
         zs = zeroset_from_pairs([(0.95, 300.0), (0.97, 5000.0)], T16)
         with pytest.raises(DegenerateBlock, match=r"^block l=8: beta\*_\d+ = 1\.\d{4} >= 1"):
             build_blocks(zs, T16, alpha=0.6, c_star=1.0)
+
+
+def per_interval_assembly(blocks, params):
+    """Vertices, labels and case tally from the level and the lower end of
+    every interval, with the tally scanning all levels by five masks (the
+    reference assembly, as it was before the junction assembly)."""
+    slab_level, r = 0.5 + params.eta, 1.0 / params.logx
+    T_eff = float(2 ** (blocks[-1].l + 1))
+    levels = np.concatenate([[slab_level], *(b.beta_j_star for b in blocks)])
+    lows = np.concatenate([[r / 2.0], *(b.U + 2 * np.arange(b.m) * b.H for b in blocks)])
+    k = np.flatnonzero(np.diff(levels)) + 1
+    t_k = lows[k]
+    t_h = np.where(levels[k] > levels[k - 1], t_k - params.corner_eps, t_k + params.corner_eps)
+    upper = np.empty(2 * k.size + 4, dtype=complex)
+    upper[:3] = [complex(1.0 + r, 0.0), complex(1.0 + r, r / 2.0), complex(slab_level, r / 2.0)]
+    upper.real[3:-1:2] = levels[k - 1]
+    upper.real[4:-1:2] = levels[k]
+    upper.imag[3:-1] = np.repeat(t_h, 2)
+    upper[-1] = complex(levels[-1], T_eff)
+    pieces = np.full(2 * k.size + 1, PIECE_VJ, dtype=object)
+    pieces[0] = PIECE_V_STAR
+    at_edge = np.abs(t_k - 2.0 ** np.round(np.log2(t_k))) < 1e-9
+    pieces[1::2] = np.where(at_edge, PIECE_H0L, PIECE_HJ)
+    vertices = np.concatenate([np.conj(upper[:0:-1]), upper])
+    labels = (PIECE_MIRROR,) * (upper.size - 1) + (PIECE_GAMMA, PIECE_GAMMA) + tuple(pieces.tolist())
+
+    cur, prev = levels[1:], levels[:-1]
+    nxt = np.append(levels[2:], levels[-1])  # top terminates flat
+    shapes = (
+        (cur < prev) & (cur < nxt),
+        (cur > prev) & (cur > nxt),
+        (prev < cur) & (cur < nxt),
+        (nxt < cur) & (cur < prev),
+    )
+    counts = [int(mask.sum()) for mask in shapes]
+    tally = {f"v_case{n}": c for n, c in enumerate(counts, start=1)}
+    tally.update({f"h_case{n}": c for n, c in enumerate(counts, start=1)})
+    tally["ties"] = int(((cur == prev) | (cur == nxt)).sum())
+    return tuple(vertices.tolist()), labels, tally
+
+
+def top_interval_zero_set() -> list[tuple[float, float]]:
+    """One zero that elevates the top interval alone, and one just below
+    the top block's lower end U."""
+    top = build_blocks(zeroset_from_pairs([], T16), T16, **SUITE)[-1]
+    return [(0.8, 2.0 * top.U - 0.5 * top.H), (0.75, top.U - 0.5 * top.H)]
+
+
+class TestJunctionsAgainstPerIntervalAssembly:
+    """The junction assembly gives the per-interval assembly's vertices,
+    labels and case tally, to the bit."""
+
+    def check(self, pairs, T=T16, **kw):
+        zs = zeroset_from_pairs(pairs, T)
+        blocks = build_blocks(zs, T16, **SUITE)
+        path = assemble_contour(blocks, zs, 0.6, c_star=0.1, **kw)
+        want = per_interval_assembly(blocks, path.params)
+        assert (path.vertices, path.piece_labels, path.case_tally) == want
+        return path
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_mix(self, seed):
+        zs = synthetic_zero_set(seed)
+        path = self.check(list(zip(zs.beta, zs.gamma)))
+        assert sum(path.case_tally[f"v_case{n}"] for n in range(1, 5)) > 0
+
+    def test_adjacent_junctions(self):
+        # a two-step staircase up and one down, a zero at 2^12 + 0.05 that
+        # lifts one interval, and two zeros that leave interval 100 of the
+        # block at 2^12 alone between them: each shape, from junctions on
+        # consecutive intervals
+        blk = build_blocks(zeroset_from_pairs([], T16), T16, **SUITE)[12 - BLOCK_MIN_L]
+        h, mid_99 = blk.H, blk.U + 197 * blk.H
+        pairs = [(0.7, 6000.0), (0.8, 6001.2), (0.8, 9000.0), (0.7, 9001.2), (0.8, 2.0**12 + 0.05),
+                 (0.7, mid_99 - 0.5 * h), (0.8, mid_99 + 4.5 * h)]
+        path = self.check(pairs)
+        assert [path.case_tally[f"v_case{n}"] for n in range(1, 5)] == [1, 1, 1, 1]
+
+    def test_ties_only(self):
+        # one wide plateau: two junctions, far apart, and every span a tie
+        path = self.check([(0.7, g) for g in np.arange(3000.0, 3100.0, 0.5)])
+        assert len(path.vertices) == 15 and path.case_tally["ties"] == 19320
+
+    def test_elevated_top_interval(self):
+        path = self.check(top_interval_zero_set())
+        assert path.vertices[-1].real > 0.6  # the top vertical is the elevated level
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_junctions_at_powers_of_two(self, seed):
+        path = self.check(edge_zero_set(seed), T=2.0**17)
+        assert PIECE_H0L in path.piece_labels
+
+    def test_empty_set(self):
+        path = self.check([])
+        assert len(path.vertices) == 7 and path.case_tally["ties"] == 19320
+
+    @pytest.mark.parametrize("kw", [dict(eta=0.05), dict(corner_eps=0.01, logx=2.0)])
+    def test_lowered_slab_and_other_offsets(self, kw):
+        # eta < alpha - 1/2 puts a junction on the first interval
+        zs = synthetic_zero_set(4)
+        self.check(list(zip(zs.beta, zs.gamma)), **kw)
 
 
 class TestAssembly:

@@ -3,12 +3,13 @@ from unittest import mock
 
 import pytest
 
-from delange import sieve
+from delange import series, sieve
 from delange.errors import (
     InvalidWindow,
     LindelofRequiresDeltaAboveOne,
     OrderExceedsCoefficients,
     ParameterOutOfRange,
+    WindowTooLarge,
 )
 from delange.meanvalue import (
     REGIME_TAGS,
@@ -136,6 +137,19 @@ class TestRunExperiment:
         with mock.patch.object(sieve, "primes_up_to", side_effect=AssertionError("sieved")):
             with pytest.raises(ParameterOutOfRange, match="workers"):
                 run_experiment(fam_one, [10**4], 0.8, 0, workers=workers)
+
+    def test_every_budget_is_checked_before_the_coefficients(self):
+        # the 1e10 window (y = 1e8 + 1) was refused only after the series was built
+        fam = family_from_spec("omega:0.5")
+        with mock.patch.object(series, "g_lambda_coeffs", side_effect=AssertionError("series built")), \
+                mock.patch.object(sieve, "primes_up_to", side_effect=AssertionError("sieved")):
+            with pytest.raises(WindowTooLarge):
+                run_experiment(fam, [10**8, 10**10], 0.8, 0)
+
+    def test_a_coefficient_failure_comes_before_any_sieving(self, fam_one):
+        with mock.patch.object(sieve, "primes_up_to", side_effect=AssertionError("sieved")):
+            with pytest.raises(ParameterOutOfRange, match="J=-1"):
+                run_experiment(fam_one, [10**4], 0.8, 0, order=-1)
 
 
 class TestShortWindows:

@@ -177,6 +177,27 @@ class TestKronrodRule:
         assert sum(seen[1:]) == line_node_count(123.4, spec)
 
 
+class TestKernel:
+    """_kernel against ((x+y)^s - x^s)/s in mpmath at 40 digits."""
+
+    @pytest.mark.parametrize(
+        "x, y, series",
+        [(1e5, 1e4, [False] * 6),
+         # y/x = 1e-6: the three lowest nodes take the series for exp(w) - 1
+         (1e5, 0.1, [True, True, True, False, False, False])],
+    )
+    def test_both_branches_against_mpmath(self, x, y, series):
+        s = np.array([1.1 + 0.0j, 1.08 + 30.0j, 0.5 - 80.0j, 1.08 + 200.0j, 2.0 + 1000.0j, 1.5 - 990.0j])
+        assert (np.abs(s * math.log1p(y / x)) < 1e-4).tolist() == series
+        got = perron._kernel(s, x, y)
+        with mpmath.workdps(40):
+            for si, gi in zip(s.tolist(), got.tolist()):
+                ms = mpmath.mpc(si.real, si.imag)
+                want = complex((mpmath.power(mpmath.mpf(x) + y, ms) - mpmath.power(x, ms)) / ms)
+                # the phase s log x carries a rounding error of order eps |s| log x
+                assert abs(gi - want) <= 1e-15 * (1.0 + abs(si) * math.log(x)) * abs(want), (si, gi, want)
+
+
 class TestPerronLine:
     def test_constant_one_window(self, fam_one):
         win = Window(10**4, 10**3)
