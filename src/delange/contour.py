@@ -84,7 +84,7 @@ def zeroset_from_pairs(pairs: Sequence[tuple[float, float]], T: float, source: s
     if bad.any():
         raise BetaOutOfRange(f"beta values outside [1/2, 1): {beta[bad][:5]}")
     if (gamma <= 0).any():
-        raise ValueError("ordinates must be positive")
+        raise ParameterOutOfRange("ordinates must be positive")
     keep = gamma <= T
     order = np.argsort(gamma[keep], kind="stable")
     return ZeroSet(beta[keep][order], gamma[keep][order], source, float(T))
@@ -177,9 +177,9 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blo
     if c_star <= 0:
         raise ParameterOutOfRange(f"c_star={c_star} must be positive")
     if T < 2**10:
-        raise ValueError("T must be at least 2^10")
+        raise ParameterOutOfRange("T must be at least 2^10")
     if not (0.5 < alpha < 1.0):
-        raise ValueError("alpha must lie in (1/2, 1)")
+        raise ParameterOutOfRange("alpha must lie in (1/2, 1)")
     l_top = int(math.floor(math.log2(T)))
     ls = range(BLOCK_MIN_L, l_top)
     splits = [_choose_block_split(2**l) for l in ls]
@@ -304,9 +304,9 @@ def assemble_contour(
     if logx < 1.0:
         raise ParameterOutOfRange(f"logx={logx} must be at least 1")
     if not (0.0 < eta <= alpha - 0.5 + 1e-12):
-        raise ValueError("eta must lie in (0, alpha - 1/2]")
+        raise ParameterOutOfRange("eta must lie in (0, alpha - 1/2]")
     if not (0.0 < corner_eps < min_h / 4.0):
-        raise ValueError(f"corner_eps must lie in (0, H/4) = (0, {min_h / 4.0:.4g})")
+        raise ParameterOutOfRange(f"corner_eps must lie in (0, H/4) = (0, {min_h / 4.0:.4g})")
 
     slab_level = 0.5 + eta
     r = 1.0 / logx
@@ -452,7 +452,7 @@ def zero_density_count(
     """N(sigma, T) with the unconditional envelope ratio; optionally also the
     exceptional count at sigma = 1 - C*/log log T against T^eps."""
     if not (0.5 <= sigma <= 1.0):
-        raise ValueError("sigma must lie in [1/2, 1]")
+        raise ParameterOutOfRange("sigma must lie in [1/2, 1]")
     sel = (zeroset.beta >= sigma) & (zeroset.gamma > 0) & (zeroset.gamma <= T)
     count = int(np.count_nonzero(sel))
     envelope = T ** (HUXLEY_EXPONENT * (1.0 - sigma)) * math.log(T) ** HUXLEY_LOG_POWER
@@ -474,16 +474,19 @@ def log_zeta_diagnostic(path: ContourPath, samples: int = 128) -> dict:
     """Empirical max of |log zeta| at sampled contour points vs log T/log log T.
 
     Meaningful for table-sourced sets (the real zeta); heights are capped at
-    the validated box.
+    the validated box.  At most `samples` points are taken, and samples < 1
+    raises ParameterOutOfRange.
     """
     from .special import zeta_batch
 
+    if samples < 1:
+        raise ParameterOutOfRange(f"samples={samples} must be at least 1")
     sigma, lo, hi = _vertical_segments(np.asarray(path.vertices))
     mid = 0.5 * (lo + hi)
     pts = (sigma + 1j * mid)[(mid <= 1.0e5) & (np.hypot(sigma - 1.0, mid) > 0.1)]
     if not pts.size:
         return {"max_abs_log_zeta": 0.0, "cap": math.inf, "ratio": 0.0, "samples": 0}
-    pts = pts[: max(1, samples)]
+    pts = pts[:samples]
     vals = zeta_batch(pts)
     logs = np.abs(np.log(vals))
     T = path.covered_top

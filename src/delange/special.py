@@ -12,9 +12,12 @@ factors the direct sum into one matrix product, about 2 K sqrt(points) exps.
 Any other batch is routed point by point: a point with |t| >= RS_T_MIN and
 Re(s) < RS_SIGMA_MAX takes the Riemann-Siegel formula, two sums over
 n <= sqrt(|t|/2pi) plus fixed corrections, and every other point takes
-Euler-Maclaurin with its own cutoff, one exp per term.  Both direct sums are
-weighted sums of a_n n^-s over given (log n, a_n) with a_n = 1; `dirichlet_sum`
-puts the background's prime powers (families) on the same two kernels.  The
+Euler-Maclaurin with its own cutoff, one exp per term.  The Riemann-Siegel
+points go to the formula in even blocks of at most 64, so that a scattered
+batch reuses heap pages instead of faulting in fresh ones; the blocks leave
+every value's bits as they are.  Both direct sums are weighted sums of
+a_n n^-s over given (log n, a_n) with a_n = 1; `dirichlet_sum` puts the
+background's prime powers (families) on the same two kernels.  The
 Riemann-Siegel sums take an exponential for n^-it only at the primes and
 build every composite as a product of two earlier phases; the corrections
 evaluate each derivative order of their kernel once.
@@ -224,6 +227,15 @@ RS_TAYLOR_TERMS = 60
 _STIRLING_TERMS = 5
 # Bound on N = floor(sqrt(t/2pi)), which reaches 126 at the top of the box
 _RS_N_MAX = 128
+# Most points zeta_batch hands to one _riemann_siegel call.  At 64 points
+# every temporary of a call up to |t| = 2^16 but d_kj (2 x 64 x 150 doubles)
+# stays under glibc's 128 KB mmap threshold; smaller blocks fault less but pay
+# the fixed cost of a call more often (blocks of 48 ran a contour-suite round
+# as slowly as one call a batch).  The split is even: a block of two or more
+# points gives each point the bits of the whole batch, but a lone point sums
+# its rows pairwise (numpy reduces a single column as one contiguous run) and
+# can move by an ulp.
+_RS_BLOCK = 64
 
 
 def _rs_d_polys(terms: int) -> dict:
@@ -437,9 +449,14 @@ def zeta_batch(s: np.ndarray) -> np.ndarray:
     by point.  Points with |Im s| >= RS_T_MIN and Re s < RS_SIGMA_MAX take the
     Riemann-Siegel formula, sqrt(|t|/2pi) terms on each side of the
     functional equation, whose phases need an exponential only at the
-    primes, plus a fixed set of corrections.  The rest take
-    Euler-Maclaurin with their own cutoff, so a low point never pays for a
-    high one.  The correction terms cost one complex power per point.
+    primes, plus a fixed set of corrections.  They go in even blocks of at
+    most _RS_BLOCK points: in one call, the ~125 points of a contour
+    diagnostic made temporaries past glibc's mmap threshold and took fresh
+    pages every time (21k minor faults a contour-suite round).  The blocks do
+    not change a bit of the result.  The rest take Euler-Maclaurin with their
+    own cutoff, so a low point never pays for a high one, all in one call:
+    splitting them would regroup their direct sums and move their bits.  The
+    correction terms cost one complex power per point.
     """
     s = np.asarray(s, dtype=np.complex128)
     if s.size == 0:
@@ -464,8 +481,10 @@ def zeta_batch(s: np.ndarray) -> np.ndarray:
         flat = s.reshape(-1)
         total = np.empty_like(flat)
         rs = (np.abs(flat.imag) >= RS_T_MIN) & (flat.real < RS_SIGMA_MAX)
-        if np.any(rs):
-            total[rs] = _riemann_siegel(flat[rs])
+        rs_idx = np.flatnonzero(rs)
+        if rs_idx.size:
+            for block in np.array_split(rs_idx, -(-rs_idx.size // _RS_BLOCK)):
+                total[block] = _riemann_siegel(flat[block])
         em = flat[~rs]
         if em.size:
             k = _direct_sum_cutoff(em.real, np.abs(em.imag))

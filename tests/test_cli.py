@@ -599,7 +599,10 @@ class TestContourCmd:
          ("--cstar", "-1", "must be positive"), ("--logx", "nan", "must be finite"),
          ("--logx", "-1", "at least 1"), ("--logx", "0", "at least 1"),
          ("--T", "inf", "must be finite"), ("--T", "nan", "must be finite"),
-         ("--eta", "nan", "must be finite"), ("--corner-eps", "inf", "must be finite")],
+         ("--eta", "nan", "must be finite"), ("--corner-eps", "inf", "must be finite"),
+         ("--T", "512", "T must be at least 2^10"), ("--alpha", "0.4", "alpha must lie in (1/2, 1)"),
+         ("--eta", "0.3", "eta must lie in (0, alpha - 1/2]"),
+         ("--corner-eps", "1", "corner_eps must lie in (0, H/4)")],
     )
     def test_nonsense_parameter_exits_1(self, capsys, tmp_path, zero_table_path, flag, value, message):
         argv = {"--zeros": zero_table_path, "--T": "65536", "--cstar": "0.1", flag: value}

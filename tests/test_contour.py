@@ -95,6 +95,11 @@ class TestLoadZeros:
         with pytest.raises(ParameterOutOfRange, match="must be finite"):
             zeroset_from_pairs([(0.7, 9000.0), pair], 65536.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, -14.1])
+    def test_ordinates_must_be_positive(self, gamma):
+        with pytest.raises(ParameterOutOfRange, match="ordinates must be positive"):
+            zeroset_from_pairs([(0.7, 9000.0), (0.7, gamma)], 65536.0)
+
     def test_beta_out_of_range(self, tmp_path):
         p = tmp_path / "z.txt"
         p.write_text("1.2 50.0\n")
@@ -159,8 +164,14 @@ class TestBlocks:
 
     def test_requires_tall_enough_T(self):
         zs = zeroset_from_pairs([], 512.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange, match=r"T must be at least 2\^10"):
             build_blocks(zs, 512.0, **SUITE)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.3, 1.0, 1.2])
+    def test_alpha_outside_the_strip_is_typed(self, alpha):
+        zs = zeroset_from_pairs([], T16)
+        with pytest.raises(ParameterOutOfRange, match=r"alpha must lie in \(1/2, 1\)"):
+            build_blocks(zs, T16, alpha, 0.1)
 
     @pytest.mark.parametrize(
         "T, c_star", [(math.inf, 0.1), (math.nan, 0.1), (T16, math.nan), (T16, math.inf),
@@ -421,7 +432,7 @@ class TestAssembly:
     def test_corner_eps_bound(self):
         zs = zeroset_from_pairs([], T16)
         blocks = build_blocks(zs, T16, **SUITE)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange, match=r"corner_eps must lie in \(0, H/4\)"):
             assemble_contour(blocks, zs, 0.6, c_star=0.1, corner_eps=1.0)
 
     @pytest.mark.parametrize(
@@ -429,7 +440,7 @@ class TestAssembly:
         [dict(eta=math.nan), dict(eta=math.inf), dict(corner_eps=math.nan),
          dict(corner_eps=math.inf), dict(c_star=math.nan), dict(c_star=-math.inf),
          dict(c_star=-1.0), dict(logx=math.nan), dict(logx=math.inf), dict(logx=0.0),
-         dict(logx=-1.0), dict(logx=0.999)],
+         dict(logx=-1.0), dict(logx=0.999), dict(eta=0.0), dict(eta=-0.05), dict(eta=0.2)],
     )
     def test_rejects_nonsense_parameters(self, kw):
         zs = zeroset_from_pairs([], T16)
@@ -476,6 +487,12 @@ class TestAssembly:
 
 
 class TestZeroDensity:
+    @pytest.mark.parametrize("sigma", [0.49, 1.01, -1.0])
+    def test_sigma_outside_its_range_is_typed(self, sigma):
+        zs = zeroset_from_pairs([(0.8, 10.0)], 1000.0)
+        with pytest.raises(ParameterOutOfRange, match=r"sigma must lie in \[1/2, 1\]"):
+            zero_density_count(zs, sigma, 1000.0)
+
     def test_table_above_half_is_empty(self, zero_table_path):
         zs = load_zeros(zero_table_path, 9999.0)
         assert zero_density_count(zs, 0.6, 9999.0).count == 0
@@ -507,6 +524,17 @@ def test_log_zeta_diagnostic(zero_table_path):
     assert rep["samples"] > 0
     assert math.isfinite(rep["max_abs_log_zeta"])
     assert rep["cap"] > 0
+
+
+@pytest.mark.parametrize("samples", [0, -1, -128])
+def test_log_zeta_diagnostic_refuses_fewer_than_one_sample(samples, monkeypatch):
+    # these sampled one point, through max(1, samples)
+    from delange import special
+
+    path = build_path(synthetic_zero_set(3, T=2.0**12))
+    monkeypatch.setattr(special, "zeta_batch", None)
+    with pytest.raises(ParameterOutOfRange, match=f"samples={samples} must be at least 1"):
+        log_zeta_diagnostic(path, samples=samples)
 
 
 def test_log_zeta_diagnostic_samples_the_upper_vertical_midpoints():
