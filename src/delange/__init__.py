@@ -8,7 +8,6 @@ cross-checks.
 
 from .contour import (
     ContourPath,
-    DyadicBlock,
     ValidationReport,
     ZeroSet,
     assemble_contour,
@@ -66,7 +65,6 @@ __all__ = [
     "ArithmeticFamily",
     "ContourPath",
     "DelangeError",
-    "DyadicBlock",
     "ExpansionCoefficients",
     "ExperimentRecord",
     "FactoredWindow",

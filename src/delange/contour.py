@@ -8,14 +8,15 @@ elevated levels beta_j* with corner-displaced horizontal connectors.  The
 full path is the upper half concatenated with its mirror image.
 
 Assembly works on one array of levels: the slab, then every interval of
-every block, bottom to top, as build_blocks joins them.  Only the junctions,
+every block, bottom to top, as build_blocks joins them next to its per-block
+columns (l, U, m, H, c_l and where each block starts).  Only the junctions,
 the spans where the level changes, are looked at further: each gets its
 height and its two vertices, and the junction shapes are counted from the
 junctions alone.
 
 Desk-scale adaptations (T around 2^16 instead of "sufficiently large"):
 the slab owns |t| <= 2^5 and blocks start at U = 2^5; non-power-of-two T is
-floored to the covered dyadic top.
+floored to the covered dyadic top, and T above MAX_T = 2^20 is refused.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .errors import (
     BetaOutOfRange,
     DegenerateBlock,
-    NoAdmissibleCl,
     ParameterOutOfRange,
     ZeroTableParseError,
     require_finite,
@@ -127,41 +127,30 @@ def load_zeros(path, T: float) -> ZeroSet:
 
 # --- dyadic blocks ----------------------------------------------------------
 
+MAX_T = 2**20  # highest T build_blocks takes: 277,730 intervals, far above zeta's validated box
+
+
 @dataclass(frozen=True)
-class DyadicBlock:
-    l: int
-    U: int
-    m: int               # number of intervals, U/(2H)
-    H: float             # half-length U/(2m); interval j is [U + 2(j-1)H, U + 2jH]
-    c_l: float           # H / log log U, in [1/2, 1]
-    margin: float        # C*/log log(2(U+12))
-    beta_j_star: np.ndarray  # level of interval j = 1..m
-    has_zero: np.ndarray     # interval j is elevated by a zero
+class Blocks:
+    """The dyadic blocks [U, 2U], bottom to top, one column entry per block.
 
+    Block i has m[i] intervals [U + 2(j-1)H, U + 2jH], j = 1..m[i], of
+    half-length H[i] = U[i] / (2 m[i]) = c_l[i] log log U[i].  Their levels
+    beta_j* are levels[starts[i] : starts[i + 1]] of the joined array, and
+    has_zero marks the intervals a zero elevates.
+    """
 
-def _choose_block_split(U: int) -> tuple[int, float, float]:
-    """m with c_l = U/(2m log log U) in [1/2, 1]; scan around the 3/4 point."""
-    lnln = math.log(math.log(U))
-    if lnln <= 0:
-        raise NoAdmissibleCl(f"log log U <= 0 at U={U}")
-    center = round(U / (2.0 * 0.75 * lnln))
-    for dm in range(0, 50):
-        for m in (center + dm, center - dm) if dm else (center,):
-            if m < 1:
-                continue
-            c = U / (2.0 * m * lnln)
-            if 0.5 <= c <= 1.0:
-                return int(m), U / (2 * int(m)), c
-    raise NoAdmissibleCl(f"no admissible interval count at U={U}")
+    l: np.ndarray
+    U: np.ndarray
+    m: np.ndarray
+    H: np.ndarray
+    c_l: np.ndarray
+    starts: np.ndarray
+    levels: np.ndarray
+    has_zero: np.ndarray
 
-
-class Blocks(list):
-    """The dyadic blocks, bottom to top, with the joined level array they view:
-    block i's beta_j_star is levels[starts[i] : starts[i + 1]]."""
-
-    def __init__(self, blocks, levels: np.ndarray, starts: np.ndarray):
-        super().__init__(blocks)
-        self.levels, self.starts = levels, starts
+    def __len__(self) -> int:
+        return int(self.l.size)
 
 
 def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blocks:
@@ -178,14 +167,19 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blo
         raise ParameterOutOfRange(f"c_star={c_star} must be positive")
     if T < 2**10:
         raise ParameterOutOfRange("T must be at least 2^10")
+    if T > MAX_T:
+        raise ParameterOutOfRange(f"T={T:g} exceeds the contour's ceiling 2^20 = {MAX_T}")
     if not (0.5 < alpha < 1.0):
         raise ParameterOutOfRange("alpha must lie in (1/2, 1)")
     l_top = int(math.floor(math.log2(T)))
-    ls = range(BLOCK_MIN_L, l_top)
-    splits = [_choose_block_split(2**l) for l in ls]
-    m, h, _ = map(np.array, zip(*splits))
-    U = 2.0 ** np.arange(BLOCK_MIN_L, l_top)
-    margins = [c_star / math.log(math.log(2.0 * (2**l + 12))) for l in ls]
+    ls = np.arange(BLOCK_MIN_L, l_top)
+    U = 2.0**ls
+    # math.log, not np.log, whose vector loop may differ in the last bit
+    lnln = np.array([math.log(math.log(u)) for u in U])
+    # the count nearest c_l = 3/4; from U = 2^5 on, c_l stays within [0.72, 0.78]
+    m = np.rint(U / (1.5 * lnln)).astype(np.int64)
+    h = U / (2 * m)
+    margins = np.array([c_star / math.log(math.log(2.0 * (u + 12))) for u in U])
     start = np.concatenate([[0], np.cumsum(m)])
 
     # blocks span [U - 2H, 2U + 2H] within [2^(BLOCK_MIN_L - 1), 2^(l_top + 1))
@@ -207,7 +201,7 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blo
     hit = near[..., None] & (j <= hi[..., None])
     # rounding is monotone, so the largest beta + margin is the largest beta, plus the margin
     raw = np.full(start[-1], -np.inf)
-    lifted = beta[:, None] + np.array(margins)[block]
+    lifted = beta[:, None] + margins[block]
     np.maximum.at(raw, (start[block][..., None] + j - 1)[hit],
                   np.broadcast_to(lifted[..., None], hit.shape)[hit])
     has_zero = np.isfinite(raw)
@@ -222,14 +216,8 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blo
             f"block l={ls[i]}: beta*_{j_bad} = {level[j_bad - 1]:.4f} >= 1"
             " (reduce C* or the zero heights)"
         )
-    blocks = (
-        DyadicBlock(
-            l=l, U=2**l, m=m_l, H=h_l, c_l=c_l, margin=margin,
-            beta_j_star=star[lo_i:hi_i], has_zero=has_zero[lo_i:hi_i],
-        )
-        for l, (m_l, h_l, c_l), margin, lo_i, hi_i in zip(ls, splits, margins, start, start[1:])
-    )
-    return Blocks(blocks, star, start)
+    return Blocks(l=ls, U=U, m=m, H=h, c_l=U / (2.0 * m * lnln), starts=start,
+                  levels=star, has_zero=has_zero)
 
 
 # --- contour assembly ---------------------------------------------------------
@@ -295,7 +283,7 @@ def assemble_contour(
         raise ValueError("need at least one block")
     if eta is None:
         eta = alpha - 0.5
-    min_h = min(b.H for b in blocks)
+    min_h = float(blocks.H.min())
     if corner_eps is None:
         corner_eps = min_h / 100.0
     require_finite(eta=eta, corner_eps=corner_eps, c_star=c_star, logx=logx)
@@ -310,7 +298,7 @@ def assemble_contour(
 
     slab_level = 0.5 + eta
     r = 1.0 / logx
-    T_eff = float(2 ** (blocks[-1].l + 1))
+    T_eff = 2.0 ** (int(blocks.l[-1]) + 1)
 
     # one level per vertical span, bottom to top
     levels = np.concatenate([[slab_level], blocks.levels])
@@ -318,8 +306,7 @@ def assemble_contour(
     up = levels[k] > levels[k - 1]
     # span k is interval j = k - 1 - starts[i] of block i, with lower end U + 2jH
     i = np.searchsorted(blocks.starts, k - 1, side="right") - 1
-    U, H = np.array([(b.U, b.H) for b in blocks]).T[:, i]
-    t_k = U + 2 * (k - 1 - blocks.starts[i]) * H
+    t_k = blocks.U[i] + 2 * (k - 1 - blocks.starts[i]) * blocks.H[i]
     # each junction sits at height t_k, displaced into the lower-level side
     t_h = np.where(up, t_k - corner_eps, t_k + corner_eps)
 
@@ -359,7 +346,6 @@ class ValidationReport:
     connectivity_ok: bool
     clearance_ok: bool
     clearance_failures: tuple
-    case_tally: dict
 
     @property
     def all_ok(self) -> bool:
@@ -420,7 +406,6 @@ def validate_contour(path: ContourPath, zeroset: ZeroSet, alpha: float) -> Valid
         connectivity_ok=connectivity_ok,
         clearance_ok=not failures,
         clearance_failures=failures,
-        case_tally=dict(path.case_tally),
     )
 
 

@@ -99,10 +99,6 @@ class BetaOutOfRange(DelangeError):
     """Zero with real part outside [1/2, 1)."""
 
 
-class NoAdmissibleCl(DelangeError):
-    """No block constant in [1/2, 1] makes the interval count an integer."""
-
-
 class DegenerateBlock(DelangeError):
     """Elevated block level reaches the pole line Re(s) = 1."""
 

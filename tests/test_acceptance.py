@@ -185,7 +185,7 @@ def test_criterion_07_contour_suite():
         rep = validate_contour(path, zs, alpha)
         all_ok = all_ok and rep.all_ok
         for key in tally:
-            tally[key] += rep.case_tally[key]
+            tally[key] += path.case_tally[key]
     cases_covered = all(tally[k] >= 1 for k in tally)
     empty = zeroset_from_pairs([], T)
     flat = assemble_contour(build_blocks(empty, T, alpha, c_star), empty, alpha, c_star=c_star)

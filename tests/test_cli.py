@@ -633,6 +633,21 @@ class TestContourCmd:
         assert f"line {lineno}: not a finite number" in err
         assert not (tmp_path / "c.json").exists()
 
+    def test_height_above_the_ceiling_exits_1(self, capsys, tmp_path, zero_table_path):
+        # this asked numpy for an 842 GiB level array and ended in a traceback
+        out_json = tmp_path / "c.json"
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "contour", "--zeros", zero_table_path, "--T", "1e12", "--out", str(out_json),
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: T=1e+12 exceeds the contour's ceiling 2^20 = 1048576"
+        ]
+        assert not out_json.exists()
+
     def test_degenerate_exit(self, capsys, tmp_path):
         zeros = tmp_path / "zeros.txt"
         zeros.write_text("0.95 300.0\n")

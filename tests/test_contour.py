@@ -7,6 +7,7 @@ import pytest
 
 from delange.contour import (
     BLOCK_MIN_L,
+    MAX_T,
     PIECE_GAMMA,
     PIECE_H0L,
     PIECE_HJ,
@@ -111,51 +112,69 @@ class TestLoadZeros:
         assert len(zs) == 100  # ordinate #100 is 236.52, #101 is above 237
 
 
+def scanned_block_split(U: int) -> tuple[int, float, float]:
+    """m, H and c_l = U/(2m log log U) in [1/2, 1], scanning m outward from
+    the 3/4 point (the search build_blocks made before its closed form)."""
+    lnln = math.log(math.log(U))
+    center = round(U / (2.0 * 0.75 * lnln))
+    for dm in range(0, 50):
+        for m in (center + dm, center - dm) if dm else (center,):
+            if m < 1:
+                continue
+            c = U / (2.0 * m * lnln)
+            if 0.5 <= c <= 1.0:
+                return int(m), U / (2 * int(m)), c
+    raise AssertionError(f"no admissible interval count at U={U}")
+
+
 class TestBlocks:
     def test_partition_exactness(self):
         # the float half-length tiles [U, 2U] exactly: the endpoints
         # U + 2jH, j = 0..m, rise strictly and the last one is 2U to the bit
         zs = zeroset_from_pairs([], T16)
-        for blk in build_blocks(zs, T16, **SUITE):
-            ends = blk.U + 2 * np.arange(blk.m + 1) * blk.H
-            assert ends[0] == blk.U and ends[-1] == 2 * blk.U
+        blocks = build_blocks(zs, T16, **SUITE)
+        assert len(blocks) == 16 - BLOCK_MIN_L
+        assert np.array_equal(blocks.starts, np.concatenate([[0], np.cumsum(blocks.m)]))
+        assert blocks.levels.size == blocks.has_zero.size == blocks.starts[-1]
+        for l, U, m, H, c_l in zip(blocks.l, blocks.U, blocks.m, blocks.H, blocks.c_l):
+            assert U == 2.0**l
+            ends = U + 2 * np.arange(m + 1) * H
+            assert ends[0] == U and ends[-1] == 2 * U
             assert np.all(np.diff(ends) > 0)
-            assert blk.H == blk.U / (2 * blk.m)
-            assert 0.5 <= blk.c_l <= 1.0
+            assert H == U / (2 * m)
+            assert 0.5 <= c_l <= 1.0
 
     def test_empty_set_all_fallback(self):
         zs = zeroset_from_pairs([], T16)
-        for blk in build_blocks(zs, T16, **SUITE):
-            assert np.all(blk.beta_j_star == 0.6)
-            assert not blk.has_zero.any()
+        blocks = build_blocks(zs, T16, **SUITE)
+        assert np.all(blocks.levels == 0.6)
+        assert not blocks.has_zero.any()
 
     def test_critical_line_only_all_fallback(self, zero_table_path):
         zs = load_zeros(zero_table_path, 9999.0)
-        for blk in build_blocks(zs, 2.0**13, **SUITE):
-            assert np.all(blk.beta_j_star == 0.6)
+        assert np.all(build_blocks(zs, 2.0**13, **SUITE).levels == 0.6)
 
     def test_single_zero_elevation_matches_sup_oracle(self):
         beta0, gamma0 = 0.8, 5000.0
         zs = zeroset_from_pairs([(beta0, gamma0)], T16)
         blocks = build_blocks(zs, T16, **SUITE)
-        for blk in blocks:
-            h = blk.H
-            margin = 0.1 / math.log(math.log(2.0 * (blk.U + 12)))
-            for j in range(1, blk.m + 1):
-                u_j = blk.U + (2 * j - 1) * h
+        for U, m, h, start in zip(blocks.U, blocks.m, blocks.H, blocks.starts):
+            margin = 0.1 / math.log(math.log(2.0 * (U + 12)))
+            for j in range(1, m + 1):
+                u_j = U + (2 * j - 1) * h
                 covered = (u_j - 2 * h <= gamma0 <= u_j + 2 * h) and beta0 >= 0.6
                 want = beta0 + margin if covered else 0.6
-                assert blk.beta_j_star[j - 1] == pytest.approx(want, abs=1e-12)
+                assert blocks.levels[start + j - 1] == pytest.approx(want, abs=1e-12)
 
     def test_monotone_response_to_zero_insertion(self):
         base = synthetic_zero_set(3)
         extra = zeroset_from_pairs(
             list(zip(base.beta, base.gamma)) + [(0.85, 9000.0)], T16
         )
-        for blk_a, blk_b in zip(
-            build_blocks(base, T16, **SUITE), build_blocks(extra, T16, **SUITE)
-        ):
-            assert np.all(blk_b.beta_j_star >= blk_a.beta_j_star - 1e-15)
+        levels_a = build_blocks(base, T16, **SUITE).levels
+        levels_b = build_blocks(extra, T16, **SUITE).levels
+        assert levels_a.shape == levels_b.shape
+        assert np.all(levels_b >= levels_a - 1e-15)
 
     def test_degenerate_block_rejected(self):
         zs = zeroset_from_pairs([(0.95, 300.0)], T16)
@@ -167,6 +186,14 @@ class TestBlocks:
         with pytest.raises(ParameterOutOfRange, match=r"T must be at least 2\^10"):
             build_blocks(zs, 512.0, **SUITE)
 
+    def test_split_matches_the_scan_up_to_the_ceiling(self):
+        blocks = build_blocks(zeroset_from_pairs([], MAX_T), MAX_T, **SUITE)
+        assert blocks.l.tolist() == list(range(BLOCK_MIN_L, 20))
+        assert blocks.starts[-1] == 277_730
+        for l, m, H, c_l in zip(blocks.l, blocks.m, blocks.H, blocks.c_l):
+            assert (m, H, c_l) == scanned_block_split(2 ** int(l))
+            assert 0.5 <= c_l <= 1.0
+
     @pytest.mark.parametrize("alpha", [0.5, 0.3, 1.0, 1.2])
     def test_alpha_outside_the_strip_is_typed(self, alpha):
         zs = zeroset_from_pairs([], T16)
@@ -175,7 +202,10 @@ class TestBlocks:
 
     @pytest.mark.parametrize(
         "T, c_star", [(math.inf, 0.1), (math.nan, 0.1), (T16, math.nan), (T16, math.inf),
-                      (T16, -1.0), (T16, 0.0)],
+                      (T16, -1.0), (T16, 0.0),
+                      # above MAX_T; T = 1e12 asked numpy for an 842 GiB level array
+                      (np.nextafter(float(MAX_T), math.inf), 0.1), (2.0**24, 0.1), (1e12, 0.1),
+                      (2.0**40, 0.1)],
     )
     def test_rejects_nonsense_parameters(self, T, c_star):
         zs = zeroset_from_pairs([], T16)
@@ -184,10 +214,10 @@ class TestBlocks:
 
 
 def per_zero_levels(blocks, zeroset, alpha, c_star):
-    """beta_j* and has_zero of every block, one zero at a time (the reference loop)."""
+    """The joined beta_j* and has_zero of all blocks, built block by block
+    and one zero at a time (the reference loop)."""
     out = []
-    for blk in blocks:
-        U, m, h = blk.U, blk.m, blk.H
+    for U, m, h in zip(blocks.U, blocks.m, blocks.H):
         margin = c_star / math.log(math.log(2.0 * (U + 12)))
         beta_raw = np.full(m + 2, -np.inf)
         sel = (zeroset.beta >= alpha) & (zeroset.gamma >= U - 2 * h) & (
@@ -201,7 +231,8 @@ def per_zero_levels(blocks, zeroset, alpha, c_star):
                 beta_raw[idx] = np.maximum(beta_raw[idx], b)
         has_zero = np.isfinite(beta_raw[1 : m + 1])
         out.append((np.where(has_zero, beta_raw[1 : m + 1] + margin, alpha), has_zero))
-    return out
+    star, has_zero = zip(*out)
+    return np.concatenate(star), np.concatenate(has_zero)
 
 
 def edge_zero_set(seed: int) -> list[tuple[float, float]]:
@@ -210,11 +241,11 @@ def edge_zero_set(seed: int) -> list[tuple[float, float]]:
     U, exactly 2H from the middle of an interval."""
     rng = np.random.default_rng(seed)
     pairs = []
-    for blk in build_blocks(zeroset_from_pairs([], T16), T16, **SUITE):
-        U, h = float(blk.U), blk.H
+    blocks = build_blocks(zeroset_from_pairs([], T16), T16, **SUITE)
+    for U, m, h in zip(blocks.U, blocks.m, blocks.H):
         heights = [U - 2 * h, U - h * rng.uniform(0.0, 2.0), np.nextafter(U, 0.0), U,
                    np.nextafter(2 * U, np.inf), 2 * U + h * rng.uniform(0.0, 2.0), 2 * U + 2 * h,
-                   *(U + (2 * rng.integers(0, blk.m, 4) + 1) * h)]
+                   *(U + (2 * rng.integers(0, m, 4) + 1) * h)]
         pairs += [(rng.uniform(0.6, 0.88), g) for g in heights]
     return pairs
 
@@ -224,16 +255,16 @@ class TestBlocksAgainstPerZeroLoop:
     def test_seeded_mix(self, seed):
         zs = synthetic_zero_set(seed)
         blocks = build_blocks(zs, T16, **SUITE)
-        for blk, (star, has_zero) in zip(blocks, per_zero_levels(blocks, zs, **SUITE)):
-            assert np.array_equal(blk.beta_j_star, star) and np.array_equal(blk.has_zero, has_zero)
+        star, has_zero = per_zero_levels(blocks, zs, **SUITE)
+        assert np.array_equal(blocks.levels, star) and np.array_equal(blocks.has_zero, has_zero)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_overlaps_and_powers_of_two(self, seed):
         zs = zeroset_from_pairs(edge_zero_set(seed), T16)
         blocks = build_blocks(zs, T16, **SUITE)
-        assert any(blk.has_zero.any() for blk in blocks)
-        for blk, (star, has_zero) in zip(blocks, per_zero_levels(blocks, zs, **SUITE)):
-            assert np.array_equal(blk.beta_j_star, star) and np.array_equal(blk.has_zero, has_zero)
+        assert blocks.has_zero.any()
+        star, has_zero = per_zero_levels(blocks, zs, **SUITE)
+        assert np.array_equal(blocks.levels, star) and np.array_equal(blocks.has_zero, has_zero)
 
     def test_bundled_table_with_elevated_copies(self, zero_table_path):
         # the table's own zeros (all at 1/2) plus an elevated copy of every tenth
@@ -242,9 +273,9 @@ class TestBlocksAgainstPerZeroLoop:
         pairs += [(0.7, g) for g in table.gamma[::10]]
         for zs in (table, zeroset_from_pairs(pairs, T16)):
             blocks = build_blocks(zs, T16, **SUITE)
-            for blk, (star, has_zero) in zip(blocks, per_zero_levels(blocks, zs, **SUITE)):
-                assert np.array_equal(blk.beta_j_star, star)
-                assert np.array_equal(blk.has_zero, has_zero)
+            star, has_zero = per_zero_levels(blocks, zs, **SUITE)
+            assert np.array_equal(blocks.levels, star)
+            assert np.array_equal(blocks.has_zero, has_zero)
 
     def test_degenerate_block_named_as_before(self):
         # the first block whose level reaches 1 is reported, with its worst interval
@@ -258,9 +289,11 @@ def per_interval_assembly(blocks, params):
     every interval, with the tally scanning all levels by five masks (the
     reference assembly, as it was before the junction assembly)."""
     slab_level, r = 0.5 + params.eta, 1.0 / params.logx
-    T_eff = float(2 ** (blocks[-1].l + 1))
-    levels = np.concatenate([[slab_level], *(b.beta_j_star for b in blocks)])
-    lows = np.concatenate([[r / 2.0], *(b.U + 2 * np.arange(b.m) * b.H for b in blocks)])
+    T_eff = float(2 ** (blocks.l[-1] + 1))
+    levels = np.concatenate([[slab_level], blocks.levels])
+    lows = np.concatenate(
+        [[r / 2.0], *(U + 2 * np.arange(m) * H for U, m, H in zip(blocks.U, blocks.m, blocks.H))]
+    )
     k = np.flatnonzero(np.diff(levels)) + 1
     t_k = lows[k]
     t_h = np.where(levels[k] > levels[k - 1], t_k - params.corner_eps, t_k + params.corner_eps)
@@ -295,8 +328,9 @@ def per_interval_assembly(blocks, params):
 def top_interval_zero_set() -> list[tuple[float, float]]:
     """One zero that elevates the top interval alone, and one just below
     the top block's lower end U."""
-    top = build_blocks(zeroset_from_pairs([], T16), T16, **SUITE)[-1]
-    return [(0.8, 2.0 * top.U - 0.5 * top.H), (0.75, top.U - 0.5 * top.H)]
+    blocks = build_blocks(zeroset_from_pairs([], T16), T16, **SUITE)
+    U, h = blocks.U[-1], blocks.H[-1]
+    return [(0.8, 2.0 * U - 0.5 * h), (0.75, U - 0.5 * h)]
 
 
 class TestJunctionsAgainstPerIntervalAssembly:
@@ -322,8 +356,9 @@ class TestJunctionsAgainstPerIntervalAssembly:
         # lifts one interval, and two zeros that leave interval 100 of the
         # block at 2^12 alone between them: each shape, from junctions on
         # consecutive intervals
-        blk = build_blocks(zeroset_from_pairs([], T16), T16, **SUITE)[12 - BLOCK_MIN_L]
-        h, mid_99 = blk.H, blk.U + 197 * blk.H
+        blocks = build_blocks(zeroset_from_pairs([], T16), T16, **SUITE)
+        h = blocks.H[12 - BLOCK_MIN_L]
+        mid_99 = blocks.U[12 - BLOCK_MIN_L] + 197 * h
         pairs = [(0.7, 6000.0), (0.8, 6001.2), (0.8, 9000.0), (0.7, 9001.2), (0.8, 2.0**12 + 0.05),
                  (0.7, mid_99 - 0.5 * h), (0.8, mid_99 + 4.5 * h)]
         path = self.check(pairs)
@@ -407,8 +442,7 @@ class TestAssembly:
     def test_adversarial_corruption_is_caught(self):
         zs = zeroset_from_pairs([(0.8, 5000.0)], T16)
         blocks = build_blocks(zs, T16, **SUITE)
-        for blk in blocks:
-            blk.beta_j_star[blk.has_zero] = 0.6  # forge the elevation away
+        blocks.levels[blocks.has_zero] = 0.6  # forge the elevation away
         path = assemble_contour(blocks, zs, 0.6, c_star=0.1)
         rep = validate_contour(path, zs, 0.6)
         assert not rep.clearance_ok
