@@ -334,6 +334,7 @@ def _cmd_experiment(cfg: dict) -> int:
 
 def _cmd_contour(cfg: dict) -> int:
     t_height, alpha, c_star = cfg["T"], cfg["alpha"], cfg["cstar"]
+    contour_mod.check_block_params(t_height, alpha, c_star)
     zs = contour_mod.load_zeros(cfg["zeros"], t_height)
     blocks = contour_mod.build_blocks(zs, t_height, alpha, c_star)
     path = contour_mod.assemble_contour(

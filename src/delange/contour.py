@@ -153,15 +153,9 @@ class Blocks:
         return int(self.l.size)
 
 
-def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blocks:
-    """Dyadic blocks covering [2^BLOCK_MIN_L, 2^floor(log2 T)] with levels beta_j*.
-
-    Interval j of block l is elevated to the largest beta >= alpha among the
-    zeros whose gamma lies within 2H of its midpoint U + (2j - 1)H.  A zero
-    reaches at most three intervals of its own dyadic block and of each block
-    beside it, so all blocks share one level array and every zero is applied
-    to it in one pass.
-    """
+def check_block_params(T: float, alpha: float, c_star: float) -> None:
+    """Refuse, with ParameterOutOfRange, a T, alpha or c_star that build_blocks
+    cannot take; the CLI calls it before it reads the zero table."""
     require_finite(T=T, c_star=c_star)
     if c_star <= 0:
         raise ParameterOutOfRange(f"c_star={c_star} must be positive")
@@ -171,6 +165,18 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blo
         raise ParameterOutOfRange(f"T={T:g} exceeds the contour's ceiling 2^20 = {MAX_T}")
     if not (0.5 < alpha < 1.0):
         raise ParameterOutOfRange("alpha must lie in (1/2, 1)")
+
+
+def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blocks:
+    """Dyadic blocks covering [2^BLOCK_MIN_L, 2^floor(log2 T)] with levels beta_j*.
+
+    Interval j of block l is elevated to the largest beta >= alpha among the
+    zeros whose gamma lies within 2H of its midpoint U + (2j - 1)H.  A zero
+    reaches at most three intervals of its own dyadic block and of each block
+    beside it, so all blocks share one level array and every zero is applied
+    to it in one pass.  Bad parameters are refused by check_block_params.
+    """
+    check_block_params(T, alpha, c_star)
     l_top = int(math.floor(math.log2(T)))
     ls = np.arange(BLOCK_MIN_L, l_top)
     U = 2.0**ls

@@ -26,6 +26,15 @@ split into FIRST_PANEL_SPLIT equal sub-panels (QUADPACK's remedy for a
 nearly singular interval).  Unsplit, that panel sets the fine-coarse
 distance: 5.4e-3 for divisor:3 at x = 1e5 and 60 nodes a unit, against
 about 1e-9 with the split at the default 32.
+
+The line's panels are equal within the split panel and within each slice
+of at most 3120 uniform panels, so the nodes of a slice are 21 vertical
+progressions b + i(t0[row] + j dt), one per Kronrod node, with dt the panel
+width.  zeta_batch finds that layout itself and sums zeta by its factored
+matmul; _line_pair hands it to _kernel, whose x^s and (1 + y/x)^s then take
+one exp per row times the powers of one step (special.progression_exp)
+instead of one exp per node.  The Hankel loop's legs and circle are not
+vertical progressions and keep one exp per node.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .errors import (
     require_finite,
 )
 from .sieve import Window
-from .special import TAU_MAX, recip_gamma
+from .special import TAU_MAX, progression_exp, recip_gamma
 
 DEFAULT_B_OFFSET = 2.0
 HANKEL_LEG_LEFT_ETA = 0.05
@@ -111,15 +120,25 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def _kernel(s: np.ndarray, x: float, y: float) -> np.ndarray:
+def _kernel(s: np.ndarray, x: float, y: float, grid: Optional[tuple] = None) -> np.ndarray:
     """((x+y)^s - x^s)/s, stable for y << x via the expm1 route: exp(w) - 1,
-    w = s log(1 + y/x), is replaced by its series where |w| < 1e-4."""
-    w = s * math.log1p(y / x)
-    ew = np.exp(w) - 1.0
+    w = s log(1 + y/x), is replaced by its series where |w| < 1e-4.
+
+    x^s and (1 + y/x)^s take one exp per node, or, given the layout
+    grid = (sigma, t0, dt) of rows s = sigma + i(t0[row] + j dt), one exp per
+    row times the powers of one step (special.progression_exp).
+    """
+    ly, lx = math.log1p(y / x), math.log(x)
+    w = s * ly
+    if grid is None:
+        ew, x_s = np.exp(w), np.exp(s * lx)
+    else:
+        ew, x_s = (progression_exp(c, *grid, s.shape[1]) for c in (ly, lx))
+    ew -= 1.0
     small = np.abs(w) < 1e-4
     ws = w[small]
     ew[small] = ws * (1.0 + ws / 2.0 + ws * ws / 6.0)
-    return np.exp(s * math.log(x)) * ew / s
+    return x_s * ew / s
 
 
 def _converged(
@@ -181,19 +200,29 @@ def _line_edges(T: float, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]
 
 
 def _line_pair(family, x: float, y: float, b: float, T: float, spec: QuadratureSpec):
-    """Fine and coarse estimates of the line integral over Re(s) = b, |t| <= T."""
+    """Fine and coarse estimates of the line integral over Re(s) = b, |t| <= T.
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        s = b + 1j * t
-        return family.closed_form_F(s) * _kernel(s, x, y)
+    Each slice of equal panels is passed to _kernel with its layout
+    (b, t0, dt), so the kernel detects no grid of its own.
+    """
+
+    def slice_pair(edges: np.ndarray) -> np.ndarray:
+        # equal panels: row r of the nodes is t0[r] + j dt, dt the panel width
+        dt = (edges[-1] - edges[0]) / (edges.size - 1)
+
+        def integrand(t: np.ndarray) -> np.ndarray:
+            s = b + 1j * t
+            return family.closed_form_F(s) * _kernel(s, x, y, (b, t[:, 0], dt))
+
+        return _panel_pair(integrand, edges)
 
     first, rest = _line_edges(T, spec)
-    pair = _panel_pair(integrand, first)
+    pair = slice_pair(first)
     # at most 3120 uniform panels at a time: 21 rows, each a vertical
     # progression, the layout zeta_batch sums by its factored matmul
     step = 65536 // 21
     for lo in range(0, rest.size - 1, step):
-        pair += _panel_pair(integrand, rest[lo : lo + step + 1])
+        pair += slice_pair(rest[lo : lo + step + 1])
     # f(-t) = conj(f(t)):  (1/2pi) * (I + conj I) = Re(I)/pi
     fine, coarse = pair.real / math.pi
     return complex(fine, 0.0), complex(coarse, 0.0)
@@ -215,17 +244,17 @@ def perron_line_sum(
     one above zeta's validated height TAU_MAX, or one the family's closed
     form cannot reach (checked at the top node up front).  b_offset must be
     finite and positive, which keeps the line right of the pole at s = 1, and
-    the line may have at most MAX_LINE_NODES nodes; otherwise
-    ParameterOutOfRange.  A given diagnostics dict receives the fine-coarse
-    distance as "quadrature_delta".
+    the line may have at most MAX_LINE_NODES nodes, x at most 1e5 and T at
+    least 10; otherwise ParameterOutOfRange.  A given diagnostics dict
+    receives the fine-coarse distance as "quadrature_delta".
     """
     x, y = float(win.x), float(win.y)
     if x > 1e5:
-        raise ValueError("line evaluation budget is limited to x <= 1e5")
+        raise ParameterOutOfRange("line evaluation budget is limited to x <= 1e5")
     if not (math.isfinite(T) and T <= TAU_MAX):
         raise OutOfValidatedRange(f"T={T} must be finite and at most {TAU_MAX:g}")
     if T < 10.0:
-        raise ValueError("T must be at least 10")
+        raise ParameterOutOfRange("T must be at least 10")
     if not (0.0 < b_offset < math.inf):
         raise ParameterOutOfRange(f"b_offset={b_offset} must be finite and positive")
     nodes = line_node_count(T, spec)
@@ -327,13 +356,13 @@ def hankel_main_term(
 
     Approaches (log u)^(kappa-1-l)/Gamma(kappa-l) as u grows; the truncation
     of the legs at 1/2 + eta, eta = HANKEL_LEG_LEFT_ETA, costs
-    O(u^(eta-1/2)).  A non-finite u, kappa or r, and an r outside
-    (0, 1/2 - eta), raise ParameterOutOfRange.  A given diagnostics dict
-    receives the fine-coarse distance as "quadrature_delta".
+    O(u^(eta-1/2)).  A non-finite u, kappa or r, a u below 100, and an r
+    outside (0, 1/2 - eta), raise ParameterOutOfRange.  A given diagnostics
+    dict receives the fine-coarse distance as "quadrature_delta".
     """
     require_finite(u=u, kappa=kappa)
     if u < 100.0:
-        raise ValueError("u must be at least 100")
+        raise ParameterOutOfRange("u must be at least 100")
     lu = math.log(u)
     if r is None:
         r = 1.0 / lu

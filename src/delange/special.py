@@ -8,14 +8,19 @@ which matters only deep in the left half of the box where |zeta| grows to
 zeta_batch takes one of three routes.  A 2-D batch whose rows are vertical
 progressions sigma + i(t0[row] + j dt), as the Perron line's Gauss panels
 are, takes Euler-Maclaurin summation with one cutoff K ~ 0.36 |t|max and
-factors the direct sum into one matrix product, about 2 K sqrt(points) exps.
-Any other batch is routed point by point: a point with |t| >= RS_T_MIN and
-Re(s) < RS_SIGMA_MAX takes the Riemann-Siegel formula, two sums over
-n <= sqrt(|t|/2pi) plus fixed corrections, and every other point takes
-Euler-Maclaurin with its own cutoff, one exp per term.  The Riemann-Siegel
-points go to the formula in even blocks of at most 64, so that a scattered
-batch reuses heap pages instead of faulting in fresh ones; the blocks leave
-every value's bits as they are.  Both direct sums are weighted sums of
+factors the direct sum into one matrix product.  Along a progression every
+exponential is a geometric sequence, so `progression_exp` forms exp(c s) as
+one exp per row times the powers of one step, built by doubling (the
+structure Odlyzko and Schonhage exploit for multiple evaluations of zeta,
+Trans. AMS 309, 1988): the direct sum and the tail's K^-s take about
+K (rows + 3) exps in all, not K * points.  Any other batch is routed point
+by point: a point with |t| >= RS_T_MIN and Re(s) < RS_SIGMA_MAX takes the
+Riemann-Siegel formula, two sums over n <= sqrt(|t|/2pi) plus fixed
+corrections, and every other point takes Euler-Maclaurin with its own
+cutoff, one exp per term.  The Riemann-Siegel points go to the formula in
+even blocks of at most 64, so that a scattered batch reuses heap pages
+instead of faulting in fresh ones; the blocks leave every value's bits as
+they are.  Both direct sums are weighted sums of
 a_n n^-s over given (log n, a_n) with a_n = 1; `dirichlet_sum` puts the
 background's prime powers (families) on the same two kernels.  The
 Riemann-Siegel sums take an exponential for n^-it only at the primes and
@@ -117,25 +122,56 @@ def _progression(s: np.ndarray):
     return float(sigma), t[:, 0], float(dt)
 
 
+def progression_exp(c, sigma: float, t0: np.ndarray, dt: float, count: int) -> np.ndarray:
+    """exp(c s) on the rows s = sigma + i(t0[row] + j dt), j < count.
+
+    c is a real scalar or 1-D array, and the result has shape
+    c.shape + (rows, count).  Each row takes one exp, exp(c (sigma + i t0[row])),
+    times the powers z^j of the single step z = exp(i c dt).  The powers are
+    built by doubling, z^(m + 2^k) = z^m z^(2^k) for m < 2^k with z^(2^k) by
+    squaring, so every entry is a product of at most ceil(log2 count) + 1
+    factors.  A squaring doubles the magnitude error of z^(2^k); putting each
+    square back on the unit circle keeps it at an ulp or two, so a row's
+    magnitudes stay within a few eps per factor instead of drifting by about
+    count * eps.  The phases carry the eps |c t| rounding of a direct exp.
+    """
+    c = np.asarray(c, dtype=np.float64)[..., None]
+    powers = np.empty(c.shape[:-1] + (count,), dtype=np.complex128)
+    powers[..., 0] = 1.0
+    step = np.exp((1j * dt) * c)
+    filled = 1
+    while filled < count:
+        n = min(filled, count - filled)
+        np.multiply(powers[..., :n], step, out=powers[..., filled : filled + n])
+        filled += n
+        step = step * step
+        step /= np.abs(step)
+    base = np.exp(c * (sigma + 1j * np.asarray(t0, dtype=np.float64)))
+    return base[..., :, None] * powers[..., None, :]
+
+
 def _progression_sum(sigma: float, t0: np.ndarray, dt: float, count: int,
                      ln_n: np.ndarray, a_n: np.ndarray) -> np.ndarray:
     """sum_n a_n n^-(sigma + i(t0[row] + j dt)) for j < count, as one matmul.
 
     With j = q*B + r, n^-s = n^-(sigma + i(t0 + qB dt)) * n^(-i r dt), so the
-    sum is a (rows*Q x N) @ (N x B) product needing N*(rows*Q + B) exps; the
-    weights scale the N rows of the right factor.
+    sum is a (rows*Q x N) @ (N x B) product.  Both factors are progressions:
+    the left one takes N*rows exps and the powers of n^(-i B dt), the right
+    one the powers of n^(-i dt) (progression_exp), and the weights scale the
+    N rows of the right factor in place.
     """
     rows = t0.size
     width = min(count, math.isqrt(rows * count))
     blocks = -(-count // width)
-    left_s = -(sigma + 1j * (t0[:, None] + (width * dt) * np.arange(blocks)).reshape(-1))
-    right_s = (-1j * dt) * np.arange(width)
     acc = np.zeros((rows * blocks, width), dtype=np.complex128)
     n_chunk = max(8, min(ln_n.size, _WORKSPACE // (rows * blocks + width)))
+    origin = np.zeros(1)
     for lo in range(0, ln_n.size, n_chunk):
-        ln, a = ln_n[lo : lo + n_chunk], a_n[lo : lo + n_chunk]
-        right = np.exp(np.multiply.outer(ln, right_s)) * a[:, None]
-        acc += np.exp(np.multiply.outer(left_s, ln)) @ right
+        c, a = -ln_n[lo : lo + n_chunk], a_n[lo : lo + n_chunk]
+        right = progression_exp(c, 0.0, origin, dt, width)[:, 0]
+        right *= a[:, None]
+        left = progression_exp(c, sigma, t0, width * dt, blocks).reshape(c.size, rows * blocks)
+        acc += left.T @ right
     return acc.reshape(rows, blocks * width)[:, :count]
 
 
@@ -175,11 +211,9 @@ def dirichlet_sum(s: np.ndarray, ln_n: np.ndarray, a_n: np.ndarray) -> np.ndarra
     return _scattered_sum(flat, ln_n, a_n, np.full(flat.size, ln_n.size)).reshape(s.shape)
 
 
-def _euler_maclaurin_tail(s: np.ndarray, k) -> np.ndarray:
-    """zeta(s) - sum_{n<k} n^-s: the integral, the half term and the corrections."""
+def _euler_maclaurin_tail(s: np.ndarray, k, k_pow_s: np.ndarray) -> np.ndarray:
+    """zeta(s) - sum_{n<k} n^-s from k^-s: the integral, the half term and the corrections."""
     # k^(1-s) and k^(-s-(2j-1)) are k^-s times real powers of k
-    ln_k = np.log(k) if isinstance(k, np.ndarray) else math.log(k)
-    k_pow_s = np.exp(-ln_k * s)
     corr = k / (s - 1.0) + 0.5
     rise = np.ones_like(s)
     k_pow = 1.0 / k
@@ -437,13 +471,14 @@ def _riemann_siegel(s: np.ndarray) -> np.ndarray:
     return np.where(flip, out.conj(), out)
 
 
-def zeta_batch(s: np.ndarray) -> np.ndarray:
+def zeta_batch(s: np.ndarray, diagnostics: dict | None = None) -> np.ndarray:
     """zeta on an array of points of the validated box, away from s = 1.
 
     A 2-D s whose rows are vertical progressions sigma + i(t0[row] + j dt),
     with one sigma and one dt, takes the factored Euler-Maclaurin sum with one
-    cutoff K for the whole batch: about K*(2*sqrt(points)) exps and one
-    complex matmul instead of K*points exps.
+    cutoff K for the whole batch: one complex matmul whose factors, like the
+    tail's K^-s, are progressions that progression_exp forms from about
+    K*(rows + 3) exps in all, instead of K*points exps.
 
     Every other input (1-D, mixed real parts, uneven spacing) is routed point
     by point.  Points with |Im s| >= RS_T_MIN and Re s < RS_SIGMA_MAX take the
@@ -457,8 +492,15 @@ def zeta_batch(s: np.ndarray) -> np.ndarray:
     own cutoff, so a low point never pays for a high one, all in one call:
     splitting them would regroup their direct sums and move their bits.  The
     correction terms cost one complex power per point.
+
+    A given diagnostics dict receives how many points took each route, as
+    "progression", "riemann_siegel" and "euler_maclaurin", and the
+    progression route's cutoff K as "cutoff" (0 when no point took it).
     """
     s = np.asarray(s, dtype=np.complex128)
+    routes = dict(progression=0, riemann_siegel=0, euler_maclaurin=0, cutoff=0)
+    if diagnostics is not None:
+        diagnostics.update(routes)
     if s.size == 0:
         return s.copy()
     if not np.all(np.isfinite(s)):
@@ -476,7 +518,9 @@ def zeta_batch(s: np.ndarray) -> np.ndarray:
     if grid is not None:
         k = int(_direct_sum_cutoff(sig_min, t_max))
         direct = _progression_sum(*grid, s.shape[1], np.log(np.arange(1.0, k)), np.ones(k - 1))
-        total = direct + _euler_maclaurin_tail(s, k)
+        k_pow_s = progression_exp(-math.log(k), *grid, s.shape[1])
+        total = direct + _euler_maclaurin_tail(s, k, k_pow_s)
+        routes.update(progression=s.size, cutoff=k)
     else:
         flat = s.reshape(-1)
         total = np.empty_like(flat)
@@ -490,10 +534,13 @@ def zeta_batch(s: np.ndarray) -> np.ndarray:
             k = _direct_sum_cutoff(em.real, np.abs(em.imag))
             top = int(k.max())
             direct = _scattered_sum(em, np.log(np.arange(1.0, top)), np.ones(top - 1), k - 1)
-            total[~rs] = direct + _euler_maclaurin_tail(em, k)
+            total[~rs] = direct + _euler_maclaurin_tail(em, k, np.exp(-np.log(k) * em))
         total = total.reshape(s.shape)
+        routes.update(riemann_siegel=rs_idx.size, euler_maclaurin=em.size)
     if not np.all(np.isfinite(total)):
         raise OutOfValidatedRange("zeta evaluation overflowed inside the batch")
+    if diagnostics is not None:
+        diagnostics.update(routes)
     return total
 
 

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from delange import cli, perron, sieve
+from delange import cli, contour, perron, sieve
 from delange.cli import OPTIONS, _build_parser, _resolve, main, parse_csv
 from delange.families import family_from_spec, g_series_by_euler_product
 from delange.series import g_lambda_coeffs
@@ -646,6 +646,29 @@ class TestContourCmd:
         assert err.splitlines() == [
             "error: T=1e+12 exceeds the contour's ceiling 2^20 = 1048576"
         ]
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--T", "1e12", "T=1e+12 exceeds the contour's ceiling 2^20 = 1048576"),
+         ("--alpha", "0.4", "alpha must lie in (1/2, 1)"),
+         ("--cstar", "-1", "c_star=-1.0 must be positive")],
+    )
+    def test_bad_parameters_are_refused_before_the_table_is_read(
+        self, capsys, tmp_path, zero_table_path, monkeypatch, flag, value, message
+    ):
+        def unread(*args):
+            raise AssertionError("the zero table was read")
+
+        monkeypatch.setattr(contour, "load_zeros", unread)
+        out_json = tmp_path / "c.json"
+        argv = {"--zeros": zero_table_path, "--T": "65536", flag: value}
+        code, out, err = run(
+            capsys, "contour", *[a for kv in argv.items() for a in kv], "--out", str(out_json),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
         assert not out_json.exists()
 
     def test_degenerate_exit(self, capsys, tmp_path):

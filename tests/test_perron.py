@@ -198,6 +198,40 @@ class TestKernel:
                 assert abs(gi - want) <= 1e-15 * (1.0 + abs(si) * math.log(x)) * abs(want), (si, gi, want)
 
 
+    @pytest.mark.parametrize("x, y, where", [(1e5, 1e4, "slice"), (1e5, 0.1, "first")])
+    def test_line_layout_against_mpmath(self, x, y, where):
+        # the kernel on a layout _line_pair hands it: the 21 x 3120 uniform
+        # slice of the line at T = TAU_MAX that starts at t = 96,000, or the
+        # split first panel, where y/x = 1e-6 puts the low nodes on the series
+        b = 1.0 + DEFAULT_B_OFFSET / math.log(x)
+        first, rest = perron._line_edges(special.TAU_MAX, QuadratureSpec())
+        edges = first if where == "first" else rest[np.searchsorted(rest, 96000.0):][:3121]
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        t = mid + half * _KRONROD_NODES[:, None]
+        s = b + 1j * t
+        dt = (edges[-1] - edges[0]) / (edges.size - 1)
+        got = perron._kernel(s, x, y, (b, t[:, 0], dt))
+        per_node = perron._kernel(s, x, y)
+        rng = np.random.default_rng(7)
+        rows, cols = rng.integers(0, 21, 150), rng.integers(0, s.shape[1], 150)
+        if where == "first":
+            rows[:3], cols[:3] = 0, 0  # the lowest nodes take the series
+            assert np.abs(s[0, 0] * math.log1p(y / x)) < 1e-4
+        err_grid, err_node = [], []
+        with mpmath.workdps(30):
+            for r, j in zip(rows.tolist(), cols.tolist()):
+                si = complex(s[r, j])
+                ms = mpmath.mpc(si.real, si.imag)
+                want = complex((mpmath.power(mpmath.mpf(x) + y, ms) - mpmath.power(x, ms)) / ms)
+                # the bound of test_both_branches_against_mpmath
+                assert abs(got[r, j] - want) <= 1e-15 * (1.0 + abs(si) * math.log(x)) * abs(want)
+                err_grid.append(abs(got[r, j] - want) / abs(want))
+                err_node.append(abs(per_node[r, j] - want) / abs(want))
+        # no worse than one exp per node, up to the few eps of the doubling
+        # factors where the phases are short
+        assert max(err_grid) <= max(err_node) + 8 * 2.2e-16
+
+
 class TestPerronLine:
     def test_constant_one_window(self, fam_one):
         win = Window(10**4, 10**3)
@@ -224,8 +258,12 @@ class TestPerronLine:
         assert abs(v - exact) / abs(exact) <= 0.05
 
     def test_budget_guard(self, fam_one):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             perron_line_sum(fam_one, Window(10**6, 10**3), 500.0)
+
+    def test_height_floor(self, fam_one):
+        with pytest.raises(ParameterOutOfRange, match="T must be at least 10"):
+            perron_line_sum(fam_one, Window(10**3, 10**2), 9.5)
 
     @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, 2.0e5])
     def test_height_outside_validated_range(self, fam_one, T):
@@ -402,7 +440,7 @@ class TestHankelLoop:
         assert abs(hankel_main_term(1e6, 1.0, 1)) <= 1e-10
 
     def test_u_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             hankel_main_term(10.0, 0.5, 0)
 
     @pytest.mark.parametrize(

@@ -155,6 +155,19 @@ class TestZetaProgression:
         tol = 1e-12 * max(1.0, t_low / 1e3)
         assert np.max(np.abs(grid - flat)) <= tol
 
+    def test_full_perron_slice_matches_scattered_path(self, grid_calls):
+        # the longest slice the Perron line hands zeta_batch, at the heights
+        # where the phases round the most; the scattered route is sampled
+        s = _perron_slice(96000.0)
+        assert s.shape == (21, 3120)
+        grid = zeta_batch(s)
+        assert len(grid_calls) == 1
+        rng = np.random.default_rng(96)
+        pick = rng.integers(0, 21, 64), rng.integers(0, 3120, 64)
+        flat = zeta_batch(s[pick])
+        # test_matches_scattered_path's tolerance at t_low = 96000
+        assert np.max(np.abs(grid[pick] - flat)) <= 1e-12 * 96000.0 / 1e3
+
     def test_doubled_progression(self, grid_calls):
         # zeta(2s) on a Perron-style layout: step 2 dt, real part 2 sigma
         s = _rows(1.2, 0.37 + 0.05 * np.arange(10), 0.6, 40)
@@ -200,6 +213,56 @@ class TestZetaProgression:
             zeta_batch(_rows(-1.0, [10.0], 1.0, 4))
         with pytest.raises(PoleAtOne):
             zeta_batch(_rows(1.0, [-2.0], 1.0, 4))
+
+
+def _perron_slice(t_low: float):
+    """The 21 x 3120 nodes of the uniform Perron slice at T = TAU_MAX that
+    starts at t_low, with x = 1e5: the longest slice _line_pair builds."""
+    from delange import perron
+
+    edges = perron._line_edges(TAU_MAX, perron.QuadratureSpec())[1]
+    edges = edges[np.searchsorted(edges, t_low):][: 65536 // 21 + 1]
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    return 1.0 + 2.0 / math.log(1e5) + 1j * (mid + half * perron._KRONROD_NODES[:, None])
+
+
+class TestProgressionExp:
+    """progression_exp against exp(c s) in mpmath at 30 digits."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3120])
+    @pytest.mark.parametrize(
+        "c, sigma, t0, dt",
+        [(math.log(1e5), 1.17, [0.31, 9.6e4], 0.625 * (1.0 - 1e-3)),  # the kernel's x^s
+         (-math.log(24063.0), 1.17, [96000.1, 47000.3], 0.625),  # a direct-sum term n^-s
+         (-math.log(2.0), -0.5, [3.0, TAU_MAX - 3120 * 0.03], 0.03),
+         (math.log1p(1e-6), 2.0, [0.0], 0.2)],
+    )
+    def test_against_mpmath(self, count, c, sigma, t0, dt):
+        import mpmath
+
+        got = special.progression_exp(c, sigma, np.array(t0), dt, count)
+        assert got.shape == (len(t0), count)
+        # the columns with the most doubling factors, and a spread of others
+        cols = sorted({0, count - 1} | {min(count - 1, 2**k - 1) for k in range(13)}
+                      | set(range(0, count, 97)))
+        levels = math.ceil(math.log2(count)) if count > 1 else 0
+        with mpmath.workdps(30):
+            for row, start in enumerate(t0):
+                for j in cols:
+                    s = mpmath.mpf(sigma) + 1j * (mpmath.mpf(start) + j * mpmath.mpf(dt))
+                    want = complex(mpmath.exp(c * s))
+                    # the phase c t rounds at about eps |c t|, as in a direct exp;
+                    # the magnitude gains a few eps per doubling factor
+                    tol = 2.2e-16 * (abs(c) * abs(complex(s)) + 8 * (levels + 1)) * abs(want)
+                    assert abs(got[row, j] - want) <= tol, (row, j)
+
+    def test_vector_c_is_a_stack_of_scalar_calls(self):
+        c = -np.log(np.arange(1.0, 30.0))
+        t0 = np.array([14.0, 950.5, 9.9e4])
+        got = special.progression_exp(c, 1.2, t0, 0.37, 41)
+        assert got.shape == (c.size, t0.size, 41)
+        for i, ci in enumerate(c):
+            assert np.array_equal(got[i], special.progression_exp(ci, 1.2, t0, 0.37, 41))
 
 
 def _weighted_reference(s: complex, ln_n, a_n) -> complex:
@@ -573,6 +636,39 @@ class TestPinnedZeta:
 
 _LOWER_LEFT = st.tuples(st.floats(SIGMA_MIN, -0.5, exclude_min=True), st.floats(0.0, 60.0))
 _BOX = st.tuples(st.floats(SIGMA_MIN, 4.0, exclude_min=True), st.floats(0.0, TAU_MAX))
+
+
+class TestZetaDiagnostics:
+    def test_mixed_batch_counts_every_point_once(self, rs_calls):
+        rng = np.random.default_rng(31)
+        s = np.concatenate([
+            rng.uniform(-0.9, 1.1, 70) + 1j * rng.uniform(RS_T_MIN, TAU_MAX, 70),  # Riemann-Siegel
+            rng.uniform(RS_SIGMA_MAX, 3.0, 20) + 1j * rng.uniform(-TAU_MAX, TAU_MAX, 20),
+            rng.uniform(-0.9, 3.0, 30) + 1j * rng.uniform(-400.0, 400.0, 30),
+        ])
+        diagnostics = {}
+        vals = zeta_batch(s, diagnostics=diagnostics)
+        assert diagnostics == {"progression": 0, "riemann_siegel": 70, "euler_maclaurin": 50,
+                               "cutoff": 0}
+        assert sum(c.size for c in rs_calls) == 70
+        assert sum(v for k, v in diagnostics.items() if k != "cutoff") == s.size
+        # the dict changes no bit of the values
+        assert np.array_equal(vals, zeta_batch(s))
+
+    def test_progression_reports_its_cutoff(self, grid_calls):
+        s = _rows(1.2, [30.0, 950.0], 0.5, 40)
+        diagnostics = {"progression": -1}
+        vals = zeta_batch(s, diagnostics)
+        k = int(special._direct_sum_cutoff(1.2, float(np.max(s.imag))))
+        assert diagnostics == {"progression": s.size, "riemann_siegel": 0, "euler_maclaurin": 0,
+                               "cutoff": k}
+        assert grid_calls[0][4].size == k - 1
+        assert np.array_equal(vals, zeta_batch(s))
+
+    def test_empty_batch(self):
+        diagnostics = {}
+        assert zeta_batch(np.array([], dtype=complex), diagnostics).size == 0
+        assert sum(diagnostics.values()) == 0
 
 
 class TestZetaWholeBox:
