@@ -8,8 +8,9 @@ so no output records a path of the checkout.  OUT/<name>/ receives
 stdout.txt, stderr.txt without the `elapsed:` line, exit_code.txt and the
 files the command wrote.  Two checkouts are compared with `diff -r OUT1 OUT2`.
 
-The script exits 1 when a command's exit code is not the one SAMPLES lists
-for it, and names that command.
+The script exits 1, naming the command, when a command's exit code is not
+the one SAMPLES lists for it, or when a refused input (exit 1) writes
+anything to stderr but one line starting `error: ` (a traceback, say).
 
 Usage: python scripts/sample_commands.py OUT
 """
@@ -62,12 +63,20 @@ SAMPLES = (
     ("refuse-hankel-u", ("hankel-check", "--u", "50", "--kappa", "0.5"), 1),
     ("refuse-workers", ("sum", "--family", "divisor:2", "--x", "1000", "--y", "100", "--workers", "0"), 1),
     ("refuse-theta-nan", ("theta", "--kappa", "nan", "--delta", "0"), 1),
+    ("refuse-theta-eps", ("theta", "--kappa", "1", "--delta", "0", "--eps", "0.2"), 1),
+    ("refuse-predict-theta", ("predict", "--family", "divisor:2", "--x", "1e8", "--theta-exp", "1.5"), 1),
+    ("refuse-predict-a1", ("predict", "--family", "divisor:2", "--x", "1000000", "--y", "10000",
+                           "--a1", "-1"), 1),
+    ("refuse-perron-npu", ("perron-check", "--family", "one", "--x", "1000", "--y", "100",
+                           "--nodes-per-unit", "2"), 1),
+    ("refuse-hankel-tol", ("hankel-check", "--u", "1e6", "--kappa", "0.5", "--abs-tol", "1"), 1),
     ("refuse-missing-option", ("sum", "--family", "one", "--x", "10"), 2),
 )
 
 
-def run_sample(out: Path, name: str, argv: tuple, env: dict) -> int:
-    """Run one command in out/name and write its record there; returns its exit code."""
+def run_sample(out: Path, name: str, argv: tuple, env: dict) -> tuple[int, list[str]]:
+    """Run one command in out/name and write its record there; returns its
+    exit code and its stderr lines without the `elapsed:` line."""
     cwd = out / name
     cwd.mkdir(parents=True)
     shutil.copyfile(ZEROS, cwd / "zeros.txt")
@@ -79,7 +88,7 @@ def run_sample(out: Path, name: str, argv: tuple, env: dict) -> int:
     (cwd / "stdout.txt").write_text(proc.stdout, encoding="utf-8")
     (cwd / "stderr.txt").write_text("".join(stderr), encoding="utf-8")
     (cwd / "exit_code.txt").write_text(f"{proc.returncode}\n", encoding="utf-8")
-    return proc.returncode
+    return proc.returncode, stderr
 
 
 def main() -> int:
@@ -91,10 +100,12 @@ def main() -> int:
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     unexpected = []
     for name, argv, expected in SAMPLES:
-        code = run_sample(args.out, name, argv, env)
+        code, stderr = run_sample(args.out, name, argv, env)
         print(f"{name}: exit {code}")
         if code != expected:
             unexpected.append(f"{name} exited {code}, expected {expected}")
+        elif code == 1 and not (len(stderr) == 1 and stderr[0].startswith("error: ")):
+            unexpected.append(f"{name} wrote {len(stderr)} lines to stderr, not one 'error: ' line")
     for line in unexpected:
         print(f"unexpected: {line}", file=sys.stderr)
     return 1 if unexpected else 0

@@ -165,12 +165,11 @@ def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _fmt_value(v: complex) -> str:
-    if v.imag == 0 and float(v.real).is_integer() and abs(v.real) < 2**53:
-        return str(int(v.real))
-    if v.imag == 0:
-        return _fmt_float(v.real)
-    return f"{_fmt_float(v.real)} + {_fmt_float(v.imag)}i"
+def _fmt_value(v: float) -> str:
+    """An integer below 2^53 as one, any other value as repr(float)."""
+    if float(v).is_integer() and abs(v) < 2**53:
+        return str(int(v))
+    return _fmt_float(v)
 
 
 def emit_json(report: dict, path: str) -> None:
@@ -200,8 +199,8 @@ def emit_csv(records, path: str, config: dict) -> None:
     """Experiment records with the run configuration as a commented preamble."""
     rows = [CSV_HEADER]
     for r in records:
-        nums = (r.exact.real, r.exact.imag, r.predicted.real, r.predicted.imag,
-                r.remainder_bound, r.rel_error)
+        # the _im columns are always 0.0, kept for format compatibility
+        nums = (r.exact, 0.0, r.predicted, 0.0, r.remainder_bound, r.rel_error)
         rows.append(",".join([r.family, str(r.x), str(r.y), str(r.N), *map(_fmt_float, nums)]))
     _write_rows(path, config, rows)
 
@@ -226,8 +225,7 @@ def parse_csv(path: str):
         records.append(
             mv.ExperimentRecord(
                 family=f[0], x=int(f[1]), y=int(f[2]), N=int(f[3]),
-                exact=complex(float(f[4]), float(f[5])),
-                predicted=complex(float(f[6]), float(f[7])),
+                exact=float(f[4]), predicted=float(f[6]),
                 remainder_bound=float(f[8]), rel_error=float(f[9]),
             )
         )
@@ -247,11 +245,11 @@ def _cmd_coeffs(cfg: dict) -> int:
     report = {
         "config": cfg,
         "kappa": co.kappa,
-        "w": [co.w.real, co.w.imag],
+        "w": [co.w, 0.0],
         "J": co.order,
-        "gamma_j": [[c.real, c.imag] for c in co.gamma_j],
-        "g_l": [[c.real, c.imag] for c in co.g_l],
-        "lambda_l": [[c.real, c.imag] for c in co.lambda_l],
+        "gamma_j": [[c, 0.0] for c in co.gamma_j],
+        "g_l": [[c, 0.0] for c in co.g_l],
+        "lambda_l": [[c, 0.0] for c in co.lambda_l],
         "background_error": co.background_error,
     }
     if cfg["out"]:
@@ -269,7 +267,7 @@ def _cmd_sum(cfg: dict) -> int:
     elapsed_ms = 1000.0 * (time.perf_counter() - t0)
     print(_fmt_value(val))
     print(f"elapsed: {elapsed_ms:.1f} ms", file=sys.stderr)
-    _emit(cfg, family=fam.name, x=cfg["x"], y=cfg["y"], sum_re=val.real, sum_im=val.imag)
+    _emit(cfg, family=fam.name, x=cfg["x"], y=cfg["y"], sum_re=val, sum_im=0.0)
     return 0
 
 
@@ -291,7 +289,7 @@ def _cmd_predict(cfg: dict) -> int:
     print(f"remainder_bound = {_fmt_float(rb)}")
     print(f"background_error = {_fmt_float(co.background_error)}")
     _emit(cfg, family=fam.name, x=win.x, y=win.y, N=n_order,
-          predicted_re=val.real, predicted_im=val.imag, remainder_bound=rb,
+          predicted_re=val, predicted_im=0.0, remainder_bound=rb,
           background_error=co.background_error)
     return 0
 
@@ -325,7 +323,7 @@ def _cmd_experiment(cfg: dict) -> int:
     emit_csv(records, cfg["out"], cfg)
     for r in records:
         print(
-            f"x={r.x} y={r.y} exact={_fmt_value(r.exact)} predicted={r.predicted.real:.6g}"
+            f"x={r.x} y={r.y} exact={_fmt_value(r.exact)} predicted={r.predicted:.6g}"
             f" rel_error={r.rel_error:.3e}"
         )
     print(f"wrote {cfg['out']}")
@@ -388,7 +386,7 @@ def _cmd_perron_check(cfg: dict) -> int:
     print(f"perron = {_fmt_value(val)}  exact = {_fmt_value(reference)}  rel_dev = {rel:.3e}")
     if t_used != t_height:
         print(f"T nudged {t_height} -> {t_used} (zero-gap midpoint)", file=sys.stderr)
-    _emit(cfg, value_re=val.real, value_im=val.imag, reference=reference.real, rel_dev=rel,
+    _emit(cfg, value_re=val, value_im=0.0, reference=reference, rel_dev=rel,
           nodes=perron_mod.line_node_count(t_used, q), T_used=t_used,
           quadrature_delta=diagnostics["quadrature_delta"])
     return 0
@@ -415,7 +413,7 @@ def _cmd_hankel_check(cfg: dict) -> int:
         rel = abs(value - reference) / scale
         nodes = perron_mod.loop_node_count(q)
     print(f"loop = {_fmt_value(value)}  reference = {_fmt_value(reference)}  rel_dev = {rel:.3e}")
-    _emit(cfg, value_re=value.real, value_im=value.imag, reference=reference.real,
+    _emit(cfg, value_re=value, value_im=0.0, reference=reference,
           rel_dev=rel, nodes=nodes, quadrature_delta=delta)
     return 0
 
@@ -459,7 +457,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DelangeError, ValueError, OSError) as exc:
+    except (DelangeError, OSError) as exc:
         # an OSError's message names the file it could not open
         print(f"error: {exc}", file=sys.stderr)
         return 1

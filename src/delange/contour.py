@@ -53,27 +53,24 @@ class ZeroSet:
 
     beta: np.ndarray
     gamma: np.ndarray
-    source: str  # "table" | "synthetic"
     T: float
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=np.float64))
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=np.float64))
         if self.beta.shape != self.gamma.shape:
-            raise ValueError("beta and gamma must have equal length")
-        if self.source not in ("table", "synthetic"):
-            raise ValueError("source must be 'table' or 'synthetic'")
+            raise ParameterOutOfRange("beta and gamma must have equal length")
 
     def __len__(self) -> int:
         return int(self.beta.size)
 
 
-def zeroset_from_pairs(pairs: Sequence[tuple[float, float]], T: float, source: str = "synthetic") -> ZeroSet:
+def zeroset_from_pairs(pairs: Sequence[tuple[float, float]], T: float) -> ZeroSet:
     """Build a validated ZeroSet from (beta, gamma) pairs, sorting and truncating.
 
     A non-finite beta or gamma raises ParameterOutOfRange."""
     if len(pairs) == 0:
-        return ZeroSet(np.zeros(0), np.zeros(0), source, float(T))
+        return ZeroSet(np.zeros(0), np.zeros(0), float(T))
     arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
@@ -87,7 +84,7 @@ def zeroset_from_pairs(pairs: Sequence[tuple[float, float]], T: float, source: s
         raise ParameterOutOfRange("ordinates must be positive")
     keep = gamma <= T
     order = np.argsort(gamma[keep], kind="stable")
-    return ZeroSet(beta[keep][order], gamma[keep][order], source, float(T))
+    return ZeroSet(beta[keep][order], gamma[keep][order], float(T))
 
 
 def load_zeros(path, T: float) -> ZeroSet:
@@ -121,8 +118,7 @@ def load_zeros(path, T: float) -> ZeroSet:
                 pairs.append((0.5, nums[0]))
             else:
                 pairs.append((nums[0], nums[1]))
-    source = "table" if (ncols in (None, 1)) else "synthetic"
-    return zeroset_from_pairs(pairs, T, source=source)
+    return zeroset_from_pairs(pairs, T)
 
 
 # --- dyadic blocks ----------------------------------------------------------
@@ -167,6 +163,13 @@ def check_block_params(T: float, alpha: float, c_star: float) -> None:
         raise ParameterOutOfRange("alpha must lie in (1/2, 1)")
 
 
+def _clearance_margins(c_star: float, U: np.ndarray) -> np.ndarray:
+    """The margin c*/log log(2(U + 12)) by which a zero of the block [U, 2U]
+    lifts the level of the intervals it reaches, at each block bottom U."""
+    # math.log, not np.log, whose vector loop may differ in the last bit
+    return np.array([c_star / math.log(math.log(2.0 * (u + 12))) for u in U.tolist()])
+
+
 def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blocks:
     """Dyadic blocks covering [2^BLOCK_MIN_L, 2^floor(log2 T)] with levels beta_j*.
 
@@ -185,7 +188,7 @@ def build_blocks(zeroset: ZeroSet, T: float, alpha: float, c_star: float) -> Blo
     # the count nearest c_l = 3/4; from U = 2^5 on, c_l stays within [0.72, 0.78]
     m = np.rint(U / (1.5 * lnln)).astype(np.int64)
     h = U / (2 * m)
-    margins = np.array([c_star / math.log(math.log(2.0 * (u + 12))) for u in U])
+    margins = _clearance_margins(c_star, U)
     start = np.concatenate([[0], np.cumsum(m)])
 
     # blocks span [U - 2H, 2U + 2H] within [2^(BLOCK_MIN_L - 1), 2^(l_top + 1))
@@ -286,7 +289,7 @@ def assemble_contour(
     the flat empty-set contour; pass eta explicitly to lower the slab.
     """
     if not blocks:
-        raise ValueError("need at least one block")
+        raise ParameterOutOfRange("need at least one block")
     if eta is None:
         eta = alpha - 0.5
     min_h = float(blocks.H.min())
@@ -402,8 +405,8 @@ def validate_contour(path: ContourPath, zeroset: ZeroSet, alpha: float) -> Valid
     betas = zeroset.beta[relevant]
     gammas = zeroset.gamma[relevant]
     levels = np.maximum(np.floor(np.log2(gammas)).astype(np.int64), BLOCK_MIN_L)
-    margins = path.params.c_star / np.log(np.log(2.0 * (2.0**levels + 12)))
-    required = betas + margins - path.params.corner_eps
+    margins = _clearance_margins(path.params.c_star, 2.0 ** np.arange(levels.max(initial=0) + 1))
+    required = betas + margins[levels] - path.params.corner_eps
     got = _abscissa_at(gammas, *_vertical_segments(vs))
     bad = got < required - 1e-12
     failures = tuple(zip(*(arr[bad].tolist() for arr in (betas, gammas, got, required))))

@@ -50,7 +50,7 @@ class TypePParams:
     power of zeta(s), and w, the power of zeta(2s)^-1 in the background."""
 
     kappa: float
-    w: complex
+    w: float
 
     def __post_init__(self):
         if not 0.0 < self.kappa:
@@ -76,7 +76,7 @@ class LocalModel:
 
     def log_u_coeffs(self, m_max: int) -> np.ndarray:
         """d_m with log(local factor) = sum_m d_m u^m; d_0 = d_1 = 0 required."""
-        d = np.zeros(m_max + 1, dtype=np.complex128)
+        d = np.zeros(m_max + 1)
         for m in range(1, m_max + 1):
             val = -(((-self.a) ** m) + self.c) / m
             if m % 2 == 0:
@@ -86,7 +86,7 @@ class LocalModel:
             raise NonconvergentProduct(
                 "local log has a u^1 term; the product would diverge like sum 1/p"
             )
-        d[1] = 0j
+        d[1] = 0.0
         return d
 
 
@@ -129,7 +129,7 @@ def _zeta2_power(model: LocalModel) -> bool:
     wherever zeta(2s) is nonzero and needs no prime.  For the local-model shape
     e_3 = (a^3 - a)/3, and e_3 = 0 makes every later e_q vanish too."""
     e = _zeta_exponents(model, 8)
-    return bool(np.all(np.abs(e[3:]) < 1e-12)) and e[2] == round(e[2].real) <= 0
+    return bool(np.all(np.abs(e[3:]) < 1e-12)) and e[2] == round(e[2]) <= 0
 
 
 def _background(model: LocalModel, s: np.ndarray) -> np.ndarray:
@@ -164,7 +164,7 @@ def _background(model: LocalModel, s: np.ndarray) -> np.ndarray:
     by_primes = np.abs(e) * unit * float(x_max) ** -excess
     floor = max(_TERM_ERR, float(np.max(np.minimum(by_zeta, by_primes))))
     direct = (e != 0) & (by_primes <= floor)
-    weight = np.zeros(q_max + 1, dtype=np.complex128)
+    weight = np.zeros(q_max + 1)
     for q in np.flatnonzero(direct):
         weight[q::q] += e[q] * q / m[q::q]
     # from the first direct q on, the sum of order m stops where its tail is
@@ -253,15 +253,15 @@ def euler_product_value(family: ArithmeticFamily, s: complex) -> complex:
 
 # --- family constructors ---------------------------------------------------------
 
-def f_value(family: ArithmeticFamily, factorization) -> complex:
+def f_value(family: ArithmeticFamily, factorization) -> float:
     """f(n) from a factorization [(p, a), ...]; empty product is f(1) = 1."""
     seen = set()
-    out = 1.0 + 0j
+    out = 1.0
     for p, a in factorization:
         if p in seen:
             raise DuplicatePrime(f"prime {p} repeated in factorization")
         if a < 1:
-            raise ValueError("exponents must be >= 1")
+            raise ParameterOutOfRange("exponents must be >= 1")
         seen.add(p)
         out *= family.local_value(int(a))
     return out
@@ -305,14 +305,14 @@ def builtin_family(name: str, parameter: complex | None = None) -> ArithmeticFam
             raise ParameterOutOfRange(f"{name} requires real {symbol} > 0")
         param = param.real
     if name == "constant_one":
-        kappa, w, model, local_value = 1.0, 0j, LocalModel(), lambda e: 1.0
+        kappa, w, model, local_value = 1.0, 0.0, LocalModel(), lambda e: 1.0
     elif name == "divisor_kappa":
-        kappa, w, model, local_value = param, 0j, LocalModel(), _divisor_local(param)
+        kappa, w, model, local_value = param, 0.0, LocalModel(), _divisor_local(param)
     elif name == "omega_power":
-        kappa, w, model = param, 0j, LocalModel(a=param - 1.0, c=param - 1.0, w2=0.0)
+        kappa, w, model = param, 0.0, LocalModel(a=param - 1.0, c=param - 1.0, w2=0.0)
         local_value = lambda e: param if e else 1.0
     elif name == "squarefree_omega_power":
-        kappa, w, model, local_value = 1.0, 1.0 + 0j, LocalModel(w2=1.0), lambda e: 1.0 if e < 2 else 0.0
+        kappa, w, model, local_value = 1.0, 1.0, LocalModel(w2=1.0), lambda e: 1.0 if e < 2 else 0.0
     else:
         raise UnknownFamily(f"no built-in family named {name!r}")
     return ArithmeticFamily(
@@ -343,12 +343,12 @@ def family_from_spec(spec: str) -> ArithmeticFamily:
     if name not in _SHORT_NAMES:
         raise UnknownFamily(f"unknown family spec {spec!r}")
     canonical, takes_param = _SHORT_NAMES[name]
-    param: complex | None = None
+    param: float | None = None
     if raw:
         if not takes_param:
             raise ParameterOutOfRange(f"family {name!r} takes no parameter")
         try:
-            param = complex(float(raw))
+            param = float(raw)
         except ValueError as exc:
             raise ParameterOutOfRange(f"bad family parameter {raw!r}") from exc
     return builtin_family(canonical, param)

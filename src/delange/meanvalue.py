@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import LindelofRequiresDeltaAboveOne, OrderExceedsCoefficients, require_finite
+from .errors import LindelofRequiresDeltaAboveOne, OrderExceedsCoefficients, ParameterOutOfRange
+from .errors import require_finite
 from .series import ExpansionCoefficients
 from .sieve import Window, _window_ranges, _window_sums
 
@@ -43,11 +44,11 @@ class ThetaRegime:
 
     def __post_init__(self):
         if self.tag not in REGIME_TAGS:
-            raise ValueError(f"tag must be one of {REGIME_TAGS}")
+            raise ParameterOutOfRange(f"tag must be one of {REGIME_TAGS}")
         if not (0.0 < self.eta1 <= 1.0 / 3.0):
-            raise ValueError("eta1 must lie in (0, 1/3]")
+            raise ParameterOutOfRange("eta1 must lie in (0, 1/3]")
         if not (0.0 < self.epsilon <= 0.05):
-            raise ValueError("epsilon must lie in (0, 0.05]")
+            raise ParameterOutOfRange("epsilon must lie in (0, 0.05]")
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class RemainderParams:
     def __post_init__(self):
         require_finite(a1=self.a1, a2=self.a2, M=self.M)
         if self.a1 <= 0 or self.a2 <= 0 or self.M < 0:
-            raise ValueError("a1, a2 must be positive and M nonnegative")
+            raise ParameterOutOfRange("a1, a2 must be positive and M nonnegative")
 
 
 @dataclass(frozen=True)
@@ -74,22 +75,22 @@ class ExperimentRecord:
     x: int
     y: int
     N: int
-    exact: complex
-    predicted: complex
+    exact: float
+    predicted: float
     remainder_bound: float
     rel_error: float
 
 
-def predict(coeffs: ExpansionCoefficients, win: Window, N: int) -> complex:
+def predict(coeffs: ExpansionCoefficients, win: Window, N: int) -> float:
     """Truncated main term at order N for the window (x, x+y]."""
     if N < 0:
-        raise ValueError("N must be nonnegative")
+        raise ParameterOutOfRange("N must be nonnegative")
     if N > coeffs.order:
         raise OrderExceedsCoefficients(f"N={N} exceeds available order {coeffs.order}")
     lx = math.log(win.x)
     if lx <= N + 1:
-        raise ValueError(f"log x = {lx:.3g} too small for an order-{N} expansion")
-    acc = 0j  # Horner in 1/log x
+        raise ParameterOutOfRange(f"log x = {lx:.3g} too small for an order-{N} expansion")
+    acc = 0.0  # Horner in 1/log x
     for l in range(N, -1, -1):
         acc = acc / lx + coeffs.lambda_l[l]
     return win.y * lx ** (coeffs.kappa - 1.0) * acc
@@ -115,7 +116,7 @@ def remainder_bound(
 ) -> float:
     """R_N(x, y) for the window, with the supplied constants."""
     if N < 0:
-        raise ValueError("N must be nonnegative")
+        raise ParameterOutOfRange("N must be nonnegative")
     if N > coeffs.order:
         raise OrderExceedsCoefficients(f"N={N} exceeds available order {coeffs.order}")
     lam = [abs(coeffs.lambda_l[l]) for l in range(N + 1)]
@@ -137,9 +138,9 @@ def theta(kappa: float, delta: float, regime: ThetaRegime = ThetaRegime()) -> Th
     """
     require_finite(kappa=kappa, delta=delta)
     if kappa <= 0:
-        raise ValueError("kappa must be positive")
+        raise ParameterOutOfRange("kappa must be positive")
     if delta < 0:
-        raise ValueError("delta must be nonnegative")
+        raise ParameterOutOfRange("delta must be nonnegative")
     eps = regime.epsilon
     eta1 = regime.eta1
     if regime.tag == "lindelof_halasz_turan":
@@ -166,7 +167,7 @@ def short_windows(x_grid: list[int], theta_exponent: float) -> list[Window]:
     within 64 bits before x^theta_exponent is formed.
     """
     if not (0.0 < theta_exponent <= 1.0):
-        raise ValueError("theta_exponent must lie in (0, 1]")
+        raise ParameterOutOfRange("theta_exponent must lie in (0, 1]")
     windows = []
     for x in x_grid:
         Window(x, 1)
@@ -204,16 +205,6 @@ def run_experiment(
         pred = predict(coeffs, win, N)
         rb = remainder_bound(coeffs, win, N, rp)
         rel = abs(exact - pred) / abs(pred) if pred != 0 else math.inf
-        records.append(
-            ExperimentRecord(
-                family=family.name,
-                x=win.x,
-                y=win.y,
-                N=N,
-                exact=exact,
-                predicted=pred,
-                remainder_bound=rb,
-                rel_error=rel,
-            )
-        )
+        records.append(ExperimentRecord(family=family.name, x=win.x, y=win.y, N=N, exact=exact,
+                                        predicted=pred, remainder_bound=rb, rel_error=rel))
     return records

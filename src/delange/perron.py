@@ -14,6 +14,8 @@ rule's spectral shortcut there.
 
 Every quadrature yields a fine and a coarse estimate from one evaluation per
 node, and abs_tol bounds their distance (QuadratureNotConverged past it).
+Both are floats: the line and the loop's circle keep their real part by
+Schwarz reflection, since a real family has F(conj s) = conj F(s).
 Each puts the 21-point Gauss-Kronrod rule on its panels: the fine estimate
 is the Kronrod sum, the coarse one the 10-point Gauss sum on the
 odd-indexed nodes.  The requested density must be even, and the panels are
@@ -39,7 +41,6 @@ vertical progressions and keep one exp per node.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -103,7 +104,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.nodes_per_unit < 4:
-            raise ValueError("nodes_per_unit must be at least 4")
+            raise ParameterOutOfRange("nodes_per_unit must be at least 4")
         if self.nodes_per_unit > MAX_NODES_PER_UNIT:
             raise ParameterOutOfRange(
                 f"nodes_per_unit={self.nodes_per_unit} exceeds {MAX_NODES_PER_UNIT}"
@@ -112,9 +113,9 @@ class QuadratureSpec:
             # the rules are laid out at half the density, which must be whole
             raise ParameterOutOfRange(f"nodes_per_unit={self.nodes_per_unit} must be even")
         if self.scheme != "gauss_segment":
-            raise ValueError("scheme must be 'gauss_segment'")
+            raise ParameterOutOfRange("scheme must be 'gauss_segment'")
         if not (0.0 < self.abs_tol <= 1e-3):
-            raise ValueError("abs_tol must lie in (0, 1e-3]")
+            raise ParameterOutOfRange("abs_tol must lie in (0, 1e-3]")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -142,13 +143,13 @@ def _kernel(s: np.ndarray, x: float, y: float, grid: Optional[tuple] = None) -> 
 
 
 def _converged(
-    fine: complex, coarse: complex, spec: QuadratureSpec, diagnostics: Optional[dict] = None
-) -> complex:
+    fine: float, coarse: float, spec: QuadratureSpec, diagnostics: Optional[dict] = None
+) -> float:
     """The fine estimate, once it lies within abs_tol of the coarse one.
 
     A given diagnostics dict receives that distance as "quadrature_delta".
     """
-    if not (cmath.isfinite(fine) and cmath.isfinite(coarse)):
+    if not (math.isfinite(fine) and math.isfinite(coarse)):
         raise ParameterOutOfRange(
             f"the quadrature is not finite ({fine} by the fine rule, {coarse} by the coarse)"
         )
@@ -225,7 +226,7 @@ def _line_pair(family, x: float, y: float, b: float, T: float, spec: QuadratureS
         pair += slice_pair(rest[lo : lo + step + 1])
     # f(-t) = conj(f(t)):  (1/2pi) * (I + conj I) = Re(I)/pi
     fine, coarse = pair.real / math.pi
-    return complex(fine, 0.0), complex(coarse, 0.0)
+    return float(fine), float(coarse)
 
 
 def perron_line_sum(
@@ -235,18 +236,19 @@ def perron_line_sum(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
     b_offset: float = DEFAULT_B_OFFSET,
     diagnostics: Optional[dict] = None,
-) -> complex:
+) -> float:
     """(1/2 pi i) integral of F(s) ((x+y)^s - x^s)/s over the truncated line.
 
     Uses the Schwarz reflection F(conj s) = conj F(s) to integrate the upper
-    half only.  Raises QuadratureNotConverged if the coarse rule moves the
-    result by more than abs_tol, and OutOfValidatedRange for a non-finite T,
-    one above zeta's validated height TAU_MAX, or one the family's closed
-    form cannot reach (checked at the top node up front).  b_offset must be
-    finite and positive, which keeps the line right of the pole at s = 1, and
-    the line may have at most MAX_LINE_NODES nodes, x at most 1e5 and T at
-    least 10; otherwise ParameterOutOfRange.  A given diagnostics dict
-    receives the fine-coarse distance as "quadrature_delta".
+    half only and keep its real part.  Raises QuadratureNotConverged if the
+    coarse rule moves the result by more than abs_tol, and
+    OutOfValidatedRange for a non-finite T, one above zeta's validated height
+    TAU_MAX, or one the family's closed form cannot reach (checked at the top
+    node up front).  b_offset must be finite and positive, which keeps the
+    line right of the pole at s = 1, and the line may have at most
+    MAX_LINE_NODES nodes, x at most 1e5 and T at least 10; otherwise
+    ParameterOutOfRange.  A given diagnostics dict receives the fine-coarse
+    distance as "quadrature_delta".
     """
     x, y = float(win.x), float(win.y)
     if x > 1e5:
@@ -310,19 +312,24 @@ def nudge_to_zero_gap(zeroset: ZeroSet, T: float) -> float:
 
 def _hankel_value(
     u_weight, kappa: float, l: int, r: float, spec: QuadratureSpec
-) -> tuple[complex, complex]:
+) -> tuple[float, float]:
     """Loop integral (1/2 pi i) int (s-1)^(l-kappa) W(s) ds, legs to 1/2+eta
     with eta = HANKEL_LEG_LEFT_ETA: its fine and coarse estimates.
 
     u_weight(s) must be analytic near the cut and real on it (both kernels
     used here are); the branch phases of (s-1)^(l-kappa) on the two legs then
-    combine to -sin(pi(l-kappa))/pi times a real integral.  The circle must
-    stay right of the legs' end, 0 < r < 1/2 - eta, or ParameterOutOfRange.
+    combine to -sin(pi(l-kappa))/pi times a real integral.  The circle's
+    integrand takes conjugate values at -theta and theta, so only its real
+    part is kept (Schwarz reflection, as on the line).  The circle must stay
+    right of the legs' end, 0 < r < 1/2 - eta, and pi (l - kappa) must be
+    finite, or ParameterOutOfRange.
     """
     a = 0.5 + HANKEL_LEG_LEFT_ETA
     if not (0.0 < r < 1.0 - a):
         raise ParameterOutOfRange(f"loop radius r={r:g} must lie in (0, 1/2 - eta = {1 - a:g})")
     nu = l - kappa
+    if not math.isfinite(math.pi * nu):
+        raise ParameterOutOfRange(f"l - kappa = {nu:g} is past the double range")
     leg_panels, circle_panels = _loop_panels(spec)
 
     def leg_integrand(sigma: np.ndarray) -> np.ndarray:
@@ -340,8 +347,8 @@ def _hankel_value(
     # (r e^{i theta})^(nu+1) is not 2 pi periodic for fractional nu (its branch
     # phase jumps at theta = -pi/pi), so [-pi, pi] is an ordinary segment here
     circle = _panel_pair(circle_integrand, np.linspace(-math.pi, math.pi, circle_panels + 1))
-    fine, coarse = legs + circle / (2.0 * math.pi)
-    return complex(fine), complex(coarse)
+    fine, coarse = legs + circle.real / (2.0 * math.pi)
+    return float(fine), float(coarse)
 
 
 def hankel_main_term(
@@ -351,7 +358,7 @@ def hankel_main_term(
     r: Optional[float] = None,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
     diagnostics: Optional[dict] = None,
-) -> complex:
+) -> float:
     """(1/2 pi i) int_loop (s-1)^(l-kappa) u^(s-1) ds, loop radius r = 1/log u.
 
     Approaches (log u)^(kappa-1-l)/Gamma(kappa-l) as u grows; the truncation
@@ -374,15 +381,15 @@ def hankel_main_term(
     return _converged(*_hankel_value(weight, kappa, l, r, spec), spec, diagnostics)
 
 
-def hankel_closed_form(u: float, kappa: float, l: int) -> complex:
+def hankel_closed_form(u: float, kappa: float, l: int) -> float:
     """(log u)^(kappa-1-l) / Gamma(kappa-l), the loop's limiting value."""
-    return math.log(u) ** (kappa - 1.0 - l) * recip_gamma(kappa - l)
+    return math.log(u) ** (kappa - 1.0 - l) * recip_gamma(kappa - l).real
 
 
 @dataclass(frozen=True)
 class LoopCheckReport:
-    value: complex
-    reference: complex
+    value: float
+    reference: float
     rel_dev: float
     nodes: int
     quadrature_delta: float
@@ -408,7 +415,7 @@ def ml_integral_check(
 
     diagnostics: dict = {}
     value = _converged(*_hankel_value(weight, kappa, l, r, spec), spec, diagnostics)
-    reference = y * lx ** (kappa - 1.0 - l) * recip_gamma(kappa - l)
+    reference = y * lx ** (kappa - 1.0 - l) * recip_gamma(kappa - l).real
     scale = abs(reference) if reference != 0 else y * lx ** (kappa - 1.0 - l)
     rel = abs(value - reference) / scale
     return LoopCheckReport(

@@ -31,7 +31,7 @@ class PowerSeries:
 
     def __post_init__(self):
         if len(self.coeffs) < 1:
-            raise ValueError("a series needs at least the constant coefficient")
+            raise ParameterOutOfRange("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
     @property
@@ -135,13 +135,14 @@ def z_coeffs(z: complex, order: int) -> PowerSeries:
 @dataclass(frozen=True)
 class ExpansionCoefficients:
     """gamma_j(kappa)/j!, g_l, and lambda_l arrays for one family, order J,
-    with the a-posteriori error of the background series behind g_l."""
+    with the a-posteriori error of the background series behind g_l.  kappa
+    is real, so every entry is a float."""
 
     kappa: float
-    w: complex
-    gamma_j: tuple[complex, ...]
-    g_l: tuple[complex, ...]
-    lambda_l: tuple[complex, ...]
+    w: float
+    gamma_j: tuple[float, ...]
+    g_l: tuple[float, ...]
+    lambda_l: tuple[float, ...]
     background_error: float
 
     @property
@@ -155,22 +156,21 @@ def g_lambda_coeffs(family, order: int) -> ExpansionCoefficients:
 
     `family` provides params.kappa and params.w, and its background series
     and that series' error figure come from families.g_series_by_euler_product.
+    The series are complex; their real parts are taken once, here.
     """
     from . import families  # families imports this module
 
     if order < 0:
         raise ParameterOutOfRange(f"series order J must be >= 0, got J={order}")
     kappa = float(family.params.kappa)
-    w = complex(family.params.w)
     zc = z_coeffs(kappa, order)
     background, background_error = families.g_series_by_euler_product(family, order)
-    g = ps_mul(background, zc)
-    lam = tuple(g[l] * recip_gamma(kappa - l) for l in range(order + 1))
+    g = tuple(c.real for c in ps_mul(background, zc).coeffs)
     return ExpansionCoefficients(
         kappa=kappa,
-        w=w,
-        gamma_j=zc.coeffs,
-        g_l=g.coeffs,
-        lambda_l=lam,
+        w=float(family.params.w),
+        gamma_j=tuple(c.real for c in zc.coeffs),
+        g_l=g,
+        lambda_l=tuple(g[l] * recip_gamma(kappa - l).real for l in range(order + 1)),
         background_error=background_error,
     )

@@ -20,20 +20,21 @@ those positions only.  The split at 2^9 keeps the strided loops, which cost
 Python time per prime and chunk, to the 97 primes below it; the primes above
 it cost only array work per hit.
 
-A sum is of a real-valued family whose local values are one function of
-the exponent, f(p^e) = family.local_value(e) at every prime p.  A call reads
-them once, before any chunk, as one vector v_0..v_E over every exponent the
-window can hold; a value with a nonzero imaginary part raises
+A sum is of a real-valued family whose local values are one function of the
+exponent, f(p^e) = family.local_value(e) at every prime p, and is a float.
+A call reads them once, before any chunk, as one vector v_0..v_E over every
+exponent the window can hold; a value with a nonzero imaginary part raises
 ParameterOutOfRange.  Each small prime multiplies its scalar v_1 into one
 stride of the f-vector; the values at the multiples of p^2 are saved first,
 and v_e times the saved value is written back at the multiples of p^e.  Then
 come the bucketed primes in ascending order, whose hits take v_1 but for the
 few that hold a higher power, and the cofactor last, so every value is the
-product of its f(p^e) in ascending order of p, each product rounded once.  Sums are therefore bit-identical to
-those of the earlier engine that divided a residual and looked each exponent
-up in a table (the pinned sums in tests/test_sieve.py).  Chunks are
-independent (safe to farm out to threads) and the final reduction is an
-ordered fold, so results are bitwise reproducible for any worker count.
+product of its f(p^e) in ascending order of p, each product rounded once.
+Sums are therefore bit-identical to those of the earlier engine that divided
+a residual and looked each exponent up in a table (the pinned sums in
+tests/test_sieve.py).  Chunks are independent (safe to farm out to threads)
+and the final reduction is an ordered fold, so results are bitwise
+reproducible for any worker count.
 
 Memory traffic, not arithmetic, bounds the chunk work, so the working set is
 kept small.  A chunk's float64 f-vector takes over the smooth part's buffer.
@@ -461,20 +462,19 @@ def _check_workers(workers: int) -> None:
         raise ParameterOutOfRange(f"workers must be at least 1, got {workers}")
 
 
-def exact_sum(family, win: Window, workers: int = 1, diagnostics: dict | None = None) -> complex:
-    """Exact sum of f(n) over (x, x+y], f the real-valued multiplicative
-    function with f(p^e) = family.local_value(e) at every prime p.
+def exact_sum(family, win: Window, workers: int = 1, diagnostics: dict | None = None) -> float:
+    """Exact sum of f(n) over (x, x+y] as a float, f the real-valued
+    multiplicative function with f(p^e) = family.local_value(e) at every prime p.
 
     Chunk results are reduced in ascending order whatever the worker count,
-    so the output is bitwise deterministic; it is a complex with imaginary
-    part 0.0.  An integer-valued f is summed exactly or refused:
-    WindowTooLarge once the sum of |f(n)| reaches EXACT_LIMIT.  A local value
-    with a nonzero imaginary part, a local value or a total past the double
-    range, and fewer than one worker raise ParameterOutOfRange; the local
-    values of every exponent the window can hold are checked before any
-    chunk is summed.  A given diagnostics dict receives the call's "chunks",
-    "base_primes", "strided_primes" (the most any chunk struck in strides)
-    and "bucket_hits" (over all chunks).
+    so the output is bitwise deterministic.  An integer-valued f is summed
+    exactly or refused: WindowTooLarge once the sum of |f(n)| reaches
+    EXACT_LIMIT.  A local value with a nonzero imaginary part, a local value
+    or a total past the double range, and fewer than one worker raise
+    ParameterOutOfRange; the local values of every exponent the window can
+    hold are checked before any chunk is summed.  A given diagnostics dict
+    receives the call's "chunks", "base_primes", "strided_primes" (the most
+    any chunk struck in strides) and "bucket_hits" (over all chunks).
     """
     _check_workers(workers)
     lo, hi = win.x + 1, win.x + win.y + 1
@@ -491,7 +491,7 @@ def _window_ranges(windows: Sequence[Window], workers: int) -> list[tuple[int, i
     return ranges
 
 
-def _window_sums(family, windows: Sequence[Window], workers: int) -> list[complex]:
+def _window_sums(family, windows: Sequence[Window], workers: int) -> list[float]:
     """exact_sum over each window, with every budget checked first and the
     base primes sieved once, for the largest x + y; each window sums over
     its own prefix of them."""
@@ -501,7 +501,7 @@ def _window_sums(family, windows: Sequence[Window], workers: int) -> list[comple
             for lo, hi in ranges]
 
 
-def _sum(family, lo: int, hi: int, primes: np.ndarray, workers: int, diagnostics: dict | None = None) -> complex:
+def _sum(family, lo: int, hi: int, primes: np.ndarray, workers: int, diagnostics: dict | None = None) -> float:
     """exact_sum over [lo, hi), given the base primes up to sqrt(hi - 1)."""
     bounds = [(a, min(a + CHUNK, hi)) for a in range(lo, hi, CHUNK)]
     # the top exponent is the largest of 1, for the cofactors; the largest e
@@ -537,8 +537,8 @@ def _sum(family, lo: int, hi: int, primes: np.ndarray, workers: int, diagnostics
         diagnostics.update(chunks=len(bounds), base_primes=int(primes.size),
                            strided_primes=max(p[2] for p in parts), bucket_hits=sum(p[3] for p in parts))
     if not math.isfinite(total):
-        raise ParameterOutOfRange(f"the sum over ({lo - 1}, {hi - 1}] is not finite: {complex(total)}")
+        raise ParameterOutOfRange(f"the sum over ({lo - 1}, {hi - 1}] is not finite: {total}")
     if magnitude >= EXACT_LIMIT:
         raise WindowTooLarge(f"the sum of |f(n)| over ({lo - 1}, {hi - 1}] reaches 2^53, "
                              "past which doubles do not add integers exactly")
-    return complex(total)
+    return total

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OrderTooHigh, OutOfValidatedRange, PoleAtOne
+from .errors import OrderTooHigh, OutOfValidatedRange, ParameterOutOfRange, PoleAtOne
 
 SIGMA_MIN = -1.0
 TAU_MAX = 1.0e5
@@ -565,7 +565,7 @@ def stieltjes(n: int) -> float:
     once to a double.
     """
     if n < 0:
-        raise ValueError("order must be nonnegative")
+        raise ParameterOutOfRange("order must be nonnegative")
     if n > STIELTJES_MAX:
         raise OrderTooHigh(f"Stieltjes constants tabulated only up to order {STIELTJES_MAX}")
     return _stieltjes_table()[n]
@@ -616,7 +616,7 @@ def recip_gamma(z: complex) -> complex:
     """1/Gamma(z), entire; exactly 0.0 at z = 0, -1, -2, ..."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("non-finite argument")
+        raise ParameterOutOfRange("non-finite argument")
     if z.imag == 0.0 and z.real == math.floor(z.real):
         if z.real <= 0.0:
             return 0.0 + 0.0j

@@ -4,6 +4,7 @@ import shutil
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from delange import cli, contour, perron, sieve
@@ -350,6 +351,44 @@ class TestExperimentCmd:
         assert config["family"] == "divisor:2"
         header = p1.read_text().splitlines()
         assert any(ln.startswith("# theta_exp=0.8") for ln in header)
+
+    def test_imaginary_fields_are_kept_as_zero(self, capsys, tmp_path):
+        # every value is a float; the _im fields and columns and the [re, im]
+        # pairs of coeffs stay, with 0.0, so the formats read as before
+        commands = {
+            "sum": (("sum", "--family", "omega:0.5", "--x", "1000", "--y", "100"),
+                    ["config", "family", "sum_im", "sum_re", "x", "y"]),
+            "predict": (("predict", "--family", "sqfree", "--x", "1000000", "--y", "10000"),
+                        ["N", "background_error", "config", "family", "predicted_im",
+                         "predicted_re", "remainder_bound", "x", "y"]),
+            "perron-check": (("perron-check", "--family", "one", "--x", "1000", "--y", "100",
+                              "--T", "50"),
+                             ["T_used", "config", "nodes", "quadrature_delta", "reference",
+                              "rel_dev", "value_im", "value_re"]),
+            "hankel-check": (("hankel-check", "--u", "1e6", "--kappa", "0.5"),
+                             ["config", "nodes", "quadrature_delta", "reference", "rel_dev",
+                              "value_im", "value_re"]),
+            "coeffs": (("coeffs", "--family", "omega:0.5", "--J", "4"),
+                       ["J", "background_error", "config", "g_l", "gamma_j", "kappa",
+                        "lambda_l", "w"]),
+        }
+        for name, (argv, keys) in commands.items():
+            out = tmp_path / f"{name}.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert list(doc) == keys, name
+            for key in keys:
+                if key.endswith("_im"):
+                    assert doc[key] == 0.0 and type(doc[key]) is float, (name, key)
+            if name == "coeffs":
+                pairs = [doc["w"], *doc["gamma_j"], *doc["g_l"], *doc["lambda_l"]]
+                assert all(len(p) == 2 and p[1] == 0.0 for p in pairs)
+        csv = tmp_path / "e.csv"
+        assert main(["experiment", "--family", "one", "--x-grid", "1e4", "--out", str(csv)]) == 0
+        capsys.readouterr()
+        rows = [ln.split(",") for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+        assert rows[0] == cli.CSV_HEADER.split(",")
+        assert rows[1][5] == rows[1][7] == "0.0"  # exact_im, predicted_im
 
     def test_emit_parse_identity(self, tmp_path, fam_div2):
         from delange.cli import emit_csv
@@ -711,15 +750,42 @@ class TestQuadratureCmds:
         assert doc["quadrature_delta"] == abs(fine - coarse)
         assert 0.0 < doc["quadrature_delta"] <= 1e-3
 
-    @pytest.mark.parametrize(
-        "args", [("--u", "1e6", "--kappa", "0.5"), ("--kappa", "2", "--x", "10000", "--y", "1000")]
-    )
-    def test_hankel_quadrature_delta_is_reported(self, capsys, tmp_path, args):
+    @staticmethod
+    def hankel_delta(capsys, tmp_path, args):
+        """The quadrature_delta hankel-check reports, and |fine - coarse| of
+        _hankel_value's real estimates for the same loop."""
         out = tmp_path / "h.json"
         code, text, _ = run(capsys, "hankel-check", *args, "--out", str(out))
         assert code == 0
         assert text.startswith("loop = ") and len(text.splitlines()) == 1
-        assert 0.0 < json.loads(out.read_text())["quadrature_delta"] <= 1e-3
+        a = dict(zip(args[::2], args[1::2]))
+        spec = perron.QuadratureSpec(nodes_per_unit=int(a.get("--nodes-per-unit", 32)))
+        if "--u" in a:
+            lu = math.log(float(a["--u"]))
+            weight, r = (lambda s: np.exp((s - 1.0) * lu)), 1.0 / lu
+        else:
+            x, y = float(a["--x"]), float(a["--y"])
+            weight, r = (lambda s: perron._kernel(s, x, y)), 1.0 / math.log(x)
+        fine, coarse = perron._hankel_value(weight, float(a["--kappa"]), 0, r, spec)
+        return json.loads(out.read_text())["quadrature_delta"], abs(fine - coarse)
+
+    @pytest.mark.parametrize(
+        "args", [("--u", "1e6", "--kappa", "0.5"), ("--kappa", "2", "--x", "10000", "--y", "1000"),
+                 ("--u", "1e6", "--kappa", "0.5", "--nodes-per-unit", "24")]
+    )
+    def test_hankel_quadrature_delta_is_reported(self, capsys, tmp_path, args):
+        delta, gap = self.hankel_delta(capsys, tmp_path, args)
+        assert delta == gap <= 1e-3
+
+    @pytest.mark.parametrize(
+        "args", [("--kappa", "2", "--x", "10000", "--y", "1000"),
+                 ("--u", "1e6", "--kappa", "0.5", "--nodes-per-unit", "24")]
+    )
+    def test_hankel_quadrature_delta_is_positive_on_a_real_gap(self, capsys, tmp_path, args):
+        # at the default density the u = 1e6 loop's two real estimates agree to
+        # the bit; at 24 a unit they differ by 2.8e-17
+        delta, gap = self.hankel_delta(capsys, tmp_path, args)
+        assert 0.0 < delta == gap <= 1e-3
 
     def test_perron_check_nudges_T(self, capsys, zero_table_path):
         code, out, err = run(
@@ -728,6 +794,13 @@ class TestQuadratureCmds:
         )
         assert code == 0
         assert "nudged" in err
+
+    @pytest.mark.parametrize("args", [("--u", "1e6"), ("--x", "10000", "--y", "1000")])
+    def test_hankel_exponent_past_the_double_range_exits_1(self, capsys, args):
+        # pi (l - kappa) overflows: a typed refusal on one line, not a math-domain traceback
+        code, out, err = run(capsys, "hankel-check", *args, "--kappa", "1e308")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_hankel_check_loop(self, capsys, tmp_path):
         out = tmp_path / "h.json"

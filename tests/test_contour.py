@@ -47,7 +47,6 @@ class TestLoadZeros:
         p = tmp_path / "z.txt"
         p.write_text("14.134725\n21.022040\n")
         zs = load_zeros(p, 100.0)
-        assert zs.source == "table"
         assert zs.beta.tolist() == [0.5, 0.5]
         assert zs.gamma.tolist() == [14.134725, 21.022040]
 
@@ -55,7 +54,6 @@ class TestLoadZeros:
         p = tmp_path / "z.txt"
         p.write_text("0.9 100.0\n")
         zs = load_zeros(p, 1000.0)
-        assert zs.source == "synthetic"
         assert (zs.beta[0], zs.gamma[0]) == (0.9, 100.0)
 
     def test_empty_file(self, tmp_path):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from delange import series, sieve
+from delange import perron, series, sieve
 from delange.errors import (
     InvalidWindow,
     LindelofRequiresDeltaAboveOne,
@@ -65,8 +65,33 @@ class TestPredict:
 
     def test_expansion_needs_log_x(self, fam_one):
         co = g_lambda_coeffs(fam_one, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             predict(co, Window(100, 10), 8)  # log(100) < 9
+
+
+class TestRealValues:
+    """Every value computed for a built-in family is a float, from the sieve
+    to the quadratures."""
+
+    @pytest.mark.parametrize("spec", ["one", "divisor:2", "divisor:0.5", "omega:0.5", "omega:2",
+                                      "omega:3", "sqfree"])
+    def test_sums_coefficients_predictions_and_quadratures_are_floats(self, spec):
+        fam = family_from_spec(spec)
+        win = Window(1000, 100)
+        co = g_lambda_coeffs(fam, 6)
+        assert type(co.kappa) is type(co.w) is float
+        for entries in (co.gamma_j, co.g_l, co.lambda_l):
+            assert {type(c) for c in entries} == {float}
+        values = (
+            sieve.exact_sum(fam, win),
+            predict(co, win, 1),
+            perron.perron_line_sum(fam, win, 50.0),
+            perron.hankel_main_term(1e6, fam.params.kappa, 0),
+            perron.hankel_closed_form(1e6, fam.params.kappa, 0),
+        )
+        assert [type(v) for v in values] == [float] * len(values)
+        record = run_experiment(fam, [1000], 0.8, 1)[0]
+        assert type(record.exact) is type(record.predicted) is float
 
 
 class TestRemainder:
@@ -106,7 +131,7 @@ class TestRemainder:
 
     def test_sign_checks_unchanged(self):
         for kw in (dict(a1=0.0), dict(a2=-1.0), dict(M=-1e-300)):
-            with pytest.raises(ValueError, match="a1, a2 must be positive"):
+            with pytest.raises(ParameterOutOfRange, match="a1, a2 must be positive"):
                 RemainderParams(**kw)
 
 
@@ -159,7 +184,7 @@ class TestShortWindows:
 
     @pytest.mark.parametrize("texp", [0.0, -1.0, 1.5, math.inf, math.nan])
     def test_exponent_outside_zero_one_is_refused_even_for_an_empty_grid(self, texp):
-        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        with pytest.raises(ParameterOutOfRange, match=r"\(0, 1\]"):
             short_windows([], texp)
 
     def test_height_is_checked_before_the_power(self):
@@ -269,17 +294,17 @@ class TestTheta:
                 theta(kappa, delta, ThetaRegime(tag=tag))
 
     def test_sign_checks_unchanged(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ParameterOutOfRange, match="positive"):
             theta(0.0, 0.0)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ParameterOutOfRange, match="nonnegative"):
             theta(1.0, -0.5)
 
     def test_regime_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             ThetaRegime(tag="riemann_hypothesis")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             ThetaRegime(eta1=0.4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             ThetaRegime(epsilon=0.2)
 
 

@@ -102,26 +102,53 @@ class TestKronrodRule:
         np.testing.assert_allclose(_KRONROD_NODES[1::2], glx, rtol=0, atol=1e-15)
         np.testing.assert_allclose(_PAIR_WEIGHTS[1][1::2], glw, rtol=0, atol=1e-15)
 
-    def test_coarse_estimate_is_the_gauss_sum_on_the_same_panels(self, fam_div2):
-        x, y, T, npu = 1000.0, 100.0, 200.0, 60
+    @staticmethod
+    def line_and_rules(fam, npu: int):
+        """perron._line_pair's (fine, coarse) on the divisor line x = 1000,
+        y = 100, T = 200 at npu nodes a unit, and each rule's own sum over the
+        same panels with one exp per node: the 21 Kronrod nodes and weights
+        for the fine estimate, numpy's 10-point Gauss rule for the coarse one.
+        Each sum comes with the absolute sum of its terms, which its rounding
+        scales with."""
+        x, y, T = 1000.0, 100.0, 200.0
         b = 1.0 + DEFAULT_B_OFFSET / math.log(x)
-        fine, coarse = perron._line_pair(fam_div2, x, y, b, T, QuadratureSpec(nodes_per_unit=npu))
+        pair = perron._line_pair(fam, x, y, b, T, QuadratureSpec(nodes_per_unit=npu))
         panels = max(4, math.ceil(T * (npu // 2) / 10))
         # the first panel in FIRST_PANEL_SPLIT equal sub-panels, then the rest
         edges = np.linspace(0.0, T, panels + 1)
         edges = np.concatenate([np.linspace(0.0, edges[1], perron.FIRST_PANEL_SPLIT + 1),
                                 edges[2:]])
-        glx, glw = leggauss(10)
         half = 0.5 * np.diff(edges)[:, None]
-        s = b + 1j * (0.5 * (edges[:-1] + edges[1:])[:, None] + half * glx[None, :])
-        vals = fam_div2.closed_form_F(s) * perron._kernel(s, x, y)
-        terms = vals * (half * glw) / math.pi
-        want = np.sum(terms).real
-        assert s.size == line_node_count(T, QuadratureSpec(nodes_per_unit=npu)) * 10 // 21
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+
+        def rule(nodes, weights):
+            s = b + 1j * (mid + half * nodes[None, :])
+            terms = fam.closed_form_F(s) * perron._kernel(s, x, y) * (half * weights) / math.pi
+            return np.sum(terms).real, np.sum(np.abs(terms)), s.size
+
+        kronrod, gauss = rule(_KRONROD_NODES, _PAIR_WEIGHTS[0]), rule(*leggauss(10))
+        assert kronrod[2] == line_node_count(T, QuadratureSpec(nodes_per_unit=npu))
+        assert gauss[2] == kronrod[2] * 10 // 21
+        return pair, kronrod[:2], gauss[:2]
+
+    def test_coarse_estimate_is_the_gauss_sum_on_the_same_panels(self, fam_div2):
+        (fine, coarse), (want_fine, scale_fine), (want_coarse, scale_coarse) = (
+            self.line_and_rules(fam_div2, 60))
         # the split panel adds 904 and the rest -96: rounding scales with the
-        # terms' absolute sum (about 1.7e4), not with their sum 808
-        assert abs(coarse - want) <= 1e-14 * np.sum(np.abs(terms))
-        assert coarse.imag == fine.imag == 0.0 and fine != coarse
+        # terms' absolute sum (about 1.7e4), not with their sum 808.  At 60 a
+        # unit the two estimates agree to rounding, so each is held to its own rule
+        assert abs(fine - want_fine) <= 1e-14 * scale_fine
+        assert abs(coarse - want_coarse) <= 1e-14 * scale_coarse
+        assert type(fine) is type(coarse) is float
+
+    def test_the_two_rules_are_told_apart_below_convergence(self, fam_div2):
+        # at 12 a unit the estimates differ by 2.7e-7, far past either bound,
+        # so a fine estimate from the Gauss weights (or the reverse) fails here
+        (fine, coarse), (want_fine, scale_fine), (want_coarse, scale_coarse) = (
+            self.line_and_rules(fam_div2, 12))
+        assert abs(fine - want_fine) <= 1e-14 * scale_fine
+        assert abs(coarse - want_coarse) <= 1e-14 * scale_coarse
+        assert abs(fine - coarse) > 1e3 * 1e-14 * max(scale_fine, scale_coarse)
 
     @pytest.mark.parametrize("npu, converges", [(12, False), (14, True)])
     def test_graded_density_threshold(self, fam_one, npu, converges):
@@ -340,7 +367,7 @@ class TestPerronLine:
     def test_scheme_other_than_gauss_kronrod_is_refused(self):
         assert QuadratureSpec(scheme="gauss_segment") == QuadratureSpec()
         for scheme in ("trapezoid", "bogus"):
-            with pytest.raises(ValueError, match="scheme"):
+            with pytest.raises(ParameterOutOfRange, match="scheme"):
                 QuadratureSpec(scheme=scheme)
 
     def test_odd_density_is_refused(self):
@@ -456,6 +483,14 @@ class TestHankelLoop:
         with pytest.raises(ParameterOutOfRange, match="loop radius"):
             hankel_main_term(1e6, 0.5, 0, r=r)
 
+    @pytest.mark.parametrize("kappa", [1e308, -1e308])
+    def test_exponent_past_the_double_range_is_refused(self, kappa):
+        # pi (l - kappa) overflows, and math.sin(inf) would raise a bare ValueError
+        with pytest.raises(ParameterOutOfRange, match="past the double range"):
+            hankel_main_term(1e6, kappa, 0)
+        with pytest.raises(ParameterOutOfRange, match="past the double range"):
+            ml_integral_check(kappa, 0, Window(10**4, 10**3))
+
     def test_largest_admissible_radius_is_accepted(self):
         v = hankel_main_term(1e6, 0.5, 0, r=0.44)
         assert abs(v - hankel_closed_form(1e6, 0.5, 0)) <= 1e-3
@@ -463,10 +498,10 @@ class TestHankelLoop:
     def test_non_finite_quadrature_is_refused(self):
         spec = QuadratureSpec()
         with pytest.raises(ParameterOutOfRange, match="not finite"):
-            _converged(complex(math.nan, 0.0), 1.0 + 0j, spec)
+            _converged(math.nan, 1.0, spec)
         with pytest.raises(ParameterOutOfRange, match="not finite"):
-            _converged(1.0 + 0j, complex(0.0, math.inf), spec)
-        assert _converged(1.0 + 0j, 1.0 + 0j, spec) == 1.0
+            _converged(1.0, math.inf, spec)
+        assert _converged(1.0, 1.0, spec) == 1.0
 
 
 class TestMlLoop:

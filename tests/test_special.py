@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delange import special
-from delange.errors import OrderTooHigh, OutOfValidatedRange, PoleAtOne
+from delange.errors import OrderTooHigh, OutOfValidatedRange, ParameterOutOfRange, PoleAtOne
 from delange.special import (
     RS_SIGMA_MAX,
     RS_T_MIN,
@@ -730,7 +730,7 @@ class TestStieltjes:
     def test_order_cap(self):
         with pytest.raises(OrderTooHigh):
             stieltjes(65)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             stieltjes(-1)
 
     def test_laurent_consistency_three_decimals(self):
