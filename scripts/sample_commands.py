@@ -70,6 +70,13 @@ SAMPLES = (
     ("refuse-perron-npu", ("perron-check", "--family", "one", "--x", "1000", "--y", "100",
                            "--nodes-per-unit", "2"), 1),
     ("refuse-hankel-tol", ("hankel-check", "--u", "1e6", "--kappa", "0.5", "--abs-tol", "1"), 1),
+    ("refuse-perron-omega-huge", ("perron-check", "--family", "omega:1e300", "--x", "1000", "--y", "100",
+                                  "--T", "50"), 1),
+    ("refuse-perron-divisor-huge", ("perron-check", "--family", "divisor:1e300", "--x", "1000",
+                                    "--y", "100", "--T", "50"), 1),
+    ("refuse-hankel-order", ("hankel-check", "--u", "1e6", "--kappa", "0.5", "--l", "300"), 1),
+    ("refuse-hankel-gamma", ("hankel-check", "--u", "100", "--kappa", "0.5", "--l", "300"), 1),
+    ("refuse-hankel-power", ("hankel-check", "--u", "1e300", "--kappa", "400"), 1),
     ("refuse-missing-option", ("sum", "--family", "one", "--x", "10"), 2),
 )
 

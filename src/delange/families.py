@@ -41,7 +41,7 @@ import numpy as np
 from . import special
 from .errors import DuplicatePrime, NonconvergentProduct, OrderTooHigh
 from .errors import ParameterOutOfRange, UnknownFamily
-from .series import PowerSeries
+from .series import Z_BOUND, PowerSeries
 from .sieve import primes_up_to
 
 @dataclass(frozen=True)
@@ -234,12 +234,17 @@ def g_series_by_euler_product(family: ArithmeticFamily, order: int) -> tuple[Pow
 def _closed_form(kappa: float, model: LocalModel, s: np.ndarray) -> np.ndarray:
     """F(s) = zeta(s)^kappa B(s) at an array of points; B = 1 for a trivial model.
 
-    The principal log of zeta is the real-anchored one on Re(s) >= 1.17, where
+    An integer kappa takes zeta^kappa by multiplication.  Otherwise the
+    principal log of zeta is the real-anchored one on Re(s) >= 1.17, where
     |arg zeta| < pi: every line abscissa 1 + 2/log x of the x <= 1e5 budget.
+    A kappa past series.Z_BOUND, the reach of the expansion coefficients,
+    raises ParameterOutOfRange before any point is evaluated.
     """
+    if kappa > Z_BOUND:
+        raise ParameterOutOfRange(f"kappa = {kappa:.3g} exceeds the bound {Z_BOUND} of the analytic data")
     s = np.asarray(s, dtype=np.complex128)
     zeta = special.zeta_batch(s)
-    f = zeta if kappa == 1 else np.exp(kappa * np.log(zeta))
+    f = zeta ** int(kappa) if float(kappa).is_integer() else np.exp(kappa * np.log(zeta))
     return f if model.trivial else f * _background(model, s)
 
 

@@ -59,6 +59,9 @@ from .special import TAU_MAX, progression_exp, recip_gamma
 
 DEFAULT_B_OFFSET = 2.0
 HANKEL_LEG_LEFT_ETA = 0.05
+# Largest log |power of r| a loop evaluates; the panel sums keep a margin of
+# e^19 below the largest double, e^709.78
+_LOG_POWER_MAX = 690.0
 MAX_NODES_PER_UNIT = 1000
 # Equal sub-panels of the line's first Gauss-Kronrod panel, t in [0, T/panels],
 # which lies within a few multiples of b - 1 of the pole at s = 1.
@@ -321,8 +324,9 @@ def _hankel_value(
     combine to -sin(pi(l-kappa))/pi times a real integral.  The circle's
     integrand takes conjugate values at -theta and theta, so only its real
     part is kept (Schwarz reflection, as on the line).  The circle must stay
-    right of the legs' end, 0 < r < 1/2 - eta, and pi (l - kappa) must be
-    finite, or ParameterOutOfRange.
+    right of the legs' end, 0 < r < 1/2 - eta, pi (l - kappa) must be
+    finite, and the powers r^(l - kappa) and r^(l - kappa + 1) must stay
+    within e^+-_LOG_POWER_MAX, or ParameterOutOfRange before any node.
     """
     a = 0.5 + HANKEL_LEG_LEFT_ETA
     if not (0.0 < r < 1.0 - a):
@@ -330,6 +334,12 @@ def _hankel_value(
     nu = l - kappa
     if not math.isfinite(math.pi * nu):
         raise ParameterOutOfRange(f"l - kappa = {nu:g} is past the double range")
+    # (1 - sigma)^nu on the legs and (r e^(i theta))^(nu + 1) on the circle
+    # reach |r^nu| and |r^(nu + 1)|, which over- or underflow past e^+-709
+    if max(abs(nu), abs(nu + 1.0)) * math.log(1.0 / r) > _LOG_POWER_MAX:
+        raise ParameterOutOfRange(
+            f"r^(l - kappa + 1) = {r:.3g}^{nu + 1.0:g} is past the double range"
+        )
     leg_panels, circle_panels = _loop_panels(spec)
 
     def leg_integrand(sigma: np.ndarray) -> np.ndarray:

@@ -161,6 +161,32 @@ class TestSum:
         assert out == ""
         assert message in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("perron-check", "--family", "omega:1e300", "--x", "1000", "--y", "100", "--T", "50"),
+          "exceeds the bound"),
+         (("perron-check", "--family", "divisor:1e300", "--x", "1000", "--y", "100", "--T", "50"),
+          "exceeds the bound"),
+         (("predict", "--family", "omega:1e300", "--x", "1000000", "--y", "10000"), "exceeds the bound"),
+         (("hankel-check", "--u", "1e6", "--kappa", "0.5", "--l", "300"), "past the double range"),
+         (("hankel-check", "--u", "100", "--kappa", "0.5", "--l", "300"), "Gamma(300.5)"),
+         (("hankel-check", "--u", "1e300", "--kappa", "400"), "past the double range")],
+    )
+    def test_parameters_past_the_analytic_reach_exit_1(self, capsys, argv, message):
+        # OverflowError tracebacks (omega:1e300, --l 300) or a RuntimeWarning
+        # before the error line (divisor:1e300, --kappa 400)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err and len(err.strip().splitlines()) == 1
+
+    def test_parameters_past_the_analytic_reach_still_sum(self, capsys):
+        # f = 25^omega(n) over 11, 12, 13
+        code, out, _ = run(capsys, "sum", "--family", "omega:25", "--x", "10", "--y", "3")
+        assert code == 0
+        assert out.strip() == "675"
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "sum", "--family", "mertens", "--x", "10", "--y", "4")
         assert code == 1

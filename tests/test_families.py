@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from delange import perron
+from delange import perron, special
 from delange.errors import (
     DuplicatePrime,
     NonconvergentProduct,
@@ -387,6 +387,25 @@ class TestTypePConditions:
                 g_val = euler_product_value(fam, s)  # includes the zeta(2s)^-w part
                 rhs = g_val * zeta(s) ** kappa
                 assert abs(lhs - rhs) <= 1e-8 * abs(rhs), (fam.name, s, w)
+
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    def test_integer_kappa_is_a_power_by_multiplication(self, kappa):
+        # zeta^kappa by products on a Perron-style layout: the same values as
+        # exp(kappa log zeta) to rounding, and the bits of zeta ** kappa
+        fam = builtin_family("divisor_kappa", float(kappa))
+        s = 1.17 + 1j * (np.array([0.3, 40.0, 900.0])[:, None] + 0.25 * np.arange(30))
+        got = fam.closed_form_F(s)
+        z = special.zeta_batch(s)
+        assert np.array_equal(got, z**kappa)
+        assert np.max(np.abs(got - np.exp(kappa * np.log(z))) / np.abs(got)) <= 1e-14
+
+    @pytest.mark.parametrize("spec", ["divisor:21", "divisor:1e300", "omega:25", "omega:1e300"])
+    def test_kappa_past_the_expansion_bound_is_refused(self, spec, monkeypatch):
+        # omega:1e300 ended in an OverflowError from log_u_coeffs and
+        # divisor:1e300 in a RuntimeWarning; neither may evaluate zeta
+        monkeypatch.setattr(special, "zeta_batch", None)
+        with pytest.raises(ParameterOutOfRange, match="exceeds the bound 20"):
+            family_from_spec(spec).closed_form_F(np.array([1.5 + 2j]))
 
     def test_omega_product_against_background(self, fam_omega2):
         # direct Euler product of F against G_euler * zeta^z at s = 2, with the

@@ -491,6 +491,28 @@ class TestHankelLoop:
         with pytest.raises(ParameterOutOfRange, match="past the double range"):
             ml_integral_check(kappa, 0, Window(10**4, 10**3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u, kappa, l", [(1e300, 400.0, 0), (1e6, 0.5, 300), (1e6, 300.0, 0)])
+    def test_power_of_r_past_the_double_range_is_refused(self, u, kappa, l):
+        # r^(l - kappa + 1) overflowed (kappa = 400) or underflowed (l = 300)
+        # on the circle; u = 1e300 printed a RuntimeWarning first
+        with pytest.raises(ParameterOutOfRange, match="past the double range"):
+            hankel_main_term(u, kappa, l)
+
+    def test_refusal_comes_before_any_node(self, monkeypatch):
+        monkeypatch.setattr(perron, "_panel_pair", None)
+        with pytest.raises(ParameterOutOfRange, match="past the double range"):
+            hankel_main_term(1e300, 400.0, 0)
+        with pytest.raises(ParameterOutOfRange, match="past the double range"):
+            ml_integral_check(400.0, 0, Window(10**4, 10**3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_high_order_reaches_recip_gamma_and_stops_there(self):
+        # at u = 100 the loop itself stays in range, and 1/Gamma(-299.5)
+        # needs Gamma(300.5)
+        with pytest.raises(ParameterOutOfRange, match=r"Gamma\(300.5\)"):
+            hankel_closed_form(100.0, 0.5, 300)
+
     def test_largest_admissible_radius_is_accepted(self):
         v = hankel_main_term(1e6, 0.5, 0, r=0.44)
         assert abs(v - hankel_closed_form(1e6, 0.5, 0)) <= 1e-3
