@@ -13,19 +13,12 @@ exponential is a geometric sequence, so `progression_exp` forms exp(c s) as
 one exp per row times the powers of one step, built by doubling (the
 structure Odlyzko and Schonhage exploit for multiple evaluations of zeta,
 Trans. AMS 309, 1988): the direct sum and the tail's K^-s take about
-K (rows + 3) exps in all, not K * points.  Its tail sums the
-Euler-Maclaurin corrections in Horner form, and each column (a Gauss panel
-of the Perron line; columns ascend in t) stops at the fewest corrections
-J <= 22 whose remainder bound at the column's top (Edwards, Riemann's Zeta
-Function, 6.4) is at most 2^-60 or the bound of all 22: the columns of a
-T = 1000 slice take 3 to 22, 13.7 on average, at four numpy calls a level.
-Any other batch is routed point
+K (rows + 3) exps in all, not K * points.  Any other batch is routed point
 by point: a point with |t| >= RS_T_MIN and Re(s) < RS_SIGMA_MAX takes the
 Riemann-Siegel formula, two sums over n <= sqrt(|t|/2pi) plus fixed
 corrections, and every other point takes Euler-Maclaurin with its own
-cutoff, one exp per term, and all 22 corrections at every point in a forward
-loop whose bits the tests pin.  There are thus two Euler-Maclaurin tails:
-the pinned one for scattered points and the cut one for progressions.  The
+cutoff, one exp per term.  Both Euler-Maclaurin routes share one tail,
+22 corrections at every point, summed forward into two reused buffers.  The
 Riemann-Siegel points go to the formula in
 even blocks of at most 64, so that a scattered batch reuses heap pages
 instead of faulting in fresh ones; the blocks leave every value's bits as
@@ -228,93 +221,26 @@ def dirichlet_sum(s: np.ndarray, ln_n: np.ndarray, a_n: np.ndarray) -> np.ndarra
 def _euler_maclaurin_tail(s: np.ndarray, k, k_pow_s: np.ndarray) -> np.ndarray:
     """zeta(s) - sum_{n<k} n^-s from k^-s: the integral, the half term and the corrections.
 
-    The route for scattered points: all _EM_CORRECTIONS corrections at every
-    point, summed forward.  PINNED_ZETA in the tests pins the bits of this
-    loop; progression batches take _progression_tail instead.
+    All _EM_CORRECTIONS corrections at every point, summed forward, with k a
+    scalar (a progression batch) or one cutoff per point (scattered points).
+    The rising products and the terms go into two reused buffers: fresh
+    temporaries of a Perron slice's size each took new pages from the
+    allocator, which cost more than the arithmetic.  PINNED_ZETA in the tests
+    pins the bits of this loop on scattered points; numpy's complex multiply
+    is not commutative to the last bit, so the operand order matters.
     """
     # k^(1-s) and k^(-s-(2j-1)) are k^-s times real powers of k
     corr = k / (s - 1.0) + 0.5
-    rise = np.ones_like(s)
+    rise = s.copy()
+    term = np.empty_like(s)
     k_pow = 1.0 / k
     for j in range(1, _EM_CORRECTIONS + 1):
-        rise = s if j == 1 else rise * (s + (2 * j - 3)) * (s + (2 * j - 2))
-        corr += (_BERN_2J[j - 1] / _FACT_2J[j - 1] * k_pow) * rise
+        if j > 1:
+            rise *= np.add(s, 2 * j - 3, out=term)
+            rise *= np.add(s, 2 * j - 2, out=term)
+        corr += np.multiply(_BERN_2J[j - 1] / _FACT_2J[j - 1] * k_pow, rise, out=term)
         k_pow /= k * k
-    return k_pow_s * corr
-
-
-# A progression column stops once its remainder bound is below this absolute
-# floor or the bound of all _EM_CORRECTIONS corrections, whichever is larger.
-_TAIL_FLOOR = 2.0**-60
-# log |B_2j / (2j)!| for j = 1.._EM_TERMS_MAX
-_LOG_EM_COEF = np.log(np.abs(np.array(_BERN_2J) / _FACT_2J))
-
-
-def _corrections_needed(sigma: float, t_top: np.ndarray, k: int) -> np.ndarray:
-    """Euler-Maclaurin corrections J <= _EM_CORRECTIONS for columns of points
-    sigma + i t, |t| <= t_top, summed directly below k.
-
-    After J corrections the remainder is at most |s + 2J + 1| / (sigma + 2J + 1)
-    times the first omitted term, |c_(J+1) s (s+1)...(s+2J)| k^(-sigma-2J-1)
-    with c_j = B_2j / (2j)! (Edwards, Riemann's Zeta Function, 6.4).  The bound
-    grows with |t|, so a column's top bounds the whole column.  Each column
-    takes the fewest J whose bound is at most the larger of 2^-60 and its
-    bound for _EM_CORRECTIONS, and J is then made nondecreasing along the
-    columns, so that the columns taking correction j are a suffix.
-    """
-    j = np.arange(_EM_CORRECTIONS + 1.0)
-    t2 = t_top * t_top
-    # twice the log bound: log |s (s+1) ... (s+2J+1)|^2 is a running sum over
-    # the pairs |s+2i|^2 |s+2i+1|^2, which stay below 1e21 in the box
-    bound = np.add.outer((sigma + 2.0 * j) ** 2, t2)
-    bound *= np.add.outer((sigma + 2.0 * j + 1.0) ** 2, t2)
-    with np.errstate(divide="ignore"):  # a column at s = 0 has bound 0 and takes J = 0
-        np.log(bound, out=bound)
-    np.cumsum(bound, axis=0, out=bound)
-    bound += (2.0 * (_LOG_EM_COEF[: j.size] - (sigma + 2.0 * j + 1.0) * math.log(k)
-                     - np.log(sigma + 2.0 * j + 1.0)))[:, None]
-    enough = bound <= np.maximum(bound[-1], 2.0 * math.log(_TAIL_FLOOR))
-    return np.maximum.accumulate(np.argmax(enough, axis=0))
-
-
-def _progression_tail(s: np.ndarray, sigma: float, k: int, k_pow_s: np.ndarray) -> tuple[np.ndarray, int]:
-    """_euler_maclaurin_tail's sum on a progression batch with real part sigma,
-    each column of s cut to the corrections _corrections_needed gives it; also
-    the most corrections any column took.
-
-    The corrections sum_j c_j k^(1-2j) s(s+1)...(s+2j-2) run in Horner form,
-    s (c_1 k^-1 + (s+1)(s+2) (c_2 k^-3 + ...)), innermost level first.  Level j
-    multiplies by (s + a)(s + a + 1), a = 2j - 1, whose real part
-    (sigma + a)(sigma + a + 1) - t^2 and imaginary part (2 sigma + 2a + 1) t
-    are formed in real arithmetic.  The work is laid out column by column, so
-    the columns that take correction j are one contiguous block: each level
-    is a fixed number of numpy calls into reused buffers.  The bits differ
-    from _euler_maclaurin_tail's by an ulp or two of the tail.
-    """
-    t = np.ascontiguousarray(s.imag.T)
-    need = _corrections_needed(sigma, np.max(np.abs(t), axis=1), k)
-    top = int(need[-1])
-    start = np.searchsorted(need, np.arange(top + 1))
-    t2 = t * t
-    h = np.zeros(t.shape, dtype=np.complex128)
-    f = np.empty_like(h)
-    for j in range(top, 0, -1):
-        lo = start[j]
-        if j < top:
-            a = sigma + 2 * j - 1
-            np.subtract(a * (a + 1.0), t2[lo:], out=f.real[lo:])
-            np.multiply(t[lo:], 2.0 * a + 1.0, out=f.imag[lo:])
-            h[lo:] *= f[lo:]
-        h[lo:] += _BERN_2J[j - 1] / _FACT_2J[j - 1] * float(k) ** (1 - 2 * j)
-    h *= s.T
-    h += 0.5
-    # k / (s - 1) = k (sigma - 1 - i t) / ((sigma - 1)^2 + t^2)
-    scale = k / ((sigma - 1.0) ** 2 + t2)
-    re, im = h.real, h.imag
-    re += (sigma - 1.0) * scale
-    im -= t * scale
-    h *= k_pow_s.T
-    return h.T, top
+    return np.multiply(k_pow_s, corr, out=corr)
 
 
 # --- Riemann-Siegel route -------------------------------------------------------
@@ -571,11 +497,7 @@ def zeta_batch(s: np.ndarray, diagnostics: dict | None = None) -> np.ndarray:
     with one sigma and one dt, takes the factored Euler-Maclaurin sum with one
     cutoff K for the whole batch: one complex matmul whose factors, like the
     tail's K^-s, are progressions that progression_exp forms from about
-    K*(rows + 3) exps in all, instead of K*points exps.  Its tail
-    (_progression_tail) runs the corrections in Horner form and cuts each
-    column j of s to the J_j <= 22 corrections that its remainder bound needs,
-    about sum_j J_j * rows complex multiply-adds in all instead of
-    22 * points; the values move from the scattered route's by an ulp or two.
+    K*(rows + 3) exps in all, instead of K*points exps.
 
     Every other input (1-D, mixed real parts, uneven spacing) is routed point
     by point.  Points with |Im s| >= RS_T_MIN and Re s < RS_SIGMA_MAX take the
@@ -588,16 +510,17 @@ def zeta_batch(s: np.ndarray, diagnostics: dict | None = None) -> np.ndarray:
     not change a bit of the result.  The rest take Euler-Maclaurin with their
     own cutoff, so a low point never pays for a high one, all in one call:
     splitting them would regroup their direct sums and move their bits.  The
-    correction terms cost one complex power per point, and every point takes
-    all 22 of them (_euler_maclaurin_tail, pinned bit for bit by the tests).
+    correction terms cost one complex power per point.  Both Euler-Maclaurin
+    routes take all 22 corrections at every point in the same loop,
+    _euler_maclaurin_tail, about 6 * 22 passes over the batch into reused
+    buffers.
 
     A given diagnostics dict receives how many points took each route, as
-    "progression", "riemann_siegel" and "euler_maclaurin", the progression
-    route's cutoff K as "cutoff" and the most corrections any of its columns
-    took as "corrections" (both 0 when no point took it).
+    "progression", "riemann_siegel" and "euler_maclaurin", and the
+    progression route's cutoff K as "cutoff" (0 when no point took it).
     """
     s = np.asarray(s, dtype=np.complex128)
-    routes = dict(progression=0, riemann_siegel=0, euler_maclaurin=0, cutoff=0, corrections=0)
+    routes = dict(progression=0, riemann_siegel=0, euler_maclaurin=0, cutoff=0)
     if diagnostics is not None:
         diagnostics.update(routes)
     if s.size == 0:
@@ -618,9 +541,8 @@ def zeta_batch(s: np.ndarray, diagnostics: dict | None = None) -> np.ndarray:
         k = int(_direct_sum_cutoff(sig_min, t_max))
         total = _progression_sum(*grid, s.shape[1], np.log(np.arange(1.0, k)))
         k_pow_s = progression_exp(-math.log(k), *grid, s.shape[1])
-        tail, corrections = _progression_tail(s, grid[0], k, k_pow_s)
-        total += tail
-        routes.update(progression=s.size, cutoff=k, corrections=corrections)
+        total += _euler_maclaurin_tail(s, k, k_pow_s)
+        routes.update(progression=s.size, cutoff=k)
     else:
         flat = s.reshape(-1)
         total = np.empty_like(flat)
@@ -699,10 +621,13 @@ def _gamma_lanczos(z: complex) -> complex:
         acc += c / (zm1 + i)
     t = zm1 + _LANCZOS_G + 0.5
     try:
-        return _SQRT_TWO_PI * t ** (zm1 + 0.5) * cmath.exp(-t) * acc
+        out = _SQRT_TWO_PI * t ** (zm1 + 0.5) * cmath.exp(-t) * acc
+        if cmath.isfinite(out):
+            return out
     except OverflowError:
         pass
-    # t^(z - 1/2) alone overflows from real z near 143 on; split it around e^-t
+    # t^(z - 1/2), or sqrt(2 pi) times it, overflows from real z near 142.2
+    # on; split it around e^-t
     try:
         half = t ** (0.5 * (zm1 + 0.5))
         out = _SQRT_TWO_PI * half * cmath.exp(-t) * half * acc
