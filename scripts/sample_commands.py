@@ -77,6 +77,10 @@ SAMPLES = (
     ("refuse-hankel-order", ("hankel-check", "--u", "1e6", "--kappa", "0.5", "--l", "300"), 1),
     ("refuse-hankel-gamma", ("hankel-check", "--u", "100", "--kappa", "0.5", "--l", "300"), 1),
     ("refuse-hankel-power", ("hankel-check", "--u", "1e300", "--kappa", "400"), 1),
+    ("refuse-perron-sqfree-reach", ("perron-check", "--family", "sqfree", "--x", "1000",
+                                    "--y", "100", "--T", "60000"), 1),
+    ("refuse-perron-omega-reach", ("perron-check", "--family", "omega:0.5", "--x", "1000",
+                                   "--y", "100", "--T", "40000"), 1),
     ("refuse-missing-option", ("sum", "--family", "one", "--x", "10"), 2),
 )
 

@@ -94,13 +94,14 @@ class LocalModel:
 class ArithmeticFamily:
     """A real-valued multiplicative function with its type parameters and
     background data; f(p^e) = local_value(e) at every prime p, and
-    local_value(0) = f(1) = 1."""
+    local_value(0) = f(1) = 1.  closed_form_F(s, grid=None) evaluates F on
+    an array of points; grid is the layout of a Perron slice (_closed_form)."""
 
     name: str
     local_value: Callable[[int], float]
     params: TypePParams
     local_model: LocalModel
-    closed_form_F: Callable[[np.ndarray], np.ndarray]
+    closed_form_F: Callable[..., np.ndarray]
 
 
 # --- background engine ------------------------------------------------------------
@@ -132,7 +133,12 @@ def _zeta2_power(model: LocalModel) -> bool:
     return bool(np.all(np.abs(e[3:]) < 1e-12)) and e[2] == round(e[2]) <= 0
 
 
-def _background(model: LocalModel, s: np.ndarray) -> np.ndarray:
+def _scaled(grid, q: float):
+    """The layout (q sigma, q t0, q dt) of q s for s laid out as grid = (sigma, t0, dt)."""
+    return None if grid is None else (q * grid[0], q * np.asarray(grid[1]), q * grid[2])
+
+
+def _background(model: LocalModel, s: np.ndarray, grid=None) -> np.ndarray:
     """B(s) = G(s) zeta(2s)^(-w) at an array of points, with no prime cutoff.
 
     The primes p < P0 enter by their exact local factors; the rest by
@@ -142,10 +148,13 @@ def _background(model: LocalModel, s: np.ndarray) -> np.ndarray:
     X <= _DIRECT_PRIMES puts its tail below the worst term of the better
     route, and from zeta(qs), at an error near _ZETA_ROUTE_ERR |e_q|, when
     none does.  e_q grows like |a|^q / q, so a large |a| loses digits either
-    way: past _MAX_LOG_ERR in log B this raises.
+    way: past _MAX_LOG_ERR in log B this raises.  The zeta(qs) are evaluated
+    first, the highest q first, so that a point past zeta's box is refused
+    before any other sum.  grid, the layout (sigma, t0, dt) of a 2-D s whose
+    rows are vertical progressions, is handed to zeta_batch and dirichlet_sum.
     """
     if _zeta2_power(model):
-        return special.zeta_batch(2.0 * s) ** _zeta_exponents(model, 2)[2]
+        return special.zeta_batch(2.0 * s, grid=_scaled(grid, 2.0)) ** _zeta_exponents(model, 2)[2]
     sigma = float(np.min(s.real))
     if sigma <= 0.5:
         raise ParameterOutOfRange(f"this background is evaluated on Re s > 1/2, got {sigma:.3g}")
@@ -176,12 +185,14 @@ def _background(model: LocalModel, s: np.ndarray) -> np.ndarray:
         raise ParameterOutOfRange(f"local factor with |a| = {abs(model.a):.3g} at Re s = {sigma:.3g}: "
                                   f"estimated error {err:.1e} in log B, above {_MAX_LOG_ERR:g}")
 
+    by_zeta_qs = np.flatnonzero(~direct & (e != 0))
+    zetas = {q: special.zeta_batch(q * s, grid=_scaled(grid, q)) for q in by_zeta_qs[::-1]}
     primes = primes_up_to(x_max).astype(np.float64)
     u = np.exp(-np.multiply.outer(np.log(primes[primes < p0]), s))
     out = np.prod((1.0 + model.a * u) * (1.0 - u) ** model.c * (1.0 - u * u) ** model.w2, axis=0)
     log_b = np.zeros_like(s)
-    for q in np.flatnonzero(~direct & (e != 0)):
-        log_b += e[q] * np.log(special.zeta_batch(q * s) * np.prod(1.0 - u**q, axis=0))
+    for q in by_zeta_qs:
+        log_b += e[q] * np.log(zetas[q] * np.prod(1.0 - u**q, axis=0))
 
     # log zeta_{>=P0}(qs) = sum_k P(kqs)/k with P(w) = sum_{p >= P0} p^-w, so the
     # direct q together are one Dirichlet polynomial with a_n = weight[m] at
@@ -190,7 +201,7 @@ def _background(model: LocalModel, s: np.ndarray) -> np.ndarray:
         ln_p = np.log(primes[primes >= p0])
         counts = np.searchsorted(primes[primes >= p0], stops)
         ln_n = np.concatenate([mm * ln_p[:n] for mm, n in zip(ms, counts)])
-        log_b += special.dirichlet_sum(s, ln_n, np.repeat(weight[ms], counts))
+        log_b += special.dirichlet_sum(s, ln_n, np.repeat(weight[ms], counts), grid=grid)
     return out * np.exp(log_b)
 
 
@@ -231,21 +242,26 @@ def g_series_by_euler_product(family: ArithmeticFamily, order: int) -> tuple[Pow
     return PowerSeries(tuple(series)), float(np.max(np.abs(series - half)))
 
 
-def _closed_form(kappa: float, model: LocalModel, s: np.ndarray) -> np.ndarray:
+def _closed_form(kappa: float, model: LocalModel, s: np.ndarray, *, grid=None) -> np.ndarray:
     """F(s) = zeta(s)^kappa B(s) at an array of points; B = 1 for a trivial model.
 
     An integer kappa takes zeta^kappa by multiplication.  Otherwise the
     principal log of zeta is the real-anchored one on Re(s) >= 1.17, where
     |arg zeta| < pi: every line abscissa 1 + 2/log x of the x <= 1e5 budget.
     A kappa past series.Z_BOUND, the reach of the expansion coefficients,
-    raises ParameterOutOfRange before any point is evaluated.
+    raises ParameterOutOfRange before any point is evaluated.  B comes
+    before zeta(s): its zeta(qs) leave zeta's box first as the points rise,
+    and are refused before zeta(s) is summed.  grid is the layout
+    (sigma, t0, dt) of a 2-D s whose rows are vertical progressions, which
+    the Perron line hands down to zeta_batch.
     """
     if kappa > Z_BOUND:
         raise ParameterOutOfRange(f"kappa = {kappa:.3g} exceeds the bound {Z_BOUND} of the analytic data")
     s = np.asarray(s, dtype=np.complex128)
-    zeta = special.zeta_batch(s)
+    background = None if model.trivial else _background(model, s, grid)
+    zeta = special.zeta_batch(s, grid=grid)
     f = zeta ** int(kappa) if float(kappa).is_integer() else np.exp(kappa * np.log(zeta))
-    return f if model.trivial else f * _background(model, s)
+    return f if background is None else f * background
 
 
 def euler_product_value(family: ArithmeticFamily, s: complex) -> complex:

@@ -99,15 +99,24 @@ def predict(coeffs: ExpansionCoefficients, win: Window, N: int) -> float:
 def remainder_value(
     lambda_abs: list[float], x: float, y: float, N: int, rp: RemainderParams
 ) -> float:
-    """R_N on raw float inputs; lambda_abs holds |lambda_0..lambda_N|."""
+    """R_N on raw float inputs; lambda_abs holds |lambda_0..lambda_N|.
+
+    ParameterOutOfRange where the bound leaves the double range."""
     lx = math.log(x)
     llx = math.log(lx)
     s = 0.0
     for l in range(1, N + 2):
         s += l * lambda_abs[l - 1] / lx**l
     out = (y / x) * s
-    out += (rp.a1 * N + 1.0) ** (N + 1) / math.sqrt(x)
-    out += rp.M * (((rp.a1 * N + 1.0) / lx) ** (N + 1) + math.exp(-rp.a2 * lx / llx))
+    try:
+        out += (rp.a1 * N + 1.0) ** (N + 1) / math.sqrt(x)
+        out += rp.M * (((rp.a1 * N + 1.0) / lx) ** (N + 1) + math.exp(-rp.a2 * lx / llx))
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ParameterOutOfRange(
+            f"the order-{N} remainder bound with a1={rp.a1:g}, M={rp.M:g} is past the double range"
+        )
     return out
 
 
@@ -193,17 +202,18 @@ def run_experiment(
     """Exact-vs-predicted records over an x grid with y = ceil(x^theta_exponent).
 
     Every window's budget and the worker count are checked before the
-    coefficients are built, and these before the base primes are sieved,
-    once, for the largest window."""
+    coefficients are built, and these, with every window's prediction and
+    remainder bound, before the base primes are sieved, once, for the largest
+    window."""
     from .series import g_lambda_coeffs
 
     windows = short_windows(x_grid, theta_exponent)
     _window_ranges(windows, workers)
     coeffs = g_lambda_coeffs(family, order if order is not None else default_order(N))
+    # the predictions and their bounds before the sieve, so a refused one costs no sum
+    predicted = [(predict(coeffs, win, N), remainder_bound(coeffs, win, N, rp)) for win in windows]
     records = []
-    for win, exact in zip(windows, _window_sums(family, windows, workers)):
-        pred = predict(coeffs, win, N)
-        rb = remainder_bound(coeffs, win, N, rp)
+    for win, (pred, rb), exact in zip(windows, predicted, _window_sums(family, windows, workers)):
         rel = abs(exact - pred) / abs(pred) if pred != 0 else math.inf
         records.append(ExperimentRecord(family=family.name, x=win.x, y=win.y, N=N, exact=exact,
                                         predicted=pred, remainder_bound=rb, rel_error=rel))

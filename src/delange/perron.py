@@ -32,11 +32,15 @@ about 1e-9 with the split at the default 32.
 The line's panels are equal within the split panel and within each slice
 of at most 3120 uniform panels, so the nodes of a slice are 21 vertical
 progressions b + i(t0[row] + j dt), one per Kronrod node, with dt the panel
-width.  zeta_batch finds that layout itself and sums zeta by its factored
-matmul; _line_pair hands it to _kernel, whose x^s and (1 + y/x)^s then take
-one exp per row times the powers of one step (special.progression_exp)
-instead of one exp per node.  The Hankel loop's legs and circle are not
-vertical progressions and keep one exp per node.
+width.  _line_pair hands that layout to the family's closed form, which
+passes it on to zeta_batch (and to the background's sums) to sum by the
+factored matmul, and to _kernel, whose x^s and (1 + y/x)^s then take one exp
+per row times the powers of one step (special.progression_exp) instead of
+one exp per node.  The slices are evaluated from the top down, so the top
+slice meets the height the closed form must reach: a family whose zeta(qs)
+leaves zeta's box below T (sqfree past TAU_MAX/2, omega:z past TAU_MAX/3)
+is refused there, before any other slice is summed.  The Hankel loop's legs
+and circle are not vertical progressions and keep one exp per node.
 """
 
 from __future__ import annotations
@@ -176,21 +180,6 @@ def _panel_pair(f, edges: np.ndarray) -> np.ndarray:
     return _PAIR_WEIGHTS @ (vals * half).sum(axis=1)
 
 
-def _check_line_reach(family, b: float, T: float) -> None:
-    """Evaluate F once at the top node b + iT.
-
-    A closed form that reaches above zeta's validated height (sqfree's
-    zeta(2s) past T = TAU_MAX/2, omega:z's zeta(3s) past T = TAU_MAX/3) then
-    fails before any panel is built.
-    """
-    try:
-        family.closed_form_F(np.array([complex(b, T)]))
-    except OutOfValidatedRange as exc:
-        raise OutOfValidatedRange(
-            f"family {family.name!r} cannot be evaluated on the line up to T={T:g}: {exc}"
-        ) from exc
-
-
 def _panels(T: float, spec: QuadratureSpec) -> int:
     """Gauss-Kronrod panels on [0, T]."""
     return max(4, int(math.ceil(T * (spec.nodes_per_unit // 2) / 10.0)))
@@ -206,8 +195,12 @@ def _line_edges(T: float, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]
 def _line_pair(family, x: float, y: float, b: float, T: float, spec: QuadratureSpec):
     """Fine and coarse estimates of the line integral over Re(s) = b, |t| <= T.
 
-    Each slice of equal panels is passed to _kernel with its layout
-    (b, t0, dt), so the kernel detects no grid of its own.
+    Each slice of equal panels hands its layout (b, t0, dt) to the closed
+    form and to _kernel, so neither detects a grid of its own.  The slices
+    are evaluated from the top down and their pairs added from the bottom up:
+    a closed form that cannot reach T (sqfree's zeta(2s) past T = TAU_MAX/2,
+    omega:z's zeta(3s) past TAU_MAX/3) fails on the first slice, before any
+    other is summed.
     """
 
     def slice_pair(edges: np.ndarray) -> np.ndarray:
@@ -216,17 +209,27 @@ def _line_pair(family, x: float, y: float, b: float, T: float, spec: QuadratureS
 
         def integrand(t: np.ndarray) -> np.ndarray:
             s = b + 1j * t
-            return family.closed_form_F(s) * _kernel(s, x, y, (b, t[:, 0], dt))
+            grid = (b, t[:, 0], dt)
+            return family.closed_form_F(s, grid=grid) * _kernel(s, x, y, grid)
 
         return _panel_pair(integrand, edges)
 
     first, rest = _line_edges(T, spec)
-    pair = slice_pair(first)
     # at most 3120 uniform panels at a time: 21 rows, each a vertical
     # progression, the layout zeta_batch sums by its factored matmul
     step = 65536 // 21
-    for lo in range(0, rest.size - 1, step):
-        pair += slice_pair(rest[lo : lo + step + 1])
+    slices = [first] + [rest[lo : lo + step + 1] for lo in range(0, rest.size - 1, step)]
+    top, *lower = reversed(slices)
+    try:
+        pairs = [slice_pair(top)]
+    except OutOfValidatedRange as exc:
+        raise OutOfValidatedRange(
+            f"family {family.name!r} cannot be evaluated on the line up to T={T:g}: {exc}"
+        ) from exc
+    pairs += map(slice_pair, lower)
+    pair = pairs.pop()
+    while pairs:
+        pair += pairs.pop()
     # f(-t) = conj(f(t)):  (1/2pi) * (I + conj I) = Re(I)/pi
     fine, coarse = pair.real / math.pi
     return float(fine), float(coarse)
@@ -246,16 +249,19 @@ def perron_line_sum(
     half only and keep its real part.  Raises QuadratureNotConverged if the
     coarse rule moves the result by more than abs_tol, and
     OutOfValidatedRange for a non-finite T, one above zeta's validated height
-    TAU_MAX, or one the family's closed form cannot reach (checked at the top
-    node up front).  b_offset must be finite and positive, which keeps the
-    line right of the pole at s = 1, and the line may have at most
-    MAX_LINE_NODES nodes, x at most 1e5 and T at least 10; otherwise
-    ParameterOutOfRange.  A given diagnostics dict receives the fine-coarse
-    distance as "quadrature_delta".
+    TAU_MAX, or one the family's closed form cannot reach (met by the top
+    slice, which is evaluated first).  b_offset must be finite and positive,
+    which keeps the line right of the pole at s = 1, and small enough that
+    (x + y)^b stays below e^_LOG_POWER_MAX; the line may have at most
+    MAX_LINE_NODES nodes, x must lie in [2, 1e5] and T be at least 10;
+    otherwise ParameterOutOfRange.  A given diagnostics dict receives the
+    fine-coarse distance as "quadrature_delta".
     """
     x, y = float(win.x), float(win.y)
     if x > 1e5:
         raise ParameterOutOfRange("line evaluation budget is limited to x <= 1e5")
+    if x < 2.0:
+        raise ParameterOutOfRange("the line Re(s) = 1 + b_offset/log x needs x >= 2")
     if not (math.isfinite(T) and T <= TAU_MAX):
         raise OutOfValidatedRange(f"T={T} must be finite and at most {TAU_MAX:g}")
     if T < 10.0:
@@ -269,7 +275,8 @@ def perron_line_sum(
             f" nodes, more than {MAX_LINE_NODES}"
         )
     b = 1.0 + b_offset / math.log(x)
-    _check_line_reach(family, b, T)
+    if b * math.log(x + y) > _LOG_POWER_MAX:
+        raise ParameterOutOfRange(f"b_offset={b_offset:g} puts (x + y)^s past the double range")
     return _converged(*_line_pair(family, x, y, b, T, spec), spec, diagnostics)
 
 
@@ -331,7 +338,10 @@ def _hankel_value(
     a = 0.5 + HANKEL_LEG_LEFT_ETA
     if not (0.0 < r < 1.0 - a):
         raise ParameterOutOfRange(f"loop radius r={r:g} must lie in (0, 1/2 - eta = {1 - a:g})")
-    nu = l - kappa
+    try:
+        nu = l - kappa
+    except OverflowError:  # an integer l past the double range
+        nu = math.inf
     if not math.isfinite(math.pi * nu):
         raise ParameterOutOfRange(f"l - kappa = {nu:g} is past the double range")
     # (1 - sigma)^nu on the legs and (r e^(i theta))^(nu + 1) on the circle

@@ -13,12 +13,18 @@ exponential is a geometric sequence, so `progression_exp` forms exp(c s) as
 one exp per row times the powers of one step, built by doubling (the
 structure Odlyzko and Schonhage exploit for multiple evaluations of zeta,
 Trans. AMS 309, 1988): the direct sum and the tail's K^-s take about
-K (rows + 3) exps in all, not K * points.  Any other batch is routed point
-by point: a point with |t| >= RS_T_MIN and Re(s) < RS_SIGMA_MAX takes the
-Riemann-Siegel formula, two sums over n <= sqrt(|t|/2pi) plus fixed
-corrections, and every other point takes Euler-Maclaurin with its own
-cutoff, one exp per term.  Both Euler-Maclaurin routes share one tail,
-22 corrections at every point, summed forward into two reused buffers.  The
+K (rows + 3) exps in all, not K * points.  A caller that knows the layout
+(the Perron line) hands it over, and zeta_batch checks it against the
+batch's first and last columns instead of searching the batch for it.  Any
+other batch is routed point by point: a point with |t| >= RS_T_MIN and
+Re(s) < RS_SIGMA_MAX takes the Riemann-Siegel formula, two sums over
+n <= sqrt(|t|/2pi) plus fixed corrections, and every other point takes
+Euler-Maclaurin with its own cutoff, one exp per term.  Both
+Euler-Maclaurin routes share one tail loop, summed forward into two reused
+buffers.  A scattered point takes all 22 corrections; on a progression each
+column of points takes only the corrections its Edwards remainder bound
+needs to meet the bound of all 22 at the top column (_tail_starts), so the
+lower columns of a Perron slice take about half of them.  The
 Riemann-Siegel points go to the formula in
 even blocks of at most 64, so that a scattered batch reuses heap pages
 instead of faulting in fresh ones; the blocks leave every value's bits as
@@ -124,6 +130,21 @@ def _progression(s: np.ndarray):
     return float(sigma), t[:, 0], float(dt)
 
 
+def _given_layout(s: np.ndarray, grid) -> tuple:
+    """The layout grid = (sigma, t0, dt) of the 2-D s, checked against its first
+    and last columns; ParameterOutOfRange if they do not match it."""
+    sigma, t0, dt = float(grid[0]), np.asarray(grid[1], dtype=np.float64), float(grid[2])
+    if s.ndim != 2 or t0.shape != s.shape[:1]:
+        raise ParameterOutOfRange(f"a layout of {t0.size} rows does not match points {s.shape}")
+    # heights within a few ulps of the layout, as _progression allows
+    ends = s[:, [0, -1]]
+    want = t0[:, None] + np.array([0.0, (s.shape[1] - 1) * dt])
+    tol = 8.0 * np.finfo(np.float64).eps * np.max(np.abs(want))
+    if np.any(ends.real != sigma) or not np.max(np.abs(ends.imag - want)) <= tol:
+        raise ParameterOutOfRange("the given layout does not match the first and last columns")
+    return sigma, t0, dt
+
+
 def progression_exp(c, sigma: float, t0: np.ndarray, dt: float, count: int) -> np.ndarray:
     """exp(c s) on the rows s = sigma + i(t0[row] + j dt), j < count.
 
@@ -205,40 +226,78 @@ def _scattered_sum(s: np.ndarray, ln_n: np.ndarray, a_n: np.ndarray, count: np.n
     return out
 
 
-def dirichlet_sum(s: np.ndarray, ln_n: np.ndarray, a_n: np.ndarray) -> np.ndarray:
+def dirichlet_sum(s: np.ndarray, ln_n: np.ndarray, a_n: np.ndarray, *, grid=None) -> np.ndarray:
     """sum_i a_n[i] n_i^-s at every point of s, given ln_n[i] = log n_i.
 
     A 2-D s whose rows are vertical progressions takes the factored matmul;
-    any other s takes one exp per point and term.
+    any other s takes one exp per point and term.  A caller that knows the
+    layout passes it as grid = (sigma, t0, dt), which is then checked against
+    the first and last columns of s (ParameterOutOfRange on a mismatch)
+    instead of found.
     """
-    grid = _progression(s)
+    grid = _progression(s) if grid is None else _given_layout(s, grid)
     if grid is not None:
         return _progression_sum(*grid, s.shape[1], ln_n, a_n)
     flat = s.reshape(-1)
     return _scattered_sum(flat, ln_n, a_n, np.full(flat.size, ln_n.size)).reshape(s.shape)
 
 
-def _euler_maclaurin_tail(s: np.ndarray, k, k_pow_s: np.ndarray) -> np.ndarray:
+def _tail_starts(sigma: float, t0: np.ndarray, dt: float, count: int, k: int) -> np.ndarray:
+    """First column that takes correction j, for j = 1.._EM_CORRECTIONS, on the
+    rows sigma + i(t0[row] + c dt), c < count, with direct-sum cutoff k.
+
+    Each column's top |s_c|, its largest |s|, is taken from the layout and
+    made ascending (a column is given at least the top of any column below).
+
+    After J corrections the remainder at s is at most |s + 2J + 1|/(sigma + 2J + 1)
+    times the first omitted term (Edwards, Riemann's Zeta Function, 6.4).  With
+    |B_2j|/(2j)! <= 2 zeta(2)/(2 pi)^2j and every |s + m| at most |s| + M,
+    M = 2 _EM_CORRECTIONS + 1, that is at most
+    2 zeta(2) k^(1 - sigma) r^(2J + 2)/(sigma + 2J + 1), r = (|s| + M)/(2 pi k).
+    A column stops at the first J whose bound is at most the one of all
+    corrections at the top column, so no column's bound exceeds the one the
+    batch already accepts, and the top column takes every correction.
+    """
+    heights = np.arange(count) * dt
+    reach = np.maximum(np.abs(t0.max() + heights), np.abs(t0.min() + heights))
+    tops = np.maximum.accumulate(np.hypot(sigma, reach))
+    m = 2 * _EM_CORRECTIONS + 1
+    j = np.arange(_EM_CORRECTIONS)
+    # log r at which J = j corrections meet the top column's bound
+    log_top = (m + 1) * math.log((tops[-1] + m) / (2.0 * math.pi * k))
+    log_r = (log_top + np.log((sigma + 2 * j + 1) / (sigma + m))) / (2 * j + 2)
+    limits = 2.0 * math.pi * k * np.exp(np.maximum.accumulate(log_r)) - m
+    return np.minimum(np.searchsorted(tops, limits, side="right"), count - 1)
+
+
+def _euler_maclaurin_tail(s: np.ndarray, k, k_pow_s: np.ndarray, starts=None) -> np.ndarray:
     """zeta(s) - sum_{n<k} n^-s from k^-s: the integral, the half term and the corrections.
 
-    All _EM_CORRECTIONS corrections at every point, summed forward, with k a
-    scalar (a progression batch) or one cutoff per point (scattered points).
-    The rising products and the terms go into two reused buffers: fresh
-    temporaries of a Perron slice's size each took new pages from the
-    allocator, which cost more than the arithmetic.  PINNED_ZETA in the tests
-    pins the bits of this loop on scattered points; numpy's complex multiply
-    is not commutative to the last bit, so the operand order matters.
+    k is a scalar (a progression batch) or one cutoff per point (scattered
+    points).  Without starts every point takes all _EM_CORRECTIONS
+    corrections; with them, correction j runs over s[starts[j - 1]:] only, so
+    s must then hold one column of points per row, ascending, with starts
+    ascending too (_tail_starts).  The rising products and the terms go into
+    two reused buffers: fresh temporaries of a Perron slice's size each took
+    new pages from the allocator, which cost more than the arithmetic.
+    PINNED_ZETA in the tests pins the bits of this loop on scattered points;
+    numpy's complex multiply is not commutative to the last bit, so the
+    operand order matters.
     """
     # k^(1-s) and k^(-s-(2j-1)) are k^-s times real powers of k
     corr = k / (s - 1.0) + 0.5
     rise = s.copy()
     term = np.empty_like(s)
     k_pow = 1.0 / k
+    lo, z, r, w, c = 0, s, rise, term, corr
     for j in range(1, _EM_CORRECTIONS + 1):
+        if starts is not None and starts[j - 1] != lo:
+            lo = starts[j - 1]
+            z, r, w, c = s[lo:], rise[lo:], term[lo:], corr[lo:]
         if j > 1:
-            rise *= np.add(s, 2 * j - 3, out=term)
-            rise *= np.add(s, 2 * j - 2, out=term)
-        corr += np.multiply(_BERN_2J[j - 1] / _FACT_2J[j - 1] * k_pow, rise, out=term)
+            r *= np.add(z, 2 * j - 3, out=w)
+            r *= np.add(z, 2 * j - 2, out=w)
+        c += np.multiply(_BERN_2J[j - 1] / _FACT_2J[j - 1] * k_pow, r, out=w)
         k_pow /= k * k
     return np.multiply(k_pow_s, corr, out=corr)
 
@@ -490,14 +549,22 @@ def _riemann_siegel(s: np.ndarray) -> np.ndarray:
     return np.where(flip, out.conj(), out)
 
 
-def zeta_batch(s: np.ndarray, diagnostics: dict | None = None) -> np.ndarray:
+def zeta_batch(s: np.ndarray, diagnostics: dict | None = None, *, grid=None) -> np.ndarray:
     """zeta on an array of points of the validated box, away from s = 1.
 
     A 2-D s whose rows are vertical progressions sigma + i(t0[row] + j dt),
     with one sigma and one dt, takes the factored Euler-Maclaurin sum with one
     cutoff K for the whole batch: one complex matmul whose factors, like the
     tail's K^-s, are progressions that progression_exp forms from about
-    K*(rows + 3) exps in all, instead of K*points exps.
+    K*(rows + 3) exps in all, instead of K*points exps.  A caller that knows
+    the layout passes it as grid = (sigma, t0, dt): it is then checked
+    against the first and last columns of s (ParameterOutOfRange on a
+    mismatch) instead of found, and the box, pole and finiteness checks read
+    each row's two end points.  On a progression a column of points at a
+    lower height needs fewer of the tail's corrections for the accuracy of
+    the top column: _tail_starts finds, from the column tops, where each
+    correction starts, and the tail runs on a column-major copy of s, so
+    that every correction covers one contiguous run of columns.
 
     Every other input (1-D, mixed real parts, uneven spacing) is routed point
     by point.  Points with |Im s| >= RS_T_MIN and Re s < RS_SIGMA_MAX take the
@@ -510,39 +577,48 @@ def zeta_batch(s: np.ndarray, diagnostics: dict | None = None) -> np.ndarray:
     not change a bit of the result.  The rest take Euler-Maclaurin with their
     own cutoff, so a low point never pays for a high one, all in one call:
     splitting them would regroup their direct sums and move their bits.  The
-    correction terms cost one complex power per point.  Both Euler-Maclaurin
-    routes take all 22 corrections at every point in the same loop,
-    _euler_maclaurin_tail, about 6 * 22 passes over the batch into reused
-    buffers.
+    correction terms cost one complex power per point, and every point takes
+    all 22 corrections.  Both Euler-Maclaurin routes share one tail loop,
+    _euler_maclaurin_tail, about 6 passes per correction over the batch into
+    reused buffers.
 
     A given diagnostics dict receives how many points took each route, as
-    "progression", "riemann_siegel" and "euler_maclaurin", and the
-    progression route's cutoff K as "cutoff" (0 when no point took it).
+    "progression", "riemann_siegel" and "euler_maclaurin", the progression
+    route's cutoff K as "cutoff" (0 when no point took it), and the number of
+    (point, correction) terms the tail summed as "tail_terms".
     """
     s = np.asarray(s, dtype=np.complex128)
-    routes = dict(progression=0, riemann_siegel=0, euler_maclaurin=0, cutoff=0)
+    routes = dict(progression=0, riemann_siegel=0, euler_maclaurin=0, cutoff=0, tail_terms=0)
     if diagnostics is not None:
         diagnostics.update(routes)
     if s.size == 0:
         return s.copy()
-    if not np.all(np.isfinite(s)):
+    # a row of a given layout spans the heights between its two ends
+    edge = s if grid is None else s[..., [0, -1]]
+    if not np.all(np.isfinite(edge)):
         raise OutOfValidatedRange("non-finite evaluation point")
-    if np.any(s == 1.0):
+    if grid is not None:
+        grid = _given_layout(s, grid)
+    if (grid is None or grid[0] == 1.0) and np.any(s == 1.0):
         raise PoleAtOne("zeta has a simple pole at s = 1")
-    sig_min = float(np.min(s.real))
-    t_max = float(np.max(np.abs(s.imag)))
+    sig_min = float(np.min(edge.real))
+    t_max = float(np.max(np.abs(edge.imag)))
     if sig_min <= SIGMA_MIN or t_max > TAU_MAX:
         raise OutOfValidatedRange(
             f"point outside validated box Re(s) > {SIGMA_MIN}, |Im(s)| <= {TAU_MAX:g}"
         )
 
-    grid = _progression(s)
+    grid = _progression(s) if grid is None else grid
     if grid is not None:
+        sigma, t0, dt = grid
+        count = s.shape[1]
         k = int(_direct_sum_cutoff(sig_min, t_max))
-        total = _progression_sum(*grid, s.shape[1], np.log(np.arange(1.0, k)))
-        k_pow_s = progression_exp(-math.log(k), *grid, s.shape[1])
-        total += _euler_maclaurin_tail(s, k, k_pow_s)
-        routes.update(progression=s.size, cutoff=k)
+        total = _progression_sum(sigma, t0, dt, count, np.log(np.arange(1.0, k)))
+        k_pow_s = progression_exp(-math.log(k), sigma, t0, dt, count)
+        starts = _tail_starts(sigma, t0, dt, count, k)
+        total += _euler_maclaurin_tail(np.ascontiguousarray(s.T), k, k_pow_s.T, starts).T
+        routes.update(progression=s.size, cutoff=k,
+                      tail_terms=s.shape[0] * int(np.sum(count - starts)))
     else:
         flat = s.reshape(-1)
         total = np.empty_like(flat)
@@ -558,7 +634,8 @@ def zeta_batch(s: np.ndarray, diagnostics: dict | None = None) -> np.ndarray:
             direct = _scattered_sum(em, np.log(np.arange(1.0, top)), np.ones(top - 1), k - 1)
             total[~rs] = direct + _euler_maclaurin_tail(em, k, np.exp(-np.log(k) * em))
         total = total.reshape(s.shape)
-        routes.update(riemann_siegel=rs_idx.size, euler_maclaurin=em.size)
+        routes.update(riemann_siegel=rs_idx.size, euler_maclaurin=em.size,
+                      tail_terms=_EM_CORRECTIONS * em.size)
     if not np.all(np.isfinite(total)):
         raise OutOfValidatedRange("zeta evaluation overflowed inside the batch")
     if diagnostics is not None:

@@ -343,6 +343,31 @@ class TestBackgroundSeries:
         assert len(grid_calls) == 3
         assert np.max(np.abs(panel - flat) / np.abs(flat)) <= 1e-12
 
+    @pytest.mark.parametrize("spec", ["one", "divisor:2", "sqfree", "omega:0.5", "omega:3"])
+    def test_closed_form_on_a_given_layout(self, spec, monkeypatch):
+        # a Perron panel's layout handed down: zeta_batch and dirichlet_sum
+        # never look for one, the values are those of the found layout to
+        # rounding, and the highest zeta(qs) comes first, zeta(s) last
+        b = 1.0 + perron.DEFAULT_B_OFFSET / math.log(1e5)
+        edges = perron._line_edges(1000.0, perron.DEFAULT_QUADRATURE)[1][100:401]
+        nodes = []
+        perron._panel_pair(lambda t: nodes.append(t) or np.zeros_like(t), edges)
+        s = b + 1j * nodes[0]
+        grid = (b, nodes[0][:, 0], (edges[-1] - edges[0]) / (edges.size - 1))
+        fam = family_from_spec(spec)
+        want = fam.closed_form_F(s)
+        real, real_parts = special.zeta_batch, []
+
+        def spy(points, *args, **kwargs):
+            real_parts.append(float(points.real[0, 0]))
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(special, "_progression", lambda points: pytest.fail("layout searched"))
+        monkeypatch.setattr(special, "zeta_batch", spy)
+        got = fam.closed_form_F(s, grid=grid)
+        assert real_parts == sorted(real_parts, reverse=True) and real_parts[-1] == b
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
     @pytest.mark.parametrize("z", [0.5, 1.5, 3.0])
     def test_omega_closed_form_against_primezeta_oracle(self, z):
         import mpmath

@@ -23,7 +23,6 @@ from delange.perron import (
     DEFAULT_B_OFFSET,
     HANKEL_LEG_LEFT_ETA,
     QuadratureSpec,
-    _check_line_reach,
     _converged,
     hankel_closed_form,
     hankel_main_term,
@@ -166,42 +165,48 @@ class TestKronrodRule:
 
     def test_first_panel_block_takes_the_factored_sum(self, fam_one, grid_calls, monkeypatch):
         # the sub-panels next to the pole are a (21, 8) progression of their
-        # own, ahead of the uniform panels, and every node is on a progression;
-        # T = 2500 has 3,999 uniform panels, which take two slices, so the
-        # seam between them is covered too
-        grids = []
-        real = special._progression
+        # own, below the uniform panels, and every node is on a progression
+        # whose layout the line hands down, so zeta_batch never looks for
+        # one; the slices come from the top down.  T = 2500 has 3,999
+        # uniform panels, which take two slices, so the seam between them is
+        # covered too
+        searched, given = [], []
+        monkeypatch.setattr(special, "_progression", lambda s: searched.append(s))
+        real = special._given_layout
 
-        def spy(s):
-            grids.append(real(s))
-            return grids[-1]
+        def spy(s, grid):
+            given.append(real(s, grid))
+            return given[-1]
 
-        monkeypatch.setattr(special, "_progression", spy)
+        monkeypatch.setattr(special, "_given_layout", spy)
         spec = QuadratureSpec()
         b = 1.0 + DEFAULT_B_OFFSET / math.log(1e4)
         for T, calls in ((100.0, 2), (2500.0, 3)):
-            grids.clear()
+            given.clear()
             grid_calls.clear()
             perron._line_pair(fam_one, 1e4, 1e3, b, T, spec)
-            assert len(grids) == calls and None not in grids
+            assert not searched and len(given) == calls
             blocks = [(args[1].size, args[3]) for args in grid_calls]
-            assert blocks[0] == (21, perron.FIRST_PANEL_SPLIT)
+            assert blocks[-1] == (21, perron.FIRST_PANEL_SPLIT)
             assert sum(rows * count for rows, count in blocks) == line_node_count(T, spec)
+            tops = [args[1][-1] + (args[3] - 1) * args[2] for args in grid_calls]
+            assert tops == sorted(tops, reverse=True) and tops[0] < T
 
     # scheme= spelled out, as perfbench's traced runs pass it
     @pytest.mark.parametrize("scheme, npu", [("gauss_segment", 60)])
     def test_closed_form_evaluated_once_per_node(self, fam_one, scheme, npu):
+        # no probe of its own: every call is a slice of the line with its layout
         seen = []
 
-        def spy(s):
-            seen.append(np.size(s))
-            return fam_one.closed_form_F(s)
+        def spy(s, **kwargs):
+            seen.append((np.shape(s), sorted(kwargs)))
+            return fam_one.closed_form_F(s, **kwargs)
 
         fam = dataclasses.replace(fam_one, closed_form_F=spy)
         spec = QuadratureSpec(nodes_per_unit=npu, scheme=scheme)
         perron_line_sum(fam, Window(1000, 100), 123.4, spec)
-        assert seen[0] == 1  # the reach probe at the top node
-        assert sum(seen[1:]) == line_node_count(123.4, spec)
+        assert all(len(shape) == 2 and shape[0] == 21 and kw == ["grid"] for shape, kw in seen)
+        assert sum(math.prod(shape) for shape, _ in seen) == line_node_count(123.4, spec)
 
 
 class TestKernel:
@@ -312,17 +317,29 @@ class TestPerronLine:
             perron_line_sum(builtin_family("omega_power", 0.5), Window(1000, 100), 4.0e4)
         assert time.perf_counter() - t0 < 0.5
 
-    def test_reach_probe_accepts_zeta_powers_at_the_same_height(self, fam_one, fam_div2):
-        # probed on its own: a full line integral at this height takes tens of seconds
+    def test_zeta_powers_reach_the_top_node_at_the_same_height(self, fam_one, fam_div2):
+        # the top node on its own: a full line integral at this height takes
+        # tens of seconds
         b = 1.0 + DEFAULT_B_OFFSET / math.log(1000)
         for fam in (fam_one, fam_div2):
-            _check_line_reach(fam, b, 6.0e4)
+            assert np.all(np.isfinite(fam.closed_form_F(np.array([complex(b, 6.0e4)]))))
 
     @pytest.mark.parametrize("b_offset", [-2.0, 0.0, math.inf, math.nan])
     def test_line_at_or_left_of_the_pole_is_refused(self, fam_one, b_offset):
         # offset -2 gave rel_dev ~1 and offset 0 gave 0.5, both with exit 0
         with pytest.raises(ParameterOutOfRange, match="b_offset"):
             perron_line_sum(fam_one, Window(10**4, 10**3), 100.0, b_offset=b_offset)
+
+    def test_line_needs_x_of_two(self, fam_one):
+        # x = 1 put log x = 0 under b_offset: a ZeroDivisionError traceback
+        with pytest.raises(ParameterOutOfRange, match="x >= 2"):
+            perron_line_sum(fam_one, Window(1, 1), 50.0)
+
+    def test_offset_past_the_double_range_is_refused(self, fam_one, monkeypatch):
+        # b_offset = 1e300 made (x + y)^s overflow; refused before any node
+        monkeypatch.setattr(perron, "_line_pair", None)
+        with pytest.raises(ParameterOutOfRange, match="past the double range"):
+            perron_line_sum(fam_one, Window(1000, 100), 50.0, b_offset=1e300)
 
     def test_node_count(self):
         # 300 panels at 60 a unit, the first split in 8: 21 (300 - 1 + 8)

@@ -228,7 +228,8 @@ def _perron_slice(t_low: float):
 
 def _line_slice(T: float, which: int, factor: float = 1.0):
     """Slice `which` of the uniform slices _line_pair hands zeta_batch on the
-    line up to T at x = 1e5, times factor (2 for sqfree's zeta(2s))."""
+    line up to T at x = 1e5, times factor (2 for sqfree's zeta(2s)), and its
+    layout (sigma, t0, dt) as the line hands it down."""
     from delange import perron
 
     rest = perron._line_edges(T, perron.QuadratureSpec())[1]
@@ -237,7 +238,9 @@ def _line_slice(T: float, which: int, factor: float = 1.0):
     edges = rest[lo : lo + step + 1]
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
     b = 1.0 + perron.DEFAULT_B_OFFSET / math.log(1e5)
-    return factor * (b + 1j * (mid + half * perron._KRONROD_NODES[:, None]))
+    t = mid + half * perron._KRONROD_NODES[:, None]
+    dt = (edges[-1] - edges[0]) / (edges.size - 1)
+    return factor * (b + 1j * t), (factor * b, factor * t[:, 0], factor * dt)
 
 
 def _em_coef(j: int):
@@ -285,11 +288,16 @@ class TestProgressionTail:
 
     @staticmethod
     def _layout(T, which, factor):
-        s = _line_slice(T, which, factor)
-        sigma = float(s.real[0, 0])
-        k = int(special._direct_sum_cutoff(sigma, float(np.max(np.abs(s.imag)))))
+        s, grid = _line_slice(T, which, factor)
+        k = int(special._direct_sum_cutoff(grid[0], float(np.max(np.abs(s.imag)))))
         # the first, a middle and the last column (columns ascend in t)
-        return s, sigma, k, (0, s.shape[1] // 2, s.shape[1] - 1)
+        return s, grid, k, (0, s.shape[1] // 2, s.shape[1] - 1)
+
+    @staticmethod
+    def _decisive_columns(starts):
+        """Every column where the number of corrections changes, column 0
+        included, and the column below each."""
+        return sorted({c for v in starts.tolist() for c in (v - 1, v) if c >= 0})
 
     @pytest.mark.parametrize("T, which, factor", _TAIL_SLICES)
     def test_perron_slices_against_mpmath(self, T, which, factor):
@@ -323,7 +331,7 @@ class TestProgressionTail:
         # corrections
         import mpmath
 
-        s, sigma, k, cols = self._layout(T, 0, factor)
+        s, (sigma, _, _), k, cols = self._layout(T, 0, factor)
         bracket = special._euler_maclaurin_tail(s, k, np.ones_like(s))
         J = special._EM_CORRECTIONS
         with mpmath.workdps(30):
@@ -336,6 +344,100 @@ class TestProgressionTail:
                     tol = (float(_remainder_bound(sigma, p.imag, k, J)) * k**sigma
                            + 64 * 2.2e-16 * float(sum(abs(v) for v in terms)))
                     assert abs(bracket[row, c] - exact) <= tol, (row, c)
+
+    @pytest.mark.parametrize("T, which, factor", _TAIL_SLICES)
+    def test_starts_ascend_to_every_correction_at_the_top(self, T, which, factor):
+        # correction j covers the columns from starts[j - 1] up, so the number
+        # of corrections never falls along a slice; the top column takes all
+        s, grid, k, _ = self._layout(T, which, factor)
+        count = s.shape[1]
+        starts = special._tail_starts(*grid, count, k)
+        assert starts.shape == (special._EM_CORRECTIONS,)
+        assert starts[0] >= 0 and np.all(np.diff(starts) >= 0) and starts[-1] <= count - 1
+
+    @pytest.mark.parametrize("T, which, factor", _TAIL_SLICES)
+    def test_each_column_stops_at_the_first_bound_below_the_top(self, T, which, factor):
+        # Edwards' bound after J corrections, with |B_2j|/(2j)! <= 2 zeta(2)/(2 pi)^2j
+        # and |s + m| <= |s| + 45, in mpmath from each column's own points: a
+        # column takes the fewest corrections whose bound is at most the top
+        # column's with all 22
+        import mpmath
+
+        s, grid, k, _ = self._layout(T, which, factor)
+        starts = special._tail_starts(*grid, s.shape[1], k)
+        sigma, n = grid[0], special._EM_CORRECTIONS
+
+        def bound(c, J):
+            r = (mpmath.mpf(float(np.max(np.abs(s[:, c])))) + 2 * n + 1) / (2 * mpmath.pi * k)
+            return r ** (2 * J + 2) / (sigma + 2 * J + 1)
+
+        with mpmath.workdps(30):
+            accepted = bound(s.shape[1] - 1, n)
+            for c in self._decisive_columns(starts):
+                J = int(np.count_nonzero(starts <= c))
+                assert bound(c, J) <= accepted, (c, J)
+                assert J == 0 or bound(c, J - 1) > accepted, (c, J)
+
+    @pytest.mark.parametrize("T, which, factor", _TAIL_SLICES)
+    def test_truncated_tail_against_mpmath(self, T, which, factor):
+        # zeta_batch on the layout the line hands down, at every column where
+        # the number of corrections changes and the column below it
+        s, grid, k, _ = self._layout(T, which, factor)
+        diagnostics = {}
+        vals = zeta_batch(s, diagnostics, grid=grid)
+        starts = special._tail_starts(*grid, s.shape[1], k)
+        assert diagnostics["tail_terms"] == 21 * int(np.sum(s.shape[1] - starts))
+        for c in self._decisive_columns(starts):
+            for row in (0, 20):
+                ref = _mpmath_zeta(complex(s[row, c]))
+                assert abs(vals[row, c] - ref) <= ZETA_ABS_TOL * max(1.0, abs(ref)), (row, c)
+
+    def test_low_slices_take_fewer_corrections(self):
+        # the T = 1000 slice averages about 12 of the 22 corrections a column
+        s, grid, k, _ = self._layout(1000.0, 0, 1.0)
+        starts = special._tail_starts(*grid, s.shape[1], k)
+        assert 10 < np.mean(np.count_nonzero(starts[:, None] <= np.arange(s.shape[1]), axis=0)) < 14
+
+
+class TestGivenLayout:
+    """A layout handed to zeta_batch or dirichlet_sum instead of found."""
+
+    def test_matching_layout_gives_the_found_layouts_bits(self, grid_calls):
+        s = _rows(1.2, [30.0, 80.0, 500.0], 0.5, 16)
+        grid = (1.2, s.imag[:, 0], 0.5)
+        assert np.array_equal(zeta_batch(s, grid=grid), zeta_batch(s))
+        ln_n, a_n = _random_terms(np.random.default_rng(5), 40)
+        assert np.array_equal(special.dirichlet_sum(s, ln_n, a_n, grid=grid),
+                              special.dirichlet_sum(s, ln_n, a_n))
+        assert len(grid_calls) == 4
+
+    @pytest.mark.parametrize("grid", [
+        (1.25, [30.0, 80.0], 0.5),     # another real part
+        (1.2, [30.0, 80.1], 0.5),      # a row shifted
+        (1.2, [30.0, 80.0], 0.51),     # another step: the last column misses
+        (1.2, [30.0], 0.5),            # too few rows
+    ])
+    def test_layout_that_does_not_match_raises(self, grid):
+        s = _rows(1.2, [30.0, 80.0], 0.5, 6)
+        ln_n, a_n = _random_terms(np.random.default_rng(6), 20)
+        with pytest.raises(ParameterOutOfRange, match="layout"):
+            zeta_batch(s, grid=grid)
+        with pytest.raises(ParameterOutOfRange, match="layout"):
+            special.dirichlet_sum(s, ln_n, a_n, grid=grid)
+
+    def test_checks_read_the_rows_ends(self):
+        # the box from the top end of a row, the pole inside one, and a
+        # non-finite end point
+        s = _rows(0.5, [9.999e4], 10.0, 4)
+        with pytest.raises(OutOfValidatedRange):
+            zeta_batch(s, grid=(0.5, [9.999e4], 10.0))
+        s = _rows(1.0, [-2.0], 1.0, 4)
+        with pytest.raises(PoleAtOne):
+            zeta_batch(s, grid=(1.0, [-2.0], 1.0))
+        s = _rows(1.2, [3.0], 1.0, 4)
+        s[0, -1] = complex(1.2, math.inf)
+        with pytest.raises(OutOfValidatedRange, match="non-finite"):
+            zeta_batch(s, grid=(1.2, [3.0], 1.0))
 
 
 class TestProgressionExp:
@@ -760,10 +862,11 @@ class TestZetaDiagnostics:
         ])
         diagnostics = {}
         vals = zeta_batch(s, diagnostics=diagnostics)
+        # every Euler-Maclaurin point takes all 22 corrections
         assert diagnostics == {"progression": 0, "riemann_siegel": 70, "euler_maclaurin": 50,
-                               "cutoff": 0}
+                               "cutoff": 0, "tail_terms": 22 * 50}
         assert sum(c.size for c in rs_calls) == 70
-        assert sum(v for k, v in diagnostics.items() if k != "cutoff") == s.size
+        assert sum(v for k, v in diagnostics.items() if k not in ("cutoff", "tail_terms")) == s.size
         # the dict changes no bit of the values
         assert np.array_equal(vals, zeta_batch(s))
 
@@ -772,8 +875,12 @@ class TestZetaDiagnostics:
         diagnostics = {"progression": -1}
         vals = zeta_batch(s, diagnostics)
         k = int(special._direct_sum_cutoff(1.2, float(np.max(s.imag))))
+        # column c takes the corrections j whose start is at most c
+        starts = special._tail_starts(1.2, s.imag[:, 0], 0.5, 40, k)
+        terms = 2 * sum(int(np.count_nonzero(starts <= c)) for c in range(40))
         assert diagnostics == {"progression": s.size, "riemann_siegel": 0, "euler_maclaurin": 0,
-                               "cutoff": k}
+                               "cutoff": k, "tail_terms": terms}
+        assert 0 < terms <= 22 * s.size
         assert grid_calls[0][4].size == k - 1
         assert np.array_equal(vals, zeta_batch(s))
 
