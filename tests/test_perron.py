@@ -303,8 +303,8 @@ class TestPerronLine:
             perron_line_sum(fam_one, Window(10**3, 10**2), T)
 
     def test_closed_form_out_of_reach_fails_fast(self, fam_sqfree):
-        # zeta(2s) leaves the validated box above T = 5e4; the top-node probe
-        # must say so before any panel is evaluated
+        # zeta(2s) leaves the validated box above T = 5e4; the top slice,
+        # evaluated first, must say so before any other slice is summed
         t0 = time.perf_counter()
         with pytest.raises(OutOfValidatedRange, match=r"squarefree_omega_power.*T=60000"):
             perron_line_sum(fam_sqfree, Window(1000, 100), 6.0e4)
